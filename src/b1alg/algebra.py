@@ -68,10 +68,12 @@ class AxiomReport:
 
 
 class AxiomError(AlgebraError):
-    """Raised when tables fail the axioms; carries the full report."""
+    """Raised when tables fail the axioms; carries the full report and the
+    element labels its witness indices refer to."""
 
-    def __init__(self, report: AxiomReport):
+    def __init__(self, report: AxiomReport, names: tuple[str, ...]):
         self.report = report
+        self.names = names
         first = report.violations[0]
         extra = len(report.violations) - 1
         msg = f"axiom {first.axiom} violated at {first.witness}"
@@ -268,7 +270,7 @@ def build_algebra(
     mul_idx = to_indices(mul, "mul")
     report = check_axioms(add_idx, mul_idx, index[one])
     if not report.valid:
-        raise AxiomError(report)
+        raise AxiomError(report, names)
     return Algebra(names, add_idx, mul_idx, index[one])
 
 
@@ -282,7 +284,7 @@ def _certified(
     # runs so a bug here cannot leak an invalid algebra.
     report = check_axioms(add, mul, one)
     if not report.valid:
-        raise AxiomError(report)
+        raise AxiomError(report, names)
     return Algebra(names, add, mul, one)
 
 

@@ -16,8 +16,8 @@ Row i, column j of a table is (row element) op (column element) in the
 
 Commands: validate, ideals, spectrum, nil, assoc, decompose, laskerian,
 evans, audit, builtin.  Reports are deterministic: the same input produces
-byte-identical output regardless of --jobs.  Exit codes: 0 success, 1 for a
-property verdict the caller asked to assert, 2 for input errors.
+byte-identical output.  Exit codes: 0 success, 1 for a property verdict the
+caller asked to assert, 2 for input errors.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .algebra import (
     Algebra,
     AlgebraError,
     AxiomError,
-    AxiomReport,
     BUILTIN_NAMES,
     build_algebra,
     builtin,
@@ -141,7 +140,6 @@ def parse_algebra_text(text: str) -> Algebra:
     for needed in ("elements", "zero", "one", "add", "mul"):
         if needed not in seen_at:
             raise ParseError(len(text.splitlines()) + 1, f"missing directive: {needed}")
-    assert names is not None and zero is not None and one is not None
     if zero not in names:
         raise ParseError(seen_at["zero"], f"unknown label {zero!r}")
     if one not in names:
@@ -154,7 +152,13 @@ def parse_algebra_text(text: str) -> Algebra:
 
 
 def parse_algebra_file(path: str | Path) -> Algebra:
-    return parse_algebra_text(Path(path).read_text(encoding="utf-8"))
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(line, f"not valid UTF-8 (byte offset {exc.start})") from None
+    return parse_algebra_text(text)
 
 
 def serialize_algebra(algebra: Algebra) -> str:
@@ -233,14 +237,11 @@ def _emit(report: AnalysisReport, fmt: str, out) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Command plumbing
+# Commands: each maps a parsed algebra and the arguments to (payload, status)
 
 
-def _load(args) -> Algebra:
-    return parse_algebra_file(args.file)
-
-
-def _parse_ideal_flag(algebra: Algebra, text: str, *, saturated_required: bool) -> int:
+def _parse_ideal_flag(algebra: Algebra, text: str) -> int:
+    """The proper saturated ideal named by an --ideal value."""
     labels = [t for t in text.split(",") if t]
     unknown = [t for t in labels if t not in algebra.index]
     if unknown:
@@ -252,71 +253,53 @@ def _parse_ideal_flag(algebra: Algebra, text: str, *, saturated_required: bool) 
         what, witness = bad
         names = ", ".join(algebra.names[w] for w in witness)
         raise AlgebraError(f"--ideal set {what} (witness: {names})")
-    if saturated_required and not is_saturated(algebra, mask):
+    if not is_saturated(algebra, mask):
         extra = saturation(algebra, mask) & ~mask
         raise AlgebraError(
             f"--ideal set is not saturated; its closure adds {_ideal_str(algebra, extra)}"
         )
+    if mask == full_mask(algebra):
+        raise AlgebraError("--ideal must denote a proper ideal")
     return mask
 
 
-def _axiom_payload(report: AxiomReport, algebra_names: tuple[str, ...]) -> dict:
+def _associated_list(algebra: Algebra, pairs) -> list[dict]:
+    return [
+        {"witness": algebra.names[x], "prime": _ideal_str(algebra, p)} for x, p in pairs
+    ]
+
+
+def _invalid_payload(exc: AxiomError) -> dict:
+    """The validate report of tables that fail the axioms."""
     return {
-        "valid": report.valid,
+        "valid": exc.report.valid,
         "violations": [
-            {
-                "axiom": v.axiom,
-                "witness": [algebra_names[i] for i in v.witness],
-            }
-            for v in report.violations
+            {"axiom": v.axiom, "witness": [exc.names[i] for i in v.witness]}
+            for v in exc.report.violations
         ],
+        "trivial": len(exc.names) == 1,
     }
 
 
-def cmd_validate(args) -> int:
-    path = Path(args.file)
-    try:
-        algebra = parse_algebra_file(path)
-    except AxiomError as exc:
-        names = _element_names(path)
-        payload = _axiom_payload(exc.report, names)
-        payload["trivial"] = len(names) == 1
-        report = AnalysisReport("validate", str(path), payload)
-        _emit(report, args.format, sys.stdout)
-        return 2
+def cmd_validate(algebra: Algebra, args) -> tuple[dict, int]:
     payload = {"valid": True, "violations": [], "order": algebra.order,
                "trivial": algebra.is_trivial}
-    _emit(AnalysisReport("validate", str(path), payload), args.format, sys.stdout)
-    return 0
+    return payload, 0
 
 
-def _element_names(path: Path) -> tuple[str, ...]:
-    """Recover the element labels so axiom witnesses can be named."""
-    for raw in path.read_text(encoding="utf-8").splitlines():
-        body = raw.split("#", 1)[0].strip()
-        if body.startswith("elements"):
-            return tuple(body.split()[1:])
-    return ()
-
-
-def cmd_ideals(args) -> int:
-    algebra = _load(args)
+def cmd_ideals(algebra: Algebra, args) -> tuple[dict, int]:
     masks = (
-        enumerate_saturated_ideals(algebra, jobs=args.jobs)
-        if args.saturated
-        else enumerate_ideals(algebra, jobs=args.jobs)
+        enumerate_saturated_ideals(algebra) if args.saturated else enumerate_ideals(algebra)
     )
     payload = {
         "saturated_only": bool(args.saturated),
         "count": len(masks),
         "ideals": _ideal_list(algebra, masks),
     }
-    _emit(AnalysisReport("ideals", args.file, payload), args.format, sys.stdout)
-    return 0
+    return payload, 0
 
 
-def cmd_spectrum(args) -> int:
-    algebra = _load(args)
+def cmd_spectrum(algebra: Algebra, args) -> tuple[dict, int]:
     result = spectrum(algebra)
     payload = {
         "primes": _ideal_list(algebra, result.primes),
@@ -324,44 +307,27 @@ def cmd_spectrum(args) -> int:
         "min_primes": _ideal_list(algebra, result.min_primes),
         "min_saturated_primes": _ideal_list(algebra, result.min_saturated_primes),
         "max_saturated": _ideal_list(algebra, result.max_saturated),
-        "associated": [
-            {"witness": algebra.names[x], "prime": _ideal_str(algebra, p)}
-            for x, p in result.associated
-        ],
+        "associated": _associated_list(algebra, result.associated),
         "nilradical": _ideal_str(algebra, result.nilradical),
         "zero_divisors": list(member_labels(algebra, result.zero_divisors)),
         "standard": result.standard,
         "standard_cover": _ideal_list(algebra, result.standard_cover),
     }
-    _emit(AnalysisReport("spectrum", args.file, payload), args.format, sys.stdout)
-    return 0
+    return payload, 0
 
 
-def cmd_nil(args) -> int:
-    algebra = _load(args)
-    payload = {"nilradical": _ideal_str(algebra, nilradical(algebra))}
-    _emit(AnalysisReport("nil", args.file, payload), args.format, sys.stdout)
-    return 0
+def cmd_nil(algebra: Algebra, args) -> tuple[dict, int]:
+    return {"nilradical": _ideal_str(algebra, nilradical(algebra))}, 0
 
 
-def cmd_assoc(args) -> int:
-    algebra = _load(args)
-    payload = {
-        "associated": [
-            {"witness": algebra.names[x], "prime": _ideal_str(algebra, p)}
-            for x, p in associated_primes(algebra)
-        ]
-    }
-    _emit(AnalysisReport("assoc", args.file, payload), args.format, sys.stdout)
-    return 0
+def cmd_assoc(algebra: Algebra, args) -> tuple[dict, int]:
+    return {"associated": _associated_list(algebra, associated_primes(algebra))}, 0
 
 
-def cmd_decompose(args) -> int:
-    algebra = _load(args)
-    mask = _parse_ideal_flag(algebra, args.ideal, saturated_required=True)
-    if mask == full_mask(algebra):
-        raise AlgebraError("--ideal must denote a proper ideal")
-    result = radical_decomposition(algebra, mask)
+def cmd_decompose(algebra: Algebra, args) -> tuple[dict, int]:
+    if not args.ideal:
+        raise AlgebraError("decompose requires a non-empty --ideal")
+    result = radical_decomposition(algebra, _parse_ideal_flag(algebra, args.ideal))
     if args.minimal:
         result = minimalize(result)
     payload = {
@@ -377,12 +343,10 @@ def cmd_decompose(args) -> int:
             for node, (u, v) in result.split_trace
         ],
     }
-    _emit(AnalysisReport("decompose", args.file, payload), args.format, sys.stdout)
-    return 0
+    return payload, 0
 
 
-def cmd_laskerian(args) -> int:
-    algebra = _load(args)
+def cmd_laskerian(algebra: Algebra, args) -> tuple[dict, int]:
     report = laskerian_check(algebra)
     payload = {
         "laskerian": report.laskerian,
@@ -394,24 +358,19 @@ def cmd_laskerian(args) -> int:
             for ideal, parts in report.table
         },
     }
-    _emit(AnalysisReport("laskerian", args.file, payload), args.format, sys.stdout)
-    if args.assert_laskerian and not report.laskerian:
-        return 1
-    return 0
+    return payload, 1 if args.assert_laskerian and not report.laskerian else 0
 
 
-def cmd_evans(args) -> int:
-    algebra = _load(args)
+def cmd_evans(algebra: Algebra, args) -> tuple[dict, int]:
     if args.ideal is not None:
-        masks = [_parse_ideal_flag(algebra, args.ideal, saturated_required=True)]
-        if masks[0] == full_mask(algebra):
-            raise AlgebraError("--ideal must denote a proper ideal")
+        masks = [_parse_ideal_flag(algebra, args.ideal)]
     else:
         full = full_mask(algebra)
-        masks = [m for m in enumerate_saturated_ideals(algebra, jobs=args.jobs) if m != full]
+        masks = [m for m in enumerate_saturated_ideals(algebra) if m != full]
     reports = [evans_report(algebra, m) for m in masks]
+    passed = all(r.passed for r in reports)
     payload = {
-        "all_passed": all(r.passed for r in reports),
+        "all_passed": passed,
         "reports": [
             {
                 "ideal": _ideal_str(algebra, r.ideal),
@@ -427,14 +386,10 @@ def cmd_evans(args) -> int:
             for r in reports
         ],
     }
-    _emit(AnalysisReport("evans", args.file, payload), args.format, sys.stdout)
-    if args.assert_evans and not all(r.passed for r in reports):
-        return 1
-    return 0
+    return payload, 1 if args.assert_evans and not passed else 0
 
 
-def cmd_audit(args) -> int:
-    algebra = _load(args)
+def cmd_audit(algebra: Algebra, args) -> tuple[dict, int]:
     result = audit(algebra)
     payload = {
         "passed": result.passed,
@@ -443,13 +398,55 @@ def cmd_audit(args) -> int:
             for c in result.checks
         ],
     }
-    _emit(AnalysisReport("audit", args.file, payload), args.format, sys.stdout)
-    return 0 if result.passed else 1
+    return payload, 0 if result.passed else 1
 
 
-def cmd_builtin(args) -> int:
-    algebra = builtin(args.name)
-    text = serialize_algebra(algebra)
+_IDEAL_HELP = "comma-separated element labels denoting an ideal"
+_ASSERT_HELP = "exit with status 1 when the property fails"
+
+# name, help, command, extra arguments as (flag, argparse keywords)
+COMMANDS = (
+    ("validate", "check the axioms of an algebra file", cmd_validate, ()),
+    ("ideals", "enumerate the ideals", cmd_ideals, (
+        ("--saturated", {"action": "store_true", "help": "saturated ideals only"}),
+    )),
+    ("spectrum", "primes, minimal primes, spectra", cmd_spectrum, ()),
+    ("nil", "the nilradical", cmd_nil, ()),
+    ("assoc", "associated primes with witnesses", cmd_assoc, ()),
+    ("decompose", "prime decomposition of a saturated ideal's radical", cmd_decompose, (
+        ("--ideal", {"metavar": "SET", "required": True, "help": _IDEAL_HELP}),
+        ("--minimal", {"action": "store_true", "help": "drop redundant components"}),
+    )),
+    ("laskerian", "saturated-primary decomposability of all saturated ideals",
+     cmd_laskerian, (
+        ("--assert-laskerian", {"action": "store_true", "help": _ASSERT_HELP}),
+    )),
+    ("evans", "maximal-conductor reports for saturated ideals", cmd_evans, (
+        ("--ideal", {"metavar": "SET", "help": _IDEAL_HELP}),
+        ("--assert-evans", {"action": "store_true", "help": _ASSERT_HELP}),
+    )),
+    ("audit", "run the full invariant suite; exit 1 on any failure", cmd_audit, ()),
+)
+
+
+def _run(args) -> int:
+    """Parse the file, run the command on it, print the report."""
+    try:
+        algebra = parse_algebra_file(args.file)
+    except AxiomError as exc:
+        if args.command != "validate":
+            raise
+        payload, status = _invalid_payload(exc), 2
+    else:
+        payload, status = args.run(algebra, args)
+    # validate echoes the normalised path, the analyses the path as given
+    label = str(Path(args.file)) if args.command == "validate" else args.file
+    _emit(AnalysisReport(args.command, label, payload), args.format, sys.stdout)
+    return status
+
+
+def _builtin(args) -> int:
+    text = serialize_algebra(builtin(args.name))
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
     else:
@@ -465,94 +462,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"b1alg {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, ideal_flag=False, assert_flag=None):
+    for name, help_text, command, extra in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="algebra definition (.b1a)")
         p.add_argument(
             "--format", choices=("text", "json"), default="text",
             help="report format (default: text)",
         )
-        p.add_argument(
-            "--jobs", type=int, default=1, metavar="N",
-            help="worker threads for enumeration; output is identical for any N",
-        )
-        if ideal_flag:
-            p.add_argument(
-                "--ideal", metavar="SET",
-                help="comma-separated element labels denoting an ideal",
-            )
-        if assert_flag:
-            p.add_argument(
-                assert_flag, action="store_true", dest=assert_flag.strip("-").replace("-", "_"),
-                help="exit with status 1 when the property fails",
-            )
-
-    p = sub.add_parser("validate", help="check the axioms of an algebra file")
-    common(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("ideals", help="enumerate the ideals")
-    common(p)
-    p.add_argument("--saturated", action="store_true", help="saturated ideals only")
-    p.set_defaults(func=cmd_ideals)
-
-    p = sub.add_parser("spectrum", help="primes, minimal primes, spectra")
-    common(p)
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("nil", help="the nilradical")
-    common(p)
-    p.set_defaults(func=cmd_nil)
-
-    p = sub.add_parser("assoc", help="associated primes with witnesses")
-    common(p)
-    p.set_defaults(func=cmd_assoc)
-
-    p = sub.add_parser("decompose", help="prime decomposition of a saturated ideal's radical")
-    common(p, ideal_flag=True)
-    p.add_argument("--minimal", action="store_true", help="drop redundant components")
-    p.set_defaults(func=cmd_decompose)
-    # decompose demands an ideal to work on
-    p.set_defaults(_ideal_required=True)
-
-    p = sub.add_parser("laskerian", help="saturated-primary decomposability of all saturated ideals")
-    common(p, assert_flag="--assert-laskerian")
-    p.set_defaults(func=cmd_laskerian)
-
-    p = sub.add_parser("evans", help="maximal-conductor reports for saturated ideals")
-    common(p, ideal_flag=True, assert_flag="--assert-evans")
-    p.set_defaults(func=cmd_evans)
-
-    p = sub.add_parser("audit", help="run the full invariant suite; exit 1 on any failure")
-    common(p)
-    p.set_defaults(func=cmd_audit)
+        for flag, options in extra:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=_run, run=command)
 
     p = sub.add_parser("builtin", help="emit a builtin algebra as .b1a text")
     p.add_argument("name", help=f"one of: {', '.join(BUILTIN_NAMES)}")
     p.add_argument("-o", "--output", metavar="FILE", help="write to FILE instead of stdout")
-    p.set_defaults(func=cmd_builtin)
+    p.set_defaults(func=_builtin)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "_ideal_required", False) and not args.ideal:
-        parser.error("decompose requires --ideal")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except AxiomError as exc:
         print(f"error: invalid algebra: {exc}", file=sys.stderr)
-        return 2
-    except AlgebraError as exc:
+    except (AlgebraError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return 2
 
 
 if __name__ == "__main__":

@@ -146,14 +146,16 @@ def weak_decompose(algebra: Algebra, mask: int) -> DecompositionResult:
                     break
             if witness:
                 break
-        assert witness is not None, "non-prime proper ideal without witness pair"
+        if witness is None:
+            raise RuntimeError("non-prime proper ideal without witness pair (engine bug)")
         trace.append((j, witness))
         u, v = witness
         for w in (u, v):
             arm = radical(
                 algebra, saturation(algebra, ideal_sum(algebra, j, generated_ideal(algebra, (w,))))
             )
-            assert arm != full and arm != j, "split arm failed to grow properly"
+            if arm == full or arm == j:
+                raise RuntimeError("split arm failed to grow properly (engine bug)")
             split(arm)
 
     split(mask)
@@ -165,7 +167,8 @@ def weak_decompose(algebra: Algebra, mask: int) -> DecompositionResult:
         irredundant=False,
         split_trace=tuple(trace),
     )
-    assert result.intersection() == mask, "decomposition lost its intersection"
+    if result.intersection() != mask:
+        raise RuntimeError("decomposition lost its intersection (engine bug)")
     return result
 
 

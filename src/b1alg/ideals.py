@@ -14,7 +14,6 @@ quotient algebra.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .algebra import (
@@ -197,7 +196,7 @@ def conductor(algebra: Algebra, x: int, mask: int) -> int:
 _ideal_cache: dict[Algebra, tuple[int, ...]] = {}
 
 
-def _scan_ideals(algebra: Algebra, start: int, stop: int) -> list[int]:
+def _scan_ideals(algebra: Algebra) -> list[int]:
     # Candidates are masks containing bit 0; candidate t encodes 1 | t << 1.
     add, mul = algebra.add, algebra.mul
     n = algebra.order
@@ -208,7 +207,7 @@ def _scan_ideals(algebra: Algebra, start: int, stop: int) -> list[int]:
             m |= 1 << mul[a][i]
         mult_row[i] = m
     found = []
-    for t in range(start, stop):
+    for t in range(1 << (n - 1)):
         mask = 1 | t << 1
         members = list(bits(mask))
         ok = True
@@ -231,13 +230,11 @@ def _scan_ideals(algebra: Algebra, start: int, stop: int) -> list[int]:
     return found
 
 
-def enumerate_ideals(algebra: Algebra, jobs: int = 1) -> tuple[int, ...]:
+def enumerate_ideals(algebra: Algebra) -> tuple[int, ...]:
     """All ideals, sorted by cardinality then by mask value.
 
     Exhaustive over the 2**(order-1) subsets containing zero; refuses
-    algebras above the enumeration bound instead of sampling.  ``jobs``
-    partitions the scan across threads; the merged output is identical for
-    every worker count.
+    algebras above the enumeration bound instead of sampling.
     """
     bound = enumeration_bound()
     if algebra.order > bound:
@@ -248,24 +245,16 @@ def enumerate_ideals(algebra: Algebra, jobs: int = 1) -> tuple[int, ...]:
     cached = _ideal_cache.get(algebra)
     if cached is not None:
         return cached
-    total = 1 << (algebra.order - 1)
-    if jobs <= 1 or total < 1024:
-        found = _scan_ideals(algebra, 0, total)
-    else:
-        step = -(-total // jobs)
-        ranges = [(k, min(k + step, total)) for k in range(0, total, step)]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = pool.map(lambda r: _scan_ideals(algebra, *r), ranges)
-        found = [m for chunk in chunks for m in chunk]
+    found = _scan_ideals(algebra)
     found.sort(key=lambda m: (m.bit_count(), m))
     result = tuple(found)
     _ideal_cache[algebra] = result
     return result
 
 
-def enumerate_saturated_ideals(algebra: Algebra, jobs: int = 1) -> tuple[int, ...]:
+def enumerate_saturated_ideals(algebra: Algebra) -> tuple[int, ...]:
     return tuple(
-        m for m in enumerate_ideals(algebra, jobs) if is_saturated(algebra, m)
+        m for m in enumerate_ideals(algebra) if is_saturated(algebra, m)
     )
 
 

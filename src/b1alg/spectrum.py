@@ -18,8 +18,6 @@ from .ideals import (
     enumerate_ideals,
     enumerate_saturated_ideals,
     full_mask,
-    preimage_ideal,
-    quotient,
     radical,
 )
 
@@ -132,15 +130,20 @@ def associated_primes(algebra: Algebra) -> tuple[tuple[int, int], ...]:
     """Pairs (witness x, prime) where the prime pulls back from a minimal
     prime of the quotient by the Bourne congruence of Ann(x).
 
-    One witness is kept per distinct prime, the smallest element index;
-    x = 1 always contributes, so the minimal primes are always present.
+    The quotient is never built: its primes pull back to exactly the
+    primes of the algebra that are unions of congruence classes, and the
+    pullback keeps inclusion, so the minimal ones among those are the
+    answer.  One witness is kept per distinct prime, the smallest element
+    index; x = 1 always contributes, so the minimal primes are always
+    present.
     """
+    candidates = primes(algebra)
     found: dict[int, int] = {}
     for x in range(1, algebra.order):
-        qmap = quotient(algebra, bourne_congruence(algebra, annihilator(algebra, x)))
-        for q in min_primes(qmap.target):
-            pulled = preimage_ideal(qmap, q)
-            found.setdefault(pulled, x)
+        classes = bourne_congruence(algebra, annihilator(algebra, x)).classes
+        unions = [p for p in candidates if all(p & c in (0, c) for c in classes)]
+        for p in _minimal(unions):
+            found.setdefault(p, x)
     return tuple(
         (found[p], p) for p in sorted(found, key=lambda m: (m.bit_count(), m))
     )

@@ -3,8 +3,9 @@
 These deliberately take different routes than the library: primality via
 multiplicative closure of the complement, primarity via an unbounded
 power walk that stops on cycle detection, ideal enumeration via join
-closure of principal ideals instead of a subset scan, and generation via
-a naive alternating closure.
+closure of principal ideals instead of a subset scan, generation via
+a naive alternating closure, and associated primes via the quotient
+algebras the library no longer builds.
 """
 
 from __future__ import annotations
@@ -107,3 +108,20 @@ def saturation_oracle(algebra: b.Algebra, mask: int) -> int:
         if any(algebra.leq(a, i) for i in b.bits(mask)):
             out |= 1 << a
     return out
+
+
+def associated_oracle(algebra: b.Algebra) -> tuple[tuple[int, int], ...]:
+    """Associated primes through the quotients: for each x != 0, the minimal
+    primes of A / Bourne(Ann(x)) pulled back to A, smallest witness kept."""
+    found: dict[int, int] = {}
+    for x in range(1, algebra.order):
+        congruence = b.bourne_congruence(algebra, b.annihilator(algebra, x))
+        qmap = b.quotient(algebra, congruence)
+        target = qmap.target
+        primes = [m for m in ideals_oracle(target) if prime_oracle(target, m)]
+        for q in primes:
+            if not any(o != q and o & q == o for o in primes):
+                found.setdefault(b.preimage_ideal(qmap, q), x)
+    return tuple(
+        (found[p], p) for p in sorted(found, key=lambda m: (m.bit_count(), m))
+    )

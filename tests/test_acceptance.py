@@ -230,9 +230,11 @@ def test_criterion_7_oracle_equivalence(fleet):
                 lbl(algebra, m),
             )
             checked += 1
+        assert b.associated_primes(algebra) == oracles.associated_oracle(algebra), name
     _passed(
         f"ACCEPTANCE 7 oracle equivalence: PASS "
-        f"({checked} ideals, complement-closure and power-walk oracles agree)"
+        f"({checked} ideals, complement-closure and power-walk oracles agree; "
+        f"associated primes match the quotient route on {len(fleet)} algebras)"
     )
 
 

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,10 @@ from b1alg.cli import (
     parse_algebra_text,
     serialize_algebra,
 )
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+SRC_DIR = REPO_ROOT / "src"
+EXAMPLE_FILE = REPO_ROOT / "algebras" / "example-6-2.b1a"
 
 EX62_FILE = """\
 # six-element test algebra
@@ -112,6 +118,13 @@ class TestCommands:
         assert main(["spectrum", "/nonexistent/x.b1a"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_non_utf8_file_exits_2_with_location(self, tmp_path, capsys):
+        bad = tmp_path / "bad.b1a"
+        bad.write_bytes(b"elements 0 1\xff\nzero 0\n")
+        assert main(["validate", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "line 1" in err and "byte offset 12" in err
+
     def test_parse_error_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.b1a"
         bad.write_text("elements 0 1\nzero 0\n", encoding="utf-8")
@@ -177,6 +190,9 @@ class TestCommands:
         assert main(["decompose", ex62_path, "--ideal", "0,z,x,y,u,1"]) == 2
         assert "proper" in capsys.readouterr().err
 
+        assert main(["decompose", ex62_path, "--ideal", ""]) == 2
+        assert "--ideal" in capsys.readouterr().err
+
     def test_laskerian_verdict_and_assert(self, ex62_path, capsys):
         assert main(["laskerian", ex62_path]) == 0
         out = capsys.readouterr().out
@@ -238,10 +254,10 @@ class TestCommands:
 
 
 class TestDeterminism:
-    def test_json_byte_identical_across_runs_and_jobs(self, ex62_path, capsys):
+    def test_json_byte_identical_across_runs(self, ex62_path, capsys):
         outputs = []
-        for jobs in ("1", "1", "3"):
-            assert main(["spectrum", ex62_path, "--format", "json", "--jobs", jobs]) == 0
+        for _ in range(3):
+            assert main(["spectrum", ex62_path, "--format", "json"]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1] == outputs[2]
 
@@ -252,20 +268,29 @@ class TestDeterminism:
         assert capsys.readouterr().out == first
 
 
+def _run_cli(*args: str) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter that imports this checkout's b1alg."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC_DIR), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env
+    )
+
+
 class TestConsoleScript:
     def test_version_and_audit_subprocess(self, ex62_path):
-        proc = subprocess.run(
-            [sys.executable, "-m", "b1alg.cli", "--version"],
-            capture_output=True,
-            text=True,
-        )
+        proc = _run_cli("-m", "b1alg.cli", "--version")
         assert proc.returncode == 0
         assert "b1alg" in proc.stdout
 
-        proc = subprocess.run(
-            [sys.executable, "-m", "b1alg.cli", "audit", ex62_path],
-            capture_output=True,
-            text=True,
-        )
+        proc = _run_cli("-m", "b1alg.cli", "audit", ex62_path)
         assert proc.returncode == 0
+        assert "passed: True" in proc.stdout
+
+    def test_audit_under_optimisation(self):
+        # -O strips assert statements; the engine's invariants must not rely on them
+        proc = _run_cli("-O", "-m", "b1alg.cli", "audit", str(EXAMPLE_FILE))
+        assert proc.returncode == 0, proc.stderr
         assert "passed: True" in proc.stdout

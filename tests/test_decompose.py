@@ -41,6 +41,13 @@ class TestWeakDecompose:
         with pytest.raises(b.AlgebraError, match="proper"):
             b.weak_decompose(ex62, b.full_mask(ex62))
 
+    def test_broken_invariant_raises_runtime_error(self, ex62, monkeypatch):
+        # With every ideal declared non-prime, some node has no witness pair;
+        # the check must be an exception, not an assert that -O strips.
+        monkeypatch.setattr("b1alg.decompose.is_prime", lambda algebra, mask: False)
+        with pytest.raises(RuntimeError, match="engine bug"):
+            b.weak_decompose(ex62, msk(ex62, "z"))
+
     def test_exactness_on_fleet(self, base_fleet, small_random_fleet):
         for algebra in [*base_fleet.values(), *small_random_fleet]:
             full = b.full_mask(algebra)

@@ -4,7 +4,6 @@ import pytest
 
 import b1alg as b
 import oracles
-from b1alg.ideals import _scan_ideals
 from support import lbl, msk
 
 
@@ -175,18 +174,6 @@ class TestEnumeration:
         monkeypatch.setenv("B1ALG_ENUM_BOUND", "garbage")
         with pytest.raises(b.AlgebraError, match="integer"):
             b.enumerate_ideals(ex62)
-
-    def test_jobs_partitioning_is_deterministic(self):
-        algebra = b.chain_algebra(11)
-        parallel = b.enumerate_ideals(algebra, jobs=3)
-        sequential = tuple(
-            sorted(
-                _scan_ideals(algebra, 0, 1 << (algebra.order - 1)),
-                key=lambda m: (m.bit_count(), m),
-            )
-        )
-        assert parallel == sequential
-        assert len(parallel) == 11
 
     def test_ideal_violation_messages(self, ex62):
         assert b.ideal_violation(ex62, msk(ex62, "z,x")) is None
