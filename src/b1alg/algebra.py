@@ -14,43 +14,14 @@ witness.
 
 from __future__ import annotations
 
-import os
-import warnings
 from dataclasses import dataclass
-
-DEFAULT_ENUMERATION_BOUND = 20
-ENUMERATION_BOUND_ENV = "B1ALG_ENUM_BOUND"
 
 # Labels travel through files and comma-separated CLI flags.
 _FORBIDDEN_IN_LABEL = ("#", ",")
 
 
-def enumeration_bound() -> int:
-    """Largest algebra order for which exhaustive subset search is allowed."""
-    raw = os.environ.get(ENUMERATION_BOUND_ENV)
-    if raw is None:
-        return DEFAULT_ENUMERATION_BOUND
-    try:
-        value = int(raw)
-    except ValueError:
-        raise AlgebraError(
-            f"{ENUMERATION_BOUND_ENV} must be an integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise AlgebraError(f"{ENUMERATION_BOUND_ENV} must be positive, got {value}")
-    return value
-
-
 class AlgebraError(ValueError):
     """Invalid input: bad tables, bad labels, or a broken precondition."""
-
-
-class EnumerationBoundError(AlgebraError):
-    """The algebra is too large for exhaustive subset enumeration."""
-
-
-class EnumerationBoundWarning(UserWarning):
-    """A construction produced an algebra larger than the enumeration bound."""
 
 
 @dataclass(frozen=True)
@@ -88,10 +59,10 @@ class Algebra:
     ``add`` and ``mul`` are tuples of tuples of element indices;
     ``add[a][b]`` is the index of a + b.  ``zero`` is always 0.
     Instances compare and hash structurally, so equal tables built twice
-    share memoized enumeration results.
+    share memoized enumeration results for as long as the first is alive.
     """
 
-    __slots__ = ("names", "add", "mul", "zero", "one", "index", "_hash")
+    __slots__ = ("names", "add", "mul", "zero", "one", "index", "_hash", "__weakref__")
 
     def __init__(
         self,
@@ -120,12 +91,6 @@ class Algebra:
     def elements(self) -> range:
         return range(len(self.names))
 
-    def plus(self, a: int, b: int) -> int:
-        return self.add[a][b]
-
-    def times(self, a: int, b: int) -> int:
-        return self.mul[a][b]
-
     def leq(self, a: int, b: int) -> bool:
         """Natural order: a <= b iff a + b = b.  Zero is the minimum."""
         return self.add[a][b] == b
@@ -138,15 +103,6 @@ class Algebra:
         for _ in range(k - 1):
             acc = self.mul[acc][a]
         return acc
-
-    def label(self, a: int) -> str:
-        return self.names[a]
-
-    def element(self, label: str) -> int:
-        try:
-            return self.index[label]
-        except KeyError:
-            raise AlgebraError(f"unknown label {label!r}") from None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Algebra):
@@ -300,14 +256,6 @@ def direct_product(a: Algebra, b: Algebra) -> Algebra:
             for j in range(nb)
         )
 
-    order = na * nb
-    if order > enumeration_bound():
-        warnings.warn(
-            f"product algebra of order {order} exceeds the enumeration "
-            f"bound {enumeration_bound()}; subset enumeration will refuse it",
-            EnumerationBoundWarning,
-            stacklevel=2,
-        )
     return _certified(names, table(a.add, b.add), table(a.mul, b.mul), a.one * nb + b.one)
 
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -173,23 +172,6 @@ def serialize_algebra(algebra: Algebra) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    command: str
-    algebra: str
-    result: dict
-    engine_version: str = __version__
-
-    def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "algebra": self.algebra,
-            "engine_version": self.engine_version,
-            "result": self.result,
-        }
-        return json.dumps(payload, indent=2) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Rendering
 
@@ -200,13 +182,6 @@ def _ideal_str(algebra: Algebra, mask: int) -> str:
 
 def _ideal_list(algebra: Algebra, masks) -> list[str]:
     return [_ideal_str(algebra, m) for m in masks]
-
-
-def _render_text(report: AnalysisReport, out) -> None:
-    print(f"command: {report.command}", file=out)
-    print(f"algebra: {report.algebra}", file=out)
-    print(f"engine: b1alg {report.engine_version}", file=out)
-    _render_value(report.result, out, indent=0)
 
 
 def _render_value(value, out, indent: int, key: str | None = None) -> None:
@@ -229,11 +204,20 @@ def _render_value(value, out, indent: int, key: str | None = None) -> None:
         print(f"{pad}{label}{value}", file=out)
 
 
-def _emit(report: AnalysisReport, fmt: str, out) -> None:
+def _emit(command: str, label: str, result: dict, fmt: str, out) -> None:
     if fmt == "json":
-        out.write(report.to_json())
+        payload = {
+            "command": command,
+            "algebra": label,
+            "engine_version": __version__,
+            "result": result,
+        }
+        out.write(json.dumps(payload, indent=2) + "\n")
     else:
-        _render_text(report, out)
+        print(f"command: {command}", file=out)
+        print(f"algebra: {label}", file=out)
+        print(f"engine: b1alg {__version__}", file=out)
+        _render_value(result, out, indent=0)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +425,7 @@ def _run(args) -> int:
         payload, status = args.run(algebra, args)
     # validate echoes the normalised path, the analyses the path as given
     label = str(Path(args.file)) if args.command == "validate" else args.file
-    _emit(AnalysisReport(args.command, label, payload), args.format, sys.stdout)
+    _emit(args.command, label, payload, args.format, sys.stdout)
     return status
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 
 from .algebra import Algebra, AlgebraError, check_axioms
 from .ideals import (
+    _canonical,
     annihilator,
     bits,
     bourne_congruence,
@@ -32,6 +33,8 @@ from .ideals import (
     saturation,
 )
 from .spectrum import (
+    _maximal,
+    _prime_witness,
     associated_primes,
     divisor_set,
     is_primary,
@@ -125,29 +128,17 @@ def weak_decompose(algebra: Algebra, mask: int) -> DecompositionResult:
             f"{algebra.names[culprit]!r} lies inside"
         )
 
-    mul = algebra.mul
     full = full_mask(algebra)
     components: list[int] = []
     trace: list[tuple[int, tuple[int, int]]] = []
 
     def split(j: int) -> None:
-        if is_prime(algebra, j):
+        # Every node is proper, so having no witness pair means prime.
+        witness = _prime_witness(algebra, j)
+        if witness is None:
             if j not in components:
                 components.append(j)
             return
-        witness = None
-        for u in algebra.elements():
-            if j >> u & 1:
-                continue
-            row = mul[u]
-            for v in algebra.elements():
-                if not j >> v & 1 and j >> row[v] & 1:
-                    witness = (u, v)
-                    break
-            if witness:
-                break
-        if witness is None:
-            raise RuntimeError("non-prime proper ideal without witness pair (engine bug)")
         trace.append((j, witness))
         u, v = witness
         for w in (u, v):
@@ -159,11 +150,10 @@ def weak_decompose(algebra: Algebra, mask: int) -> DecompositionResult:
             split(arm)
 
     split(mask)
-    components.sort(key=lambda m: (m.bit_count(), m))
     result = DecompositionResult(
         algebra=algebra,
         input=mask,
-        components=tuple(components),
+        components=tuple(_canonical(components)),
         irredundant=False,
         split_trace=tuple(trace),
     )
@@ -229,18 +219,14 @@ def laskerian_check(algebra: Algebra) -> LaskerianReport:
     frontier = list(sat_primaries)
     while frontier:
         fresh: dict[int, tuple[int, ...]] = {}
-        known = sorted(reachable, key=lambda m: (m.bit_count(), m))
+        known = _canonical(reachable)
         for a in frontier:
             for b in known:
                 c = a & b
                 if c not in reachable and c not in fresh:
-                    parts = tuple(sorted(
-                        set(reachable[a]) | set(reachable[b]),
-                        key=lambda m: (m.bit_count(), m),
-                    ))
-                    fresh[c] = parts
+                    fresh[c] = tuple(_canonical(set(reachable[a]) | set(reachable[b])))
         reachable.update(fresh)
-        frontier = sorted(fresh, key=lambda m: (m.bit_count(), m))
+        frontier = _canonical(fresh)
 
     witness = None
     for m in proper_saturated:
@@ -272,11 +258,7 @@ def evans_report(algebra: Algebra, mask: int) -> EvansReport:
     for y in algebra.elements():
         if not mask >> y & 1:
             conductors.setdefault(conductor(algebra, y, mask), y)
-    maximal = [
-        c for c in conductors
-        if not any(o != c and o & c == c for o in conductors)
-    ]
-    maximal.sort(key=lambda m: (m.bit_count(), m))
+    maximal = _canonical(_maximal(conductors))
     entries = tuple((conductors[c], c) for c in maximal)
     all_prime = all(is_prime(algebra, c) for c in maximal)
     all_saturated = all(is_saturated(algebra, c) for c in maximal)
@@ -507,26 +489,26 @@ def audit(algebra: Algebra) -> AuditResult:
         if not set(minimal) <= comps:
             return "a minimal prime is missing from the components"
         slim = minimalize(result)
-        if tuple(sorted(slim.components, key=lambda m: (m.bit_count(), m))) != minimal:
+        if tuple(_canonical(slim.components)) != minimal:
             return "minimalized components differ from the minimal primes"
         return None
 
+    # The first proper saturated ideal failing Evans' condition; both
+    # Evans checks read it.
+    evans_failure = next(
+        (i for i in proper_saturated if not evans_report(algebra, i).passed), None
+    )
+
     @run("evans-property")
     def _evans():
-        for i in proper_saturated:
-            report = evans_report(algebra, i)
-            if not report.passed:
-                return f"evans fails at {_labels(algebra, i)}"
+        if evans_failure is not None:
+            return f"evans fails at {_labels(algebra, evans_failure)}"
         return None
 
     @run("laskerian-implies-evans")
     def _lask_evans():
-        report = laskerian_check(algebra)
-        if not report.laskerian:
-            return None
-        for i in proper_saturated:
-            if not evans_report(algebra, i).passed:
-                return f"laskerian algebra fails evans at {_labels(algebra, i)}"
+        if evans_failure is not None and laskerian_check(algebra).laskerian:
+            return f"laskerian algebra fails evans at {_labels(algebra, evans_failure)}"
         return None
 
     @run("divisor-sets")

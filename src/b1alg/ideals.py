@@ -14,17 +14,34 @@ quotient algebra.
 
 from __future__ import annotations
 
+import os
+import weakref
 from dataclasses import dataclass
 
-from .algebra import (
-    ENUMERATION_BOUND_ENV,
-    Algebra,
-    AlgebraError,
-    AxiomError,
-    EnumerationBoundError,
-    _certified,
-    enumeration_bound,
-)
+from .algebra import Algebra, AlgebraError, AxiomError, _certified
+
+DEFAULT_ENUMERATION_BOUND = 20
+ENUMERATION_BOUND_ENV = "B1ALG_ENUM_BOUND"
+
+
+class EnumerationBoundError(AlgebraError):
+    """The algebra is too large for exhaustive subset enumeration."""
+
+
+def enumeration_bound() -> int:
+    """Largest algebra order for which exhaustive subset search is allowed."""
+    raw = os.environ.get(ENUMERATION_BOUND_ENV)
+    if raw is None:
+        return DEFAULT_ENUMERATION_BOUND
+    try:
+        value = int(raw)
+    except ValueError:
+        raise AlgebraError(
+            f"{ENUMERATION_BOUND_ENV} must be an integer, got {raw!r}"
+        ) from None
+    if value < 1:
+        raise AlgebraError(f"{ENUMERATION_BOUND_ENV} must be positive, got {value}")
+    return value
 
 
 def bits(mask: int):
@@ -40,6 +57,11 @@ def mask_of(elements) -> int:
     for e in elements:
         out |= 1 << e
     return out
+
+
+def _canonical(masks) -> list[int]:
+    """Masks in the canonical report order: cardinality, then mask value."""
+    return sorted(masks, key=lambda m: (m.bit_count(), m))
 
 
 def full_mask(algebra: Algebra) -> int:
@@ -193,7 +215,8 @@ def conductor(algebra: Algebra, x: int, mask: int) -> int:
 # ---------------------------------------------------------------------------
 # Exhaustive enumeration
 
-_ideal_cache: dict[Algebra, tuple[int, ...]] = {}
+# Weak keys: an entry lives only as long as the algebra that filled it.
+_ideal_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _scan_ideals(algebra: Algebra) -> list[int]:
@@ -245,9 +268,7 @@ def enumerate_ideals(algebra: Algebra) -> tuple[int, ...]:
     cached = _ideal_cache.get(algebra)
     if cached is not None:
         return cached
-    found = _scan_ideals(algebra)
-    found.sort(key=lambda m: (m.bit_count(), m))
-    result = tuple(found)
+    result = tuple(_canonical(_scan_ideals(algebra)))
     _ideal_cache[algebra] = result
     return result
 

@@ -13,6 +13,7 @@ from itertools import combinations
 
 from .algebra import Algebra
 from .ideals import (
+    _canonical,
     annihilator,
     bourne_congruence,
     enumerate_ideals,
@@ -22,18 +23,21 @@ from .ideals import (
 )
 
 
-def is_prime(algebra: Algebra, mask: int) -> bool:
-    """Proper, and u*v in I forces u in I or v in I."""
-    if mask == full_mask(algebra):
-        return False
+def _prime_witness(algebra: Algebra, mask: int) -> tuple[int, int] | None:
+    """First (u, v) in element-index order with u, v outside and u*v inside."""
     mul = algebra.mul
     outside = [a for a in algebra.elements() if not mask >> a & 1]
     for u in outside:
         row = mul[u]
         for v in outside:
             if mask >> row[v] & 1:
-                return False
-    return True
+                return u, v
+    return None
+
+
+def is_prime(algebra: Algebra, mask: int) -> bool:
+    """Proper, and u*v in I forces u in I or v in I."""
+    return mask != full_mask(algebra) and _prime_witness(algebra, mask) is None
 
 
 def is_primary(algebra: Algebra, mask: int) -> bool:
@@ -144,9 +148,7 @@ def associated_primes(algebra: Algebra) -> tuple[tuple[int, int], ...]:
         unions = [p for p in candidates if all(p & c in (0, c) for c in classes)]
         for p in _minimal(unions):
             found.setdefault(p, x)
-    return tuple(
-        (found[p], p) for p in sorted(found, key=lambda m: (m.bit_count(), m))
-    )
+    return tuple((found[p], p) for p in _canonical(found))
 
 
 def is_standard(algebra: Algebra) -> tuple[bool, tuple[int, ...]]:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-import warnings
 
 import b1alg as b
 
@@ -48,11 +47,9 @@ def _product_pool() -> list[b.Algebra]:
         b.chain_algebra(5),
     ]
     pool = list(seeds)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", b.EnumerationBoundWarning)
-        for i in range(len(seeds)):
-            for j in range(i, len(seeds)):
-                pool.append(b.direct_product(seeds[i], seeds[j]))
+    for i in range(len(seeds)):
+        for j in range(i, len(seeds)):
+            pool.append(b.direct_product(seeds[i], seeds[j]))
     return pool
 
 

@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import b1alg as b
 from b1alg.cli import (
@@ -95,6 +97,37 @@ class TestParsing:
         broken = EX62_FILE.replace("0 0 x 0 x x", "0 0 x u x x")
         with pytest.raises(b.AxiomError):
             parse_algebra_text(broken)
+
+
+# Pieces of .b1a text: directives, the example's labels, separators, and
+# characters the format gives a meaning to.
+_B1A_PIECES = st.sampled_from(
+    ["elements", "zero", "one", "add", "mul", "0", "z", "x", "y", "u", "1",
+     "q", " ", "\n", "#", ",", "\t", "\u00e9"]
+)
+
+
+@st.composite
+def _mutated_ex62(draw) -> str:
+    """The example file with up to three short spans replaced."""
+    text = EX62_FILE
+    for _ in range(draw(st.integers(1, 3))):
+        start = draw(st.integers(0, len(text)))
+        end = draw(st.integers(start, min(len(text), start + 8)))
+        patch = "".join(draw(st.lists(_B1A_PIECES, max_size=4)))
+        text = text[:start] + patch + text[end:]
+    return text
+
+
+class TestParserProperty:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.one_of(_mutated_ex62(), st.text(max_size=120)))
+    def test_text_yields_algebra_or_algebra_error(self, text):
+        try:
+            algebra = parse_algebra_text(text)
+        except b.AlgebraError:
+            return
+        assert isinstance(algebra, b.Algebra)
 
 
 class TestCommands:
@@ -288,6 +321,14 @@ class TestConsoleScript:
         proc = _run_cli("-m", "b1alg.cli", "audit", ex62_path)
         assert proc.returncode == 0
         assert "passed: True" in proc.stdout
+
+    def test_builtin_product_prints_no_warning(self):
+        # bool-5 has order 32, past the enumeration bound, but emitting it
+        # never enumerates, so nothing may reach stderr.
+        proc = _run_cli("-W", "error", "-m", "b1alg.cli", "builtin", "bool-5")
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert proc.stdout.startswith("elements ")
 
     def test_audit_under_optimisation(self):
         # -O strips assert statements; the engine's invariants must not rely on them

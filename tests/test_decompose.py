@@ -42,10 +42,13 @@ class TestWeakDecompose:
             b.weak_decompose(ex62, b.full_mask(ex62))
 
     def test_broken_invariant_raises_runtime_error(self, ex62, monkeypatch):
-        # With every ideal declared non-prime, some node has no witness pair;
-        # the check must be an exception, not an assert that -O strips.
-        monkeypatch.setattr("b1alg.decompose.is_prime", lambda algebra, mask: False)
-        with pytest.raises(RuntimeError, match="engine bug"):
+        # A saturation that jumps to the whole algebra leaves a split arm
+        # that cannot grow properly; the check must be an exception, not an
+        # assert that -O strips.
+        monkeypatch.setattr(
+            "b1alg.decompose.saturation", lambda algebra, mask: b.full_mask(algebra)
+        )
+        with pytest.raises(RuntimeError, match="split arm failed to grow properly"):
             b.weak_decompose(ex62, msk(ex62, "z"))
 
     def test_exactness_on_fleet(self, base_fleet, small_random_fleet):

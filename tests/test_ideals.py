@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 import b1alg as b
@@ -161,6 +164,15 @@ class TestEnumeration:
     def test_matches_join_closure_oracle(self, ex62, chain4, b1, small_random_fleet):
         for algebra in [ex62, chain4, b1, *small_random_fleet[:10]]:
             assert frozenset(b.enumerate_ideals(algebra)) == oracles.ideals_oracle(algebra)
+
+    def test_cache_does_not_keep_algebras_alive(self):
+        a = b.chain_algebra(10)
+        first = b.enumerate_ideals(a)
+        assert b.enumerate_ideals(b.chain_algebra(10)) is first  # equal tables share
+        ref = weakref.ref(a)
+        del a
+        gc.collect()
+        assert ref() is None
 
     def test_bound_refusal(self):
         big = b.chain_algebra(21)

@@ -1,0 +1,32 @@
+"""Checks on the source tree and the README rather than on the engine."""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+PACKAGE_DIR = REPO_ROOT / "src" / "b1alg"
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips assert statements, so invariants must raise instead.
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+        ]
+    assert found == []
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    # the printed components are the ones the example's comment names
+    assert capsys.readouterr().out == "[('0', 'z', 'x'), ('0', 'z', 'y')]\n"
