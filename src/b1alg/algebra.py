@@ -58,11 +58,12 @@ class Algebra:
 
     ``add`` and ``mul`` are tuples of tuples of element indices;
     ``add[a][b]`` is the index of a + b.  ``zero`` is always 0.
-    Instances compare and hash structurally, so equal tables built twice
-    share memoized enumeration results for as long as the first is alive.
+    Instances compare and hash structurally, but derived ideal families are
+    memoized per instance in ``_memo`` (see ``ideals._per_algebra``), so
+    equal tables built twice each compute their own.
     """
 
-    __slots__ = ("names", "add", "mul", "zero", "one", "index", "_hash", "__weakref__")
+    __slots__ = ("names", "add", "mul", "zero", "one", "index", "_hash", "_memo", "__weakref__")
 
     def __init__(
         self,
@@ -78,6 +79,7 @@ class Algebra:
         self.one = one
         self.index = {name: i for i, name in enumerate(self.names)}
         self._hash = hash((self.names, self.add, self.mul, one))
+        self._memo: dict = {}
 
     @property
     def order(self) -> int:
@@ -321,13 +323,15 @@ def _bool_algebra(k: int) -> Algebra:
 
 
 BUILTIN_NAMES = ("b1", "trivial", "example-6-2", "chain-N", "bool-K")
+_BUILTIN_ORDER_BOUND = 128  # largest order of chain-N and bool-K (bool-7)
 
 
 def builtin(name: str) -> Algebra:
     """Return a named builtin algebra.
 
     Fixed names: b1, trivial, example-6-2.  Parameterized families:
-    chain-N (N >= 2) and bool-K (K-fold product of b1, K >= 1).
+    chain-N (N >= 2) and bool-K (K-fold product of b1, K >= 1), with N or
+    K in plain decimal digits and at most _BUILTIN_ORDER_BOUND elements.
     """
     if name == "b1":
         return _b1()
@@ -335,13 +339,20 @@ def builtin(name: str) -> Algebra:
         return _trivial()
     if name == "example-6-2":
         return _example_6_2()
-    for prefix, make in (("chain-", chain_algebra), ("bool-", _bool_algebra)):
+    for prefix, make, max_param in (
+        ("chain-", chain_algebra, _BUILTIN_ORDER_BOUND),
+        ("bool-", _bool_algebra, _BUILTIN_ORDER_BOUND.bit_length() - 1),
+    ):
         if name.startswith(prefix):
-            try:
-                param = int(name[len(prefix):])
-            except ValueError:
-                raise AlgebraError(f"bad parameter in builtin name {name!r}") from None
-            return make(param)
+            digits = name[len(prefix):]
+            if not (digits.isascii() and digits.isdigit()):
+                raise AlgebraError(f"bad parameter in builtin name {name!r}")
+            # Count digits first: int() refuses very long strings.
+            if len(digits.lstrip("0")) > len(str(max_param)) or int(digits) > max_param:
+                raise AlgebraError(
+                    f"builtin {name!r} exceeds the order bound {_BUILTIN_ORDER_BOUND}"
+                )
+            return make(int(digits))
     raise AlgebraError(
         f"unknown builtin {name!r}; available: {', '.join(BUILTIN_NAMES)}"
     )

@@ -35,6 +35,7 @@ from .ideals import (
 from .spectrum import (
     _maximal,
     _prime_witness,
+    _primaries,
     associated_primes,
     divisor_set,
     is_primary,
@@ -131,25 +132,25 @@ def weak_decompose(algebra: Algebra, mask: int) -> DecompositionResult:
     full = full_mask(algebra)
     components: list[int] = []
     trace: list[tuple[int, tuple[int, int]]] = []
-
-    def split(j: int) -> None:
+    # Depth first on an explicit stack, since a recursive closure is a cycle that
+    # keeps the algebra alive; v is pushed first, so u's subtree comes first.
+    stack = [mask]
+    while stack:
+        j = stack.pop()
         # Every node is proper, so having no witness pair means prime.
         witness = _prime_witness(algebra, j)
         if witness is None:
             if j not in components:
                 components.append(j)
-            return
+            continue
         trace.append((j, witness))
-        u, v = witness
-        for w in (u, v):
+        for w in reversed(witness):
             arm = radical(
                 algebra, saturation(algebra, ideal_sum(algebra, j, generated_ideal(algebra, (w,))))
             )
             if arm == full or arm == j:
                 raise RuntimeError("split arm failed to grow properly (engine bug)")
-            split(arm)
-
-    split(mask)
+            stack.append(arm)
     result = DecompositionResult(
         algebra=algebra,
         input=mask,
@@ -210,9 +211,7 @@ def laskerian_check(algebra: Algebra) -> LaskerianReport:
     full = full_mask(algebra)
     saturated = enumerate_saturated_ideals(algebra)
     proper_saturated = [m for m in saturated if m != full]
-    primaries = tuple(
-        m for m in enumerate_ideals(algebra) if is_primary(algebra, m)
-    )
+    primaries = _primaries(algebra)
     sat_primaries = tuple(m for m in primaries if is_saturated(algebra, m))
 
     reachable: dict[int, tuple[int, ...]] = {q: (q,) for q in sat_primaries}
@@ -330,10 +329,14 @@ def audit(algebra: Algebra) -> AuditResult:
                         return "transitivity fails"
         return None
 
+    # Saturations and their radicals, once per ideal, for the pair loops.
+    sat = {i: saturation(algebra, i) for i in ideals}
+    rad_sat = {i: radical(algebra, s) for i, s in sat.items()}
+
     @run("saturation-closure")
     def _sat_closure():
         for i in ideals:
-            s = saturation(algebra, i)
+            s = sat[i]
             if i & ~s:
                 return f"not extensive at {_labels(algebra, i)}"
             if saturation(algebra, s) != s:
@@ -341,7 +344,7 @@ def audit(algebra: Algebra) -> AuditResult:
             if not is_ideal(algebra, s):
                 return f"saturation of {_labels(algebra, i)} is not an ideal"
             for j in ideals:
-                if i & ~j == 0 and saturation(algebra, i) & ~saturation(algebra, j):
+                if i & ~j == 0 and s & ~sat[j]:
                     return f"not monotone at {_labels(algebra, i)} <= {_labels(algebra, j)}"
         return None
 
@@ -358,10 +361,8 @@ def audit(algebra: Algebra) -> AuditResult:
         for i in ideals:
             for j in ideals:
                 lhs = radical(algebra, saturation(algebra, i & j))
-                mid = radical(algebra, saturation(algebra, i) & saturation(algebra, j))
-                rhs = radical(algebra, saturation(algebra, i)) & radical(
-                    algebra, saturation(algebra, j)
-                )
+                mid = radical(algebra, sat[i] & sat[j])
+                rhs = rad_sat[i] & rad_sat[j]
                 if not lhs == mid == rhs:
                     return f"identity fails at ({_labels(algebra, i)}, {_labels(algebra, j)})"
         return None
@@ -433,17 +434,16 @@ def audit(algebra: Algebra) -> AuditResult:
 
     @run("primary-radical-is-prime")
     def _primary_rad():
-        for q in ideals:
-            if is_primary(algebra, q) and not is_prime(algebra, radical(algebra, q)):
+        for q in _primaries(algebra):
+            if not is_prime(algebra, radical(algebra, q)):
                 return f"r({_labels(algebra, q)}) is not prime"
         return None
 
     @run("primary-intersections-stay-primary")
     def _primary_meet():
         by_radical: dict[int, list[int]] = {}
-        for q in ideals:
-            if is_primary(algebra, q):
-                by_radical.setdefault(radical(algebra, q), []).append(q)
+        for q in _primaries(algebra):
+            by_radical.setdefault(radical(algebra, q), []).append(q)
         for p, group in by_radical.items():
             meet_all = full
             for q in group:

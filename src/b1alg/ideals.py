@@ -2,8 +2,9 @@
 
 Ideals are plain int bitmasks: bit i set means element i belongs to the
 ideal, with element 0 (zero) as the least significant bit.  Every proper
-ideal result here is a mask over the algebra passed alongside it; masks are
-hashable and cheap, so enumerations memoize per algebra.
+ideal result here is a mask over the algebra passed alongside it.  Ideal
+families with several callers are computed once per algebra instance by
+``_per_algebra``, and live exactly as long as that instance.
 
 The operations mirror the classical ones: generated ideals, the saturation
 closure I-bar = {a : a + i = i for some i in I}, radicals, annihilators,
@@ -14,8 +15,8 @@ quotient algebra.
 
 from __future__ import annotations
 
+import functools
 import os
-import weakref
 from dataclasses import dataclass
 
 from .algebra import Algebra, AlgebraError, AxiomError, _certified
@@ -62,6 +63,18 @@ def mask_of(elements) -> int:
 def _canonical(masks) -> list[int]:
     """Masks in the canonical report order: cardinality, then mask value."""
     return sorted(masks, key=lambda m: (m.bit_count(), m))
+
+
+def _per_algebra(fn):
+    """Run fn(algebra) once per algebra instance, memoized on the instance."""
+
+    @functools.wraps(fn)
+    def once(algebra: Algebra):
+        if fn not in algebra._memo:
+            algebra._memo[fn] = fn(algebra)
+        return algebra._memo[fn]
+
+    return once
 
 
 def full_mask(algebra: Algebra) -> int:
@@ -215,11 +228,8 @@ def conductor(algebra: Algebra, x: int, mask: int) -> int:
 # ---------------------------------------------------------------------------
 # Exhaustive enumeration
 
-# Weak keys: an entry lives only as long as the algebra that filled it.
-_ideal_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _scan_ideals(algebra: Algebra) -> list[int]:
+@_per_algebra
+def _scan_ideals(algebra: Algebra) -> tuple[int, ...]:
     # Candidates are masks containing bit 0; candidate t encodes 1 | t << 1.
     add, mul = algebra.add, algebra.mul
     n = algebra.order
@@ -250,14 +260,14 @@ def _scan_ideals(algebra: Algebra) -> list[int]:
                 break
         if ok:
             found.append(mask)
-    return found
+    return tuple(_canonical(found))
 
 
 def enumerate_ideals(algebra: Algebra) -> tuple[int, ...]:
     """All ideals, sorted by cardinality then by mask value.
 
-    Exhaustive over the 2**(order-1) subsets containing zero; refuses
-    algebras above the enumeration bound instead of sampling.
+    Scans the 2**(order-1) subsets containing zero once per algebra, and
+    refuses algebras above the enumeration bound on every call.
     """
     bound = enumeration_bound()
     if algebra.order > bound:
@@ -265,14 +275,10 @@ def enumerate_ideals(algebra: Algebra) -> tuple[int, ...]:
             f"order {algebra.order} exceeds the enumeration bound {bound}; "
             f"raise it via {ENUMERATION_BOUND_ENV} if you have the patience"
         )
-    cached = _ideal_cache.get(algebra)
-    if cached is not None:
-        return cached
-    result = tuple(_canonical(_scan_ideals(algebra)))
-    _ideal_cache[algebra] = result
-    return result
+    return _scan_ideals(algebra)
 
 
+@_per_algebra
 def enumerate_saturated_ideals(algebra: Algebra) -> tuple[int, ...]:
     return tuple(
         m for m in enumerate_ideals(algebra) if is_saturated(algebra, m)

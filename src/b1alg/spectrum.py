@@ -14,11 +14,13 @@ from itertools import combinations
 from .algebra import Algebra
 from .ideals import (
     _canonical,
+    _per_algebra,
     annihilator,
     bourne_congruence,
     enumerate_ideals,
     enumerate_saturated_ideals,
     full_mask,
+    is_saturated,
     radical,
 )
 
@@ -60,14 +62,19 @@ def is_primary(algebra: Algebra, mask: int) -> bool:
     return True
 
 
+@_per_algebra
 def primes(algebra: Algebra) -> tuple[int, ...]:
     return tuple(m for m in enumerate_ideals(algebra) if is_prime(algebra, m))
 
 
+@_per_algebra
 def saturated_primes(algebra: Algebra) -> tuple[int, ...]:
-    return tuple(
-        m for m in enumerate_saturated_ideals(algebra) if is_prime(algebra, m)
-    )
+    return tuple(p for p in primes(algebra) if is_saturated(algebra, p))
+
+
+@_per_algebra
+def _primaries(algebra: Algebra) -> tuple[int, ...]:
+    return tuple(m for m in enumerate_ideals(algebra) if is_primary(algebra, m))
 
 
 def _minimal(family) -> tuple[int, ...]:
@@ -130,6 +137,7 @@ def nilradical(algebra: Algebra) -> int:
     return radical(algebra, 1)
 
 
+@_per_algebra
 def associated_primes(algebra: Algebra) -> tuple[tuple[int, int], ...]:
     """Pairs (witness x, prime) where the prime pulls back from a minimal
     prime of the quotient by the Bourne congruence of Ann(x).

@@ -197,10 +197,19 @@ class TestConstructions:
         assert b.builtin("bool-3").order == 8
         with pytest.raises(b.AlgebraError, match="unknown builtin"):
             b.builtin("nope")
-        with pytest.raises(b.AlgebraError, match="bad parameter"):
-            b.builtin("chain-x")
+        assert b.builtin("chain-007").order == 7
+        # parameters are plain ASCII digits: no '_', sign, space or '\u0663'
+        for name in ("chain-x", "chain-1_0", "chain-+3", "chain- 3", "chain-\u0663", "bool-"):
+            with pytest.raises(b.AlgebraError, match="bad parameter"):
+                b.builtin(name)
         with pytest.raises(b.AlgebraError):
             b.builtin("bool-0")
+
+    def test_builtin_order_bound(self):
+        # refused from the name alone, before any table is built
+        for name in ("bool-8", "bool-40", "chain-129", "chain-" + "9" * 5000):
+            with pytest.raises(b.AlgebraError, match="order bound 128"):
+                b.builtin(name)
 
     def test_power(self, ex62):
         z, x = ex62.index["z"], ex62.index["x"]

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -268,6 +269,12 @@ class TestCommands:
     def test_builtin_unknown_exits_2(self, capsys):
         assert main(["builtin", "mystery"]) == 2
         assert "unknown builtin" in capsys.readouterr().err
+
+    def test_builtin_beyond_order_bound_exits_2(self, capsys):
+        start = time.perf_counter()
+        assert main(["builtin", "bool-40"]) == 2
+        assert time.perf_counter() - start < 5
+        assert capsys.readouterr().err.startswith("error: builtin 'bool-40' exceeds")
 
     def test_enumeration_bound_refusal_exits_2(self, tmp_path, capsys):
         path = tmp_path / "big.b1a"

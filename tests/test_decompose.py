@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 import b1alg as b
@@ -50,6 +53,20 @@ class TestWeakDecompose:
         )
         with pytest.raises(RuntimeError, match="split arm failed to grow properly"):
             b.weak_decompose(ex62, msk(ex62, "z"))
+
+    def test_analysed_algebra_is_freed_without_gc(self):
+        # Reference counting alone must free an analysed algebra, and with
+        # it every family memoized on it.
+        gc.disable()
+        try:
+            for analyse in (lambda a: b.radical_decomposition(a, 1), b.audit):
+                algebra = b.builtin("example-6-2")
+                analyse(algebra)
+                ref = weakref.ref(algebra)
+                del algebra
+                assert ref() is None
+        finally:
+            gc.enable()
 
     def test_exactness_on_fleet(self, base_fleet, small_random_fleet):
         for algebra in [*base_fleet.values(), *small_random_fleet]:

@@ -23,6 +23,28 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_no_module_level_mutable_containers_in_the_package():
+    # The per-algebra memo (ideals._per_algebra) is the engine's only cache;
+    # a module-level dict, list or set would be a second, global one.
+    displays = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    factories = {"dict", "list", "set", "WeakKeyDictionary", "WeakValueDictionary"}
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)) or node.value is None:
+                continue
+            value = node.value
+            if isinstance(value, ast.Call):
+                func = value.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in factories:
+                    found.append(f"{path.name}:{node.lineno}")
+            elif isinstance(value, displays):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_readme_library_example_runs(capsys):
     readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
     library = readme.split("\n## Library\n", 1)[1]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import importlib
+
 import b1alg as b
 import oracles
 from support import lbl, msk
@@ -167,3 +169,21 @@ class TestSpectrumResult:
             assert set(result.max_saturated) <= set(result.saturated_primes)
             for _, p in result.associated:
                 assert b.is_prime(algebra, p)
+
+
+class TestComputedOnce:
+    def test_spectrum_scans_each_ideal_once(self, monkeypatch):
+        algebra = b.builtin("example-6-2")  # fresh instance, empty memo
+        calls = []
+        is_prime = b.is_prime
+
+        def counting(alg, mask):
+            calls.append(mask)
+            return is_prime(alg, mask)
+
+        # the package name b1alg.spectrum is the function, not the module
+        monkeypatch.setattr(importlib.import_module("b1alg.spectrum"), "is_prime", counting)
+        b.spectrum(algebra)
+        assert len(calls) == len(b.enumerate_ideals(algebra)) == 9
+        b.spectrum(algebra)
+        assert len(calls) == 9
