@@ -2,9 +2,10 @@
 
 Ideals are plain int bitmasks: bit i set means element i belongs to the
 ideal, with element 0 (zero) as the least significant bit.  Every proper
-ideal result here is a mask over the algebra passed alongside it.  Ideal
-families with several callers are computed once per algebra instance by
-``_per_algebra``, and live exactly as long as that instance.
+ideal result here is a mask over the algebra passed alongside it.  The
+ideals are found as joins of principal ideals; they and every family with
+several callers are computed once per algebra instance by ``_per_algebra``,
+which refuses algebras with more ideals than the enumeration bound.
 
 The operations mirror the classical ones: generated ideals, the saturation
 closure I-bar = {a : a + i = i for some i in I}, radicals, annihilators,
@@ -21,16 +22,16 @@ from dataclasses import dataclass
 
 from .algebra import Algebra, AlgebraError, AxiomError, _certified
 
-DEFAULT_ENUMERATION_BOUND = 20
+DEFAULT_ENUMERATION_BOUND = 2**19  # the most ideals of any algebra of order <= 20
 ENUMERATION_BOUND_ENV = "B1ALG_ENUM_BOUND"
 
 
 class EnumerationBoundError(AlgebraError):
-    """The algebra is too large for exhaustive subset enumeration."""
+    """The algebra has more ideals than the enumeration bound admits."""
 
 
 def enumeration_bound() -> int:
-    """Largest algebra order for which exhaustive subset search is allowed."""
+    """Most ideals an algebra may have for its ideal families to be computed."""
     raw = os.environ.get(ENUMERATION_BOUND_ENV)
     if raw is None:
         return DEFAULT_ENUMERATION_BOUND
@@ -43,6 +44,13 @@ def enumeration_bound() -> int:
     if value < 1:
         raise AlgebraError(f"{ENUMERATION_BOUND_ENV} must be positive, got {value}")
     return value
+
+
+def _over_bound(algebra: Algebra, bound: int) -> EnumerationBoundError:
+    return EnumerationBoundError(
+        f"the ideals of this order-{algebra.order} algebra exceed the enumeration "
+        f"bound {bound}; raise it via {ENUMERATION_BOUND_ENV} if you have the patience"
+    )
 
 
 def bits(mask: int):
@@ -66,13 +74,23 @@ def _canonical(masks) -> list[int]:
 
 
 def _per_algebra(fn):
-    """Run fn(algebra) once per algebra instance, memoized on the instance."""
+    """Run fn(algebra) once per algebra instance, memoized on the instance.
+
+    Every call, memo hits included, first holds the ideal count to the bound.
+    """
 
     @functools.wraps(fn)
     def once(algebra: Algebra):
-        if fn not in algebra._memo:
-            algebra._memo[fn] = fn(algebra)
-        return algebra._memo[fn]
+        memo = algebra._memo
+        scan = _scan_ideals.__wrapped__
+        if scan not in memo:
+            memo[scan] = scan(algebra)
+        bound = enumeration_bound()
+        if len(memo[scan]) > bound:
+            raise _over_bound(algebra, bound)
+        if fn not in memo:
+            memo[fn] = fn(algebra)
+        return memo[fn]
 
     return once
 
@@ -226,55 +244,40 @@ def conductor(algebra: Algebra, x: int, mask: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive enumeration
+# Ideal enumeration by joins of principal ideals
 
 @_per_algebra
 def _scan_ideals(algebra: Algebra) -> tuple[int, ...]:
-    # Candidates are masks containing bit 0; candidate t encodes 1 | t << 1.
+    # Every ideal is the sum of the principal ideals A*a of its members, so
+    # joining each known ideal with A*a, for a = 1..n-1 in turn, finds them
+    # all.  I + A*a = {i + p} is already an ideal; only sums of i outside
+    # A*a and p outside I can be new members.
     add, mul = algebra.add, algebra.mul
-    n = algebra.order
-    mult_row = [0] * n
-    for i in range(n):
-        m = 0
-        for a in range(n):
-            m |= 1 << mul[a][i]
-        mult_row[i] = m
-    found = []
-    for t in range(1 << (n - 1)):
-        mask = 1 | t << 1
-        members = list(bits(mask))
-        ok = True
-        for i in members:
-            if mult_row[i] & ~mask:
-                ok = False
-                break
-        if not ok:
-            continue
-        for i in members:
-            row = add[i]
-            for j in members:
-                if not mask >> row[j] & 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            found.append(mask)
+    bound = enumeration_bound()
+    found = {1}
+    for a in range(1, algebra.order):
+        principal = 0
+        for row in mul:
+            principal |= 1 << row[a]
+        for ideal in [m for m in found if not m >> a & 1]:
+            joined = ideal | principal
+            fresh = list(bits(principal & ~ideal))
+            for i in bits(ideal & ~principal):
+                row = add[i]
+                for p in fresh:
+                    joined |= 1 << row[p]
+            found.add(joined)
+            if len(found) > bound:
+                raise _over_bound(algebra, bound)
     return tuple(_canonical(found))
 
 
 def enumerate_ideals(algebra: Algebra) -> tuple[int, ...]:
     """All ideals, sorted by cardinality then by mask value.
 
-    Scans the 2**(order-1) subsets containing zero once per algebra, and
-    refuses algebras above the enumeration bound on every call.
+    Found once per algebra as joins of principal ideals, in time that grows
+    with their number; refused past the enumeration bound on every call.
     """
-    bound = enumeration_bound()
-    if algebra.order > bound:
-        raise EnumerationBoundError(
-            f"order {algebra.order} exceeds the enumeration bound {bound}; "
-            f"raise it via {ENUMERATION_BOUND_ENV} if you have the patience"
-        )
     return _scan_ideals(algebra)
 
 

@@ -1,7 +1,7 @@
 """Classification of ideals: primes, primaries, spectra, associated primes.
 
-All predicates are decided by definitional scans over element pairs; at
-the orders the enumeration bound admits, brute force is the most
+All predicates are decided by definitional scans over element pairs, which
+cost a polynomial in the order per ideal; brute force is the most
 trustworthy oracle.  Lists come back in the canonical enumeration order
 (cardinality, then mask value), so reports are diffable.
 """

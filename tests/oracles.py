@@ -2,8 +2,8 @@
 
 These deliberately take different routes than the library: primality via
 multiplicative closure of the complement, primarity via an unbounded
-power walk that stops on cycle detection, ideal enumeration via join
-closure of principal ideals instead of a subset scan, generation via
+power walk that stops on cycle detection, ideal enumeration via a scan
+of every subset instead of joins of principal ideals, generation via
 a naive alternating closure, and associated primes via the quotient
 algebras the library no longer builds.
 """
@@ -69,21 +69,22 @@ def generated_oracle(algebra: b.Algebra, elements) -> int:
 
 
 def ideals_oracle(algebra: b.Algebra) -> frozenset[int]:
-    """All ideals as the join closure of the principal ideals."""
-    principal = {generated_oracle(algebra, (a,)) for a in algebra.elements()}
-    principal.add(1)
-    known = set(principal)
-    frontier = set(principal)
-    while frontier:
-        fresh = set()
-        for x in frontier:
-            for y in known:
-                joined = generated_oracle(algebra, b.bits(x | y))
-                if joined not in known and joined not in fresh:
-                    fresh.add(joined)
-        known |= fresh
-        frontier = fresh
-    return frozenset(known)
+    """All ideals by testing each of the 2**(order-1) subsets with zero."""
+    add, mul = algebra.add, algebra.mul
+    n = algebra.order
+    multiples = [0] * n  # mask of the multiples a*i of each element i
+    for i in range(n):
+        for a in range(n):
+            multiples[i] |= 1 << mul[a][i]
+    found = set()
+    for t in range(1 << (n - 1)):
+        mask = 1 | t << 1
+        members = list(b.bits(mask))
+        if any(multiples[i] & ~mask for i in members):
+            continue
+        if all(mask >> add[i][j] & 1 for i in members for j in members):
+            found.add(mask)
+    return frozenset(found)
 
 
 def radical_oracle(algebra: b.Algebra, mask: int) -> int:

@@ -38,6 +38,33 @@ def named_base_fleet() -> dict[str, b.Algebra]:
     return fleet
 
 
+def null_algebra(k: int) -> b.Algebra:
+    """null-k: elements 0 < a1..ak < t < 1, with ai + aj = t for i != j and
+    every product of two non-units 0.
+
+    Its ideals are 0 with at most one ai, t with any set of the ai, and the
+    whole algebra: 2**k + k + 2 of them, at order k + 3.
+    """
+    atoms = [f"a{i}" for i in range(1, k + 1)]
+    names = ["0", *atoms, "t", "1"]
+
+    def plus(x: str, y: str) -> str:
+        if x == y or y == "0":
+            return x
+        if x == "0":
+            return y
+        return "1" if "1" in (x, y) else "t"
+
+    def times(x: str, y: str) -> str:
+        if x == "1":
+            return y
+        return x if y == "1" else "0"
+
+    add = [[plus(x, y) for y in names] for x in names]
+    mul = [[times(x, y) for y in names] for x in names]
+    return b.build_algebra(names, add, mul, "0", "1")
+
+
 def _product_pool() -> list[b.Algebra]:
     seeds = [
         b.builtin("b1"),

@@ -18,6 +18,7 @@ from b1alg.cli import (
     parse_algebra_text,
     serialize_algebra,
 )
+from support import null_algebra
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_DIR = REPO_ROOT / "src"
@@ -276,11 +277,16 @@ class TestCommands:
         assert time.perf_counter() - start < 5
         assert capsys.readouterr().err.startswith("error: builtin 'bool-40' exceeds")
 
-    def test_enumeration_bound_refusal_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "big.b1a"
+    def test_enumeration_bound_refusal_exits_2(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "chain.b1a"
         path.write_text(serialize_algebra(b.chain_algebra(21)), encoding="utf-8")
+        assert main(["ideals", str(path)]) == 0
+        capsys.readouterr()
+        path = tmp_path / "null.b1a"
+        path.write_text(serialize_algebra(null_algebra(14)), encoding="utf-8")
+        monkeypatch.setenv("B1ALG_ENUM_BOUND", "1000")
         assert main(["ideals", str(path)]) == 2
-        assert "enumeration bound 20" in capsys.readouterr().err
+        assert "enumeration bound 1000" in capsys.readouterr().err
 
     def test_trivial_algebra_audits_clean(self, tmp_path, capsys):
         path = tmp_path / "trivial.b1a"

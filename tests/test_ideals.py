@@ -7,7 +7,7 @@ import pytest
 
 import b1alg as b
 import oracles
-from support import lbl, msk
+from support import lbl, msk, null_algebra
 
 
 class TestGeneratedIdeal:
@@ -161,8 +161,8 @@ class TestEnumeration:
             masks = b.enumerate_ideals(algebra)
             assert list(masks) == sorted(masks, key=lambda m: (m.bit_count(), m))
 
-    def test_matches_join_closure_oracle(self, ex62, chain4, b1, small_random_fleet):
-        for algebra in [ex62, chain4, b1, *small_random_fleet[:10]]:
+    def test_matches_subset_scan_oracle(self, ex62, chain4, b1, small_random_fleet):
+        for algebra in [ex62, chain4, b1, b.builtin("bool-4"), *small_random_fleet[:10]]:
             assert frozenset(b.enumerate_ideals(algebra)) == oracles.ideals_oracle(algebra)
 
     def test_cache_does_not_keep_algebras_alive(self):
@@ -174,10 +174,26 @@ class TestEnumeration:
         gc.collect()
         assert ref() is None
 
-    def test_bound_refusal(self):
-        big = b.chain_algebra(21)
-        with pytest.raises(b.EnumerationBoundError, match="bound 20"):
+    def test_bound_refusal(self, monkeypatch):
+        # null-20 has 2**20 + 22 ideals; the search stops once it passes 4096
+        big = null_algebra(20)
+        monkeypatch.setenv("B1ALG_ENUM_BOUND", "4096")
+        with pytest.raises(b.EnumerationBoundError, match="bound 4096"):
             b.enumerate_ideals(big)
+
+    def test_bound_holds_for_every_memoized_family(self, monkeypatch):
+        algebra = b.builtin("example-6-2")  # fresh instance, empty memo
+        b.spectrum(algebra)
+        monkeypatch.setenv("B1ALG_ENUM_BOUND", "4")
+        for family in (
+            b.primes,
+            b.saturated_primes,
+            b.enumerate_saturated_ideals,
+            b.associated_primes,
+            b.laskerian_check,
+        ):
+            with pytest.raises(b.EnumerationBoundError, match="bound 4"):
+                family(algebra)
 
     def test_bound_env_override(self, ex62, monkeypatch):
         monkeypatch.setenv("B1ALG_ENUM_BOUND", "4")
@@ -186,6 +202,21 @@ class TestEnumeration:
         monkeypatch.setenv("B1ALG_ENUM_BOUND", "garbage")
         with pytest.raises(b.AlgebraError, match="integer"):
             b.enumerate_ideals(ex62)
+
+    def test_null_algebra_counts(self):
+        for k in range(11):
+            algebra = null_algebra(k)
+            ideals = b.enumerate_ideals(algebra)
+            assert len(ideals) == 2**k + k + 2
+            if k <= 4:
+                assert frozenset(ideals) == oracles.ideals_oracle(algebra)
+
+    def test_counts_past_order_20(self):
+        for n in (21, 24, 64):
+            assert len(b.enumerate_ideals(b.chain_algebra(n))) == n
+        bool5 = b.builtin("bool-5")
+        assert len(b.enumerate_ideals(bool5)) == 32
+        assert b.audit(bool5).passed
 
     def test_ideal_violation_messages(self, ex62):
         assert b.ideal_violation(ex62, msk(ex62, "z,x")) is None

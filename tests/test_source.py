@@ -45,6 +45,30 @@ def test_no_module_level_mutable_containers_in_the_package():
     assert found == []
 
 
+def test_no_exponential_subset_loops_in_the_package():
+    # Subset scans over range(1 << n) or range(2 ** n) belong to the test
+    # oracles; the engine enumerates ideals in time that grows with their number.
+    def exponential(node):
+        return isinstance(node, ast.BinOp) and (
+            isinstance(node.op, ast.LShift)
+            or isinstance(node.op, ast.Pow)
+            and isinstance(node.left, ast.Constant)
+            and node.left.value == 2
+        )
+
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "range"
+            and any(exponential(arg) for arg in node.args)
+        ]
+    assert found == []
+
+
 def test_readme_library_example_runs(capsys):
     readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
     library = readme.split("\n## Library\n", 1)[1]
