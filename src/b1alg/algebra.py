@@ -61,9 +61,20 @@ class Algebra:
     Instances compare and hash structurally, but derived ideal families are
     memoized per instance in ``_memo`` (see ``ideals._per_algebra``), so
     equal tables built twice each compute their own.
+
+    The tables are also read once into per-element bitmasks, so that
+    saturations, radicals, annihilators and conductors are ORs and ANDs of
+    masks: ``_below[i]`` is {a : a + i = i}, ``_powers[a]`` is
+    {a**k : k >= 1} and ``_preimage[x][t]`` is {y : x*y = t}.  They are
+    built here rather than through ``_per_algebra``, which refuses
+    algebras past the enumeration bound, because radicals and the
+    nilradical must still answer on those.
     """
 
-    __slots__ = ("names", "add", "mul", "zero", "one", "index", "_hash", "_memo", "__weakref__")
+    __slots__ = (
+        "names", "add", "mul", "zero", "one", "index",
+        "_below", "_powers", "_preimage", "_hash", "_memo", "__weakref__",
+    )
 
     def __init__(
         self,
@@ -78,6 +89,28 @@ class Algebra:
         self.zero = 0
         self.one = one
         self.index = {name: i for i, name in enumerate(self.names)}
+        n = len(self.names)
+        below = [0] * n
+        for a, row in enumerate(self.add):
+            for i, s in enumerate(row):
+                if s == i:
+                    below[i] |= 1 << a
+        self._below = tuple(below)
+        powers = []
+        for a in range(n):
+            orbit, p = 0, a
+            while not orbit >> p & 1:
+                orbit |= 1 << p
+                p = self.mul[p][a]
+            powers.append(orbit)
+        self._powers = tuple(powers)
+        preimage = []
+        for row in self.mul:
+            by_value = [0] * n
+            for y, t in enumerate(row):
+                by_value[t] |= 1 << y
+            preimage.append(tuple(by_value))
+        self._preimage = tuple(preimage)
         self._hash = hash((self.names, self.add, self.mul, one))
         self._memo: dict = {}
 
@@ -224,12 +257,7 @@ def build_algebra(
                 ) from None
         return tuple(rows)
 
-    add_idx = to_indices(add, "add")
-    mul_idx = to_indices(mul, "mul")
-    report = check_axioms(add_idx, mul_idx, index[one])
-    if not report.valid:
-        raise AxiomError(report, names)
-    return Algebra(names, add_idx, mul_idx, index[one])
+    return _certified(names, to_indices(add, "add"), to_indices(mul, "mul"), index[one])
 
 
 def _certified(
@@ -238,8 +266,8 @@ def _certified(
     mul: tuple[tuple[int, ...], ...],
     one: int,
 ) -> Algebra:
-    # Internal constructors are valid by construction; the checker still
-    # runs so a bug here cannot leak an invalid algebra.
+    # The one axiom gate: user tables and the internal constructors alike
+    # pass the checker, so no invalid algebra is ever built.
     report = check_axioms(add, mul, one)
     if not report.valid:
         raise AxiomError(report, names)

@@ -47,11 +47,8 @@ from .ideals import (
     enumerate_ideals,
     enumerate_saturated_ideals,
     full_mask,
-    ideal_violation,
-    is_saturated,
     mask_of,
     member_labels,
-    saturation,
 )
 from .spectrum import associated_primes, nilradical, spectrum
 
@@ -225,26 +222,13 @@ def _emit(command: str, label: str, result: dict, fmt: str, out) -> None:
 
 
 def _parse_ideal_flag(algebra: Algebra, text: str) -> int:
-    """The proper saturated ideal named by an --ideal value."""
+    """The mask named by an --ideal value; the analyses check it is an ideal."""
     labels = [t for t in text.split(",") if t]
     unknown = [t for t in labels if t not in algebra.index]
     if unknown:
         raise AlgebraError(f"--ideal contains unknown label {unknown[0]!r}")
-    mask = mask_of(algebra.index[t] for t in labels)
-    mask |= 1  # zero is implicit; the zero ideal is spelled "0"
-    bad = ideal_violation(algebra, mask)
-    if bad is not None:
-        what, witness = bad
-        names = ", ".join(algebra.names[w] for w in witness)
-        raise AlgebraError(f"--ideal set {what} (witness: {names})")
-    if not is_saturated(algebra, mask):
-        extra = saturation(algebra, mask) & ~mask
-        raise AlgebraError(
-            f"--ideal set is not saturated; its closure adds {_ideal_str(algebra, extra)}"
-        )
-    if mask == full_mask(algebra):
-        raise AlgebraError("--ideal must denote a proper ideal")
-    return mask
+    # zero is implicit; the zero ideal is spelled "0"
+    return mask_of(algebra.index[t] for t in labels) | 1
 
 
 def _associated_list(algebra: Algebra, pairs) -> list[dict]:

@@ -26,6 +26,7 @@ from .ideals import (
     full_mask,
     generated_ideal,
     ideal_sum,
+    ideal_violation,
     is_ideal,
     is_saturated,
     member_labels,
@@ -102,14 +103,21 @@ class AuditResult:
         return all(c.passed for c in self.checks)
 
 
-def _require_saturated_proper(algebra: Algebra, mask: int, op: str) -> None:
+def _require_saturated_proper(algebra: Algebra, mask: int) -> None:
+    """Refuse a mask that is not a proper saturated ideal, naming a witness."""
+    bad = ideal_violation(algebra, mask)
+    if bad is not None:
+        what, witness = bad
+        names = ", ".join(
+            algebra.names[w] if w < algebra.order else f"bit {w}" for w in witness
+        )
+        raise AlgebraError(f"the set {what} (witness: {names})")
     if mask == full_mask(algebra):
-        raise AlgebraError(f"{op} requires a proper ideal")
+        raise AlgebraError("the ideal must be proper")
     if not is_saturated(algebra, mask):
-        missing = next(bits(saturation(algebra, mask) & ~mask))
+        extra = saturation(algebra, mask) & ~mask
         raise AlgebraError(
-            f"{op} requires a saturated ideal; element "
-            f"{algebra.names[missing]!r} is absorbed but missing"
+            f"the ideal is not saturated; its closure adds {_labels(algebra, extra)}"
         )
 
 
@@ -120,7 +128,7 @@ def weak_decompose(algebra: Algebra, mask: int) -> DecompositionResult:
     (u, v) in element-index order, so traces are reproducible.  The
     returned components always intersect exactly to the input.
     """
-    _require_saturated_proper(algebra, mask, "weak_decompose")
+    _require_saturated_proper(algebra, mask)
     rad = radical(algebra, mask)
     if rad != mask:
         culprit = next(bits(rad & ~mask))
@@ -169,7 +177,7 @@ def radical_decomposition(algebra: Algebra, mask: int) -> DecompositionResult:
     The radical of a saturated ideal is itself saturated, so this reduces
     to weak_decompose; the components intersect to r(I).
     """
-    _require_saturated_proper(algebra, mask, "radical_decomposition")
+    _require_saturated_proper(algebra, mask)
     rad = radical(algebra, mask)
     inner = weak_decompose(algebra, rad)
     return replace(inner, input=mask)
@@ -252,7 +260,7 @@ def evans_report(algebra: Algebra, mask: int) -> EvansReport:
     (smallest witness y per distinct conductor), and each is required to
     be prime and saturated with their union equal to D(I).
     """
-    _require_saturated_proper(algebra, mask, "evans_report")
+    _require_saturated_proper(algebra, mask)
     conductors: dict[int, int] = {}
     for y in algebra.elements():
         if not mask >> y & 1:
@@ -329,14 +337,10 @@ def audit(algebra: Algebra) -> AuditResult:
                         return "transitivity fails"
         return None
 
-    # Saturations and their radicals, once per ideal, for the pair loops.
-    sat = {i: saturation(algebra, i) for i in ideals}
-    rad_sat = {i: radical(algebra, s) for i, s in sat.items()}
-
     @run("saturation-closure")
     def _sat_closure():
         for i in ideals:
-            s = sat[i]
+            s = saturation(algebra, i)
             if i & ~s:
                 return f"not extensive at {_labels(algebra, i)}"
             if saturation(algebra, s) != s:
@@ -344,7 +348,7 @@ def audit(algebra: Algebra) -> AuditResult:
             if not is_ideal(algebra, s):
                 return f"saturation of {_labels(algebra, i)} is not an ideal"
             for j in ideals:
-                if i & ~j == 0 and s & ~sat[j]:
+                if i & ~j == 0 and s & ~saturation(algebra, j):
                     return f"not monotone at {_labels(algebra, i)} <= {_labels(algebra, j)}"
         return None
 
@@ -361,8 +365,9 @@ def audit(algebra: Algebra) -> AuditResult:
         for i in ideals:
             for j in ideals:
                 lhs = radical(algebra, saturation(algebra, i & j))
-                mid = radical(algebra, sat[i] & sat[j])
-                rhs = rad_sat[i] & rad_sat[j]
+                si, sj = saturation(algebra, i), saturation(algebra, j)
+                mid = radical(algebra, si & sj)
+                rhs = radical(algebra, si) & radical(algebra, sj)
                 if not lhs == mid == rhs:
                     return f"identity fails at ({_labels(algebra, i)}, {_labels(algebra, j)})"
         return None

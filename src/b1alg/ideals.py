@@ -3,9 +3,12 @@
 Ideals are plain int bitmasks: bit i set means element i belongs to the
 ideal, with element 0 (zero) as the least significant bit.  Every proper
 ideal result here is a mask over the algebra passed alongside it.  The
-ideals are found as joins of principal ideals; they and every family with
-several callers are computed once per algebra instance by ``_per_algebra``,
-which refuses algebras with more ideals than the enumeration bound.
+ideals are found as joins of principal ideals, once per algebra instance,
+by ``enumerate_ideals``, which refuses algebras with more ideals than the
+enumeration bound; ``_per_algebra`` computes every family with several
+callers once per instance behind the same bound.  Saturations, radicals,
+annihilators and conductors read the per-element masks each ``Algebra``
+builds from its tables instead of scanning the tables on every call.
 
 The operations mirror the classical ones: generated ideals, the saturation
 closure I-bar = {a : a + i = i for some i in I}, radicals, annihilators,
@@ -76,18 +79,14 @@ def _canonical(masks) -> list[int]:
 def _per_algebra(fn):
     """Run fn(algebra) once per algebra instance, memoized on the instance.
 
-    Every call, memo hits included, first holds the ideal count to the bound.
+    Every call, memo hits included, first goes through enumerate_ideals,
+    which holds the ideal count to the bound.
     """
 
     @functools.wraps(fn)
     def once(algebra: Algebra):
+        enumerate_ideals(algebra)
         memo = algebra._memo
-        scan = _scan_ideals.__wrapped__
-        if scan not in memo:
-            memo[scan] = scan(algebra)
-        bound = enumeration_bound()
-        if len(memo[scan]) > bound:
-            raise _over_bound(algebra, bound)
         if fn not in memo:
             memo[fn] = fn(algebra)
         return memo[fn]
@@ -162,15 +161,10 @@ def generated_ideal(algebra: Algebra, elements) -> int:
 
 def saturation(algebra: Algebra, mask: int) -> int:
     """Closure I-bar = {a : a + i = i for some i in I}."""
-    add = algebra.add
-    members = list(bits(mask))
-    out = mask
-    for a in algebra.elements():
-        if out >> a & 1:
-            continue
-        row = add[a]
-        if any(row[i] == i for i in members):
-            out |= 1 << a
+    below = algebra._below
+    out = 0
+    for i in bits(mask):
+        out |= below[i]
     return out
 
 
@@ -179,20 +173,11 @@ def is_saturated(algebra: Algebra, mask: int) -> bool:
 
 
 def radical(algebra: Algebra, mask: int) -> int:
-    """r(I) = {a : a**n in I for some n >= 1}.
-
-    Exponents up to the order suffice: the power sequence of any element
-    cycles within order steps, so it visits no new values afterwards.
-    """
-    mul = algebra.mul
+    """r(I) = {a : a**n in I for some n >= 1}."""
     out = 0
-    for a in algebra.elements():
-        p = a
-        for _ in range(algebra.order):
-            if mask >> p & 1:
-                out |= 1 << a
-                break
-            p = mul[p][a]
+    for a, powers in enumerate(algebra._powers):
+        if powers & mask:
+            out |= 1 << a
     return out
 
 
@@ -218,12 +203,7 @@ def ideal_product(algebra: Algebra, left: int, right: int) -> int:
 
 def annihilator(algebra: Algebra, s: int) -> int:
     """Ann(s) = {x : s*x = 0}; always a saturated ideal."""
-    row = algebra.mul[s]
-    out = 0
-    for x in algebra.elements():
-        if row[x] == 0:
-            out |= 1 << x
-    return out
+    return algebra._preimage[s][0]
 
 
 def annihilator_set(algebra: Algebra, elements) -> int:
@@ -235,18 +215,16 @@ def annihilator_set(algebra: Algebra, elements) -> int:
 
 def conductor(algebra: Algebra, x: int, mask: int) -> int:
     """C_x(J) = {y : x*y in J}; saturated whenever J is."""
-    row = algebra.mul[x]
     out = 0
-    for y in algebra.elements():
-        if mask >> row[y] & 1:
-            out |= 1 << y
+    for t, preimage in enumerate(algebra._preimage[x]):
+        if mask >> t & 1:
+            out |= preimage
     return out
 
 
 # ---------------------------------------------------------------------------
 # Ideal enumeration by joins of principal ideals
 
-@_per_algebra
 def _scan_ideals(algebra: Algebra) -> tuple[int, ...]:
     # Every ideal is the sum of the principal ideals A*a of its members, so
     # joining each known ideal with A*a, for a = 1..n-1 in turn, finds them
@@ -278,7 +256,13 @@ def enumerate_ideals(algebra: Algebra) -> tuple[int, ...]:
     Found once per algebra as joins of principal ideals, in time that grows
     with their number; refused past the enumeration bound on every call.
     """
-    return _scan_ideals(algebra)
+    memo = algebra._memo
+    if _scan_ideals not in memo:
+        memo[_scan_ideals] = _scan_ideals(algebra)
+    bound = enumeration_bound()
+    if len(memo[_scan_ideals]) > bound:
+        raise _over_bound(algebra, bound)
+    return memo[_scan_ideals]
 
 
 @_per_algebra

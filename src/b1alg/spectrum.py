@@ -1,9 +1,10 @@
 """Classification of ideals: primes, primaries, spectra, associated primes.
 
-All predicates are decided by definitional scans over element pairs, which
-cost a polynomial in the order per ideal; brute force is the most
-trustworthy oracle.  Lists come back in the canonical enumeration order
-(cardinality, then mask value), so reports are diffable.
+Primality, primarity and divisor sets are read off the conductors
+C_u(I) = {v : u*v in I}, each one OR of per-element preimage masks (see
+``Algebra``), so every predicate costs a polynomial in the order per
+ideal.  Lists come back in the canonical enumeration order (cardinality,
+then mask value), so reports are diffable.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .ideals import (
     _per_algebra,
     annihilator,
     bourne_congruence,
+    conductor,
     enumerate_ideals,
     enumerate_saturated_ideals,
     full_mask,
@@ -27,13 +29,11 @@ from .ideals import (
 
 def _prime_witness(algebra: Algebra, mask: int) -> tuple[int, int] | None:
     """First (u, v) in element-index order with u, v outside and u*v inside."""
-    mul = algebra.mul
-    outside = [a for a in algebra.elements() if not mask >> a & 1]
-    for u in outside:
-        row = mul[u]
-        for v in outside:
-            if mask >> row[v] & 1:
-                return u, v
+    for u in algebra.elements():
+        if not mask >> u & 1:
+            inside = conductor(algebra, u, mask) & ~mask
+            if inside:
+                return u, (inside & -inside).bit_length() - 1
     return None
 
 
@@ -51,15 +51,11 @@ def is_primary(algebra: Algebra, mask: int) -> bool:
     if mask == full_mask(algebra):
         return False
     rad = radical(algebra, mask)
-    mul = algebra.mul
-    for x in algebra.elements():
-        if mask >> x & 1:
-            continue
-        row = mul[x]
-        for y in algebra.elements():
-            if mask >> row[y] & 1 and not rad >> y & 1:
-                return False
-    return True
+    return not any(
+        conductor(algebra, x, mask) & ~rad
+        for x in algebra.elements()
+        if not mask >> x & 1
+    )
 
 
 @_per_algebra
@@ -123,12 +119,9 @@ def divisor_set(algebra: Algebra, mask: int) -> int:
     Contains I whenever I is proper, and D({0}) is the zero divisors plus
     zero for any nontrivial algebra.
     """
-    mul = algebra.mul
-    outside = [y for y in algebra.elements() if not mask >> y & 1]
     out = 0
     for x in algebra.elements():
-        row = mul[x]
-        if any(mask >> row[y] & 1 for y in outside):
+        if conductor(algebra, x, mask) & ~mask:
             out |= 1 << x
     return out
 

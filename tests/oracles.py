@@ -4,7 +4,8 @@ These deliberately take different routes than the library: primality via
 multiplicative closure of the complement, primarity via an unbounded
 power walk that stops on cycle detection, ideal enumeration via a scan
 of every subset instead of joins of principal ideals, generation via
-a naive alternating closure, and associated primes via the quotient
+a naive alternating closure, conductors via a scan of the multiplication
+row instead of preimage masks, and associated primes via the quotient
 algebras the library no longer builds.
 """
 
@@ -108,6 +109,15 @@ def saturation_oracle(algebra: b.Algebra, mask: int) -> int:
     for a in algebra.elements():
         if any(algebra.leq(a, i) for i in b.bits(mask)):
             out |= 1 << a
+    return out
+
+
+def conductor_oracle(algebra: b.Algebra, x: int, mask: int) -> int:
+    """C_x(J) = {y : x*y in J}, read off the row of x."""
+    out = 0
+    for y in algebra.elements():
+        if mask >> algebra.mul[x][y] & 1:
+            out |= 1 << y
     return out
 
 

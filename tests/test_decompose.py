@@ -44,6 +44,16 @@ class TestWeakDecompose:
         with pytest.raises(b.AlgebraError, match="proper"):
             b.weak_decompose(ex62, b.full_mask(ex62))
 
+    def test_rejects_non_ideal_masks(self):
+        bool2 = b.builtin("bool-2")
+        not_closed = msk(bool2, "0.1,1.0")  # 0.1 + 1.0 = 1.1 is missing
+        out_of_range = 1 | 1 << bool2.order
+        for analyse in (b.weak_decompose, b.radical_decomposition, b.evans_report):
+            with pytest.raises(b.AlgebraError, match="not closed under addition"):
+                analyse(bool2, not_closed)
+            with pytest.raises(b.AlgebraError, match="out-of-range element"):
+                analyse(bool2, out_of_range)
+
     def test_broken_invariant_raises_runtime_error(self, ex62, monkeypatch):
         # A saturation that jumps to the whole algebra leaves a split arm
         # that cannot grow properly; the check must be an exception, not an
@@ -228,8 +238,8 @@ class TestAudit:
             assert result.passed, failures
 
     def test_passes_on_a_product(self, ex62, b1):
-        result = b.audit(b.direct_product(ex62, b1))
-        assert result.passed
+        for factor in (b1, b.builtin("bool-3")):  # orders 12 and 48
+            assert b.audit(b.direct_product(ex62, factor)).passed
 
     def test_check_names_are_stable(self, b1):
         names = [c.name for c in b.audit(b1).checks]

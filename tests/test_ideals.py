@@ -41,7 +41,7 @@ class TestSaturation:
         assert b.is_saturated(ex62, msk(ex62, ""))
 
     def test_closure_operator_laws(self, ex62, chain4, small_random_fleet):
-        for algebra in [ex62, chain4, *small_random_fleet[:10]]:
+        for algebra in [ex62, chain4, b.builtin("bool-5"), *small_random_fleet[:10]]:
             ideals = b.enumerate_ideals(algebra)
             for i in ideals:
                 s = b.saturation(algebra, i)
@@ -61,7 +61,7 @@ class TestRadical:
         assert b.radical(ex62, msk(ex62, "x,y,u")) == msk(ex62, "z,x,y,u")
 
     def test_closure_laws_and_oracle(self, ex62, chain4, small_random_fleet):
-        for algebra in [ex62, chain4, *small_random_fleet[:10]]:
+        for algebra in [ex62, chain4, b.builtin("bool-5"), *small_random_fleet[:10]]:
             for i in b.enumerate_ideals(algebra):
                 r = b.radical(algebra, i)
                 assert i & ~r == 0
@@ -136,6 +136,19 @@ class TestAnnihilatorsAndConductors:
             assert b.conductor(ex62, 0, m) == b.full_mask(ex62)
         assert b.conductor(ex62, u, msk(ex62, "z,x")) == msk(ex62, "z,x")
 
+    def test_conductor_family_matches_row_scan_oracle(self, ex62, chain4, small_random_fleet):
+        for algebra in [ex62, chain4, *small_random_fleet]:
+            for x in algebra.elements():
+                assert b.annihilator(algebra, x) == oracles.conductor_oracle(algebra, x, 1)
+            for j in b.enumerate_ideals(algebra):
+                divisors = 0
+                for x in algebra.elements():
+                    want = oracles.conductor_oracle(algebra, x, j)
+                    assert b.conductor(algebra, x, j) == want
+                    if want & ~j:
+                        divisors |= 1 << x
+                assert b.divisor_set(algebra, j) == divisors
+
     def test_conductor_of_zero_ideal_is_annihilator(self, ex62):
         for x in ex62.elements():
             assert b.conductor(ex62, x, 1) == b.annihilator(ex62, x)
@@ -180,6 +193,8 @@ class TestEnumeration:
         monkeypatch.setenv("B1ALG_ENUM_BOUND", "4096")
         with pytest.raises(b.EnumerationBoundError, match="bound 4096"):
             b.enumerate_ideals(big)
+        # element-wise operations need no enumeration: every non-unit is nilpotent
+        assert b.nilradical(big) == b.full_mask(big) ^ 1 << big.one
 
     def test_bound_holds_for_every_memoized_family(self, monkeypatch):
         algebra = b.builtin("example-6-2")  # fresh instance, empty memo

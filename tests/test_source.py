@@ -69,6 +69,28 @@ def test_no_exponential_subset_loops_in_the_package():
     assert found == []
 
 
+def test_element_wise_operations_read_the_mask_tables():
+    # These read the per-element masks Algebra builds once; a scan of the
+    # add or mul rows here would redo that work on every call.
+    wanted = {
+        "ideals.py": {"saturation", "radical", "annihilator", "conductor"},
+        "spectrum.py": {"_prime_witness", "is_primary", "divisor_set"},
+    }
+    found = []
+    for name, functions in wanted.items():
+        tree = ast.parse((PACKAGE_DIR / name).read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name in functions:
+                functions = functions - {node.name}
+                found += [
+                    f"{name}:{sub.lineno}"
+                    for sub in ast.walk(node)
+                    if isinstance(sub, ast.Attribute) and sub.attr in ("add", "mul")
+                ]
+        assert not functions, f"{name} lacks {functions}"
+    assert found == []
+
+
 def test_readme_library_example_runs(capsys):
     readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
     library = readme.split("\n## Library\n", 1)[1]
