@@ -14,7 +14,7 @@ witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 # Labels travel through files and comma-separated CLI flags.
 _FORBIDDEN_IN_LABEL = ("#", ",")
@@ -24,18 +24,19 @@ class AlgebraError(ValueError):
     """Invalid input: bad tables, bad labels, or a broken precondition."""
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One failed axiom with the elements (as indices) that witness it."""
+class Violation(namedtuple("Violation", "axiom witness")):
+    """One failed axiom with the elements (as indices) that witness it.
 
-    axiom: str
-    witness: tuple[int, ...]
+    axiom: str; witness: tuple[int, ...].
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AxiomReport:
-    valid: bool
-    violations: tuple[Violation, ...]
+class AxiomReport(namedtuple("AxiomReport", "valid violations")):
+    """valid: bool; violations: tuple[Violation, ...]."""
+
+    __slots__ = ()
 
 
 class AxiomError(AlgebraError):

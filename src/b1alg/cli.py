@@ -23,7 +23,6 @@ caller asked to assert, 2 for input errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -203,6 +202,8 @@ def _render_value(value, out, indent: int, key: str | None = None) -> None:
 
 def _emit(command: str, label: str, result: dict, fmt: str, out) -> None:
     if fmt == "json":
+        import json  # only here, so text reports skip loading it
+
         payload = {
             "command": command,
             "algebra": label,

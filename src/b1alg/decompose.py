@@ -12,7 +12,7 @@ in both branches lands, after one more squaring, in J itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .algebra import Algebra, AlgebraError, check_axioms
 from .ideals import (
@@ -50,13 +50,14 @@ from .spectrum import (
 )
 
 
-@dataclass(frozen=True)
-class DecompositionResult:
-    algebra: Algebra
-    input: int
-    components: tuple[int, ...]
-    irredundant: bool
-    split_trace: tuple[tuple[int, tuple[int, int]], ...]
+class DecompositionResult(namedtuple("DecompositionResult", (
+    "algebra",      # Algebra
+    "input",        # int
+    "components",   # tuple[int, ...]
+    "irredundant",  # bool
+    "split_trace",  # tuple[tuple[int, tuple[int, int]], ...]: (node, (u, v))
+))):
+    __slots__ = ()
 
     def intersection(self) -> int:
         out = full_mask(self.algebra)
@@ -65,38 +66,39 @@ class DecompositionResult:
         return out
 
 
-@dataclass(frozen=True)
-class EvansReport:
-    algebra: Algebra
-    ideal: int
-    maximal_conductors: tuple[tuple[int, int], ...]  # (witness y, conductor)
-    all_prime: bool
-    all_saturated: bool
-    union_equals_divisor_set: bool
-    passed: bool
+class EvansReport(namedtuple("EvansReport", (
+    "algebra",                   # Algebra
+    "ideal",                     # int
+    "maximal_conductors",        # tuple[tuple[int, int], ...]: (witness y, conductor)
+    "all_prime",                 # bool
+    "all_saturated",             # bool
+    "union_equals_divisor_set",  # bool
+    "passed",                    # bool
+))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LaskerianReport:
-    algebra: Algebra
-    laskerian: bool
-    witness: int | None
-    table: tuple[tuple[int, tuple[int, ...]], ...]  # ideal -> primary components
-    saturated_primaries: tuple[int, ...]
-    primaries: tuple[int, ...]
+class LaskerianReport(namedtuple("LaskerianReport", (
+    "algebra",              # Algebra
+    "laskerian",            # bool
+    "witness",              # int | None
+    "table",                # tuple[tuple[int, tuple[int, ...]], ...]: ideal -> primaries
+    "saturated_primaries",  # tuple[int, ...]
+    "primaries",            # tuple[int, ...]
+))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AuditCheck:
-    name: str
-    passed: bool
-    detail: str
+class AuditCheck(namedtuple("AuditCheck", "name passed detail")):
+    """name: str; passed: bool; detail: str."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AuditResult:
-    algebra: Algebra
-    checks: tuple[AuditCheck, ...]
+class AuditResult(namedtuple("AuditResult", "algebra checks")):
+    """algebra: Algebra; checks: tuple[AuditCheck, ...]."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -180,7 +182,7 @@ def radical_decomposition(algebra: Algebra, mask: int) -> DecompositionResult:
     _require_saturated_proper(algebra, mask)
     rad = radical(algebra, mask)
     inner = weak_decompose(algebra, rad)
-    return replace(inner, input=mask)
+    return inner._replace(input=mask)
 
 
 def minimalize(result: DecompositionResult) -> DecompositionResult:
@@ -203,7 +205,7 @@ def minimalize(result: DecompositionResult) -> DecompositionResult:
                 del comps[idx]
                 changed = True
                 break
-    return replace(result, components=tuple(comps), irredundant=True)
+    return result._replace(components=tuple(comps), irredundant=True)
 
 
 def laskerian_check(algebra: Algebra) -> LaskerianReport:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import Algebra, AlgebraError, AxiomError, _certified
 
@@ -160,20 +160,27 @@ def generated_ideal(algebra: Algebra, elements) -> int:
 
 
 def saturation(algebra: Algebra, mask: int) -> int:
-    """Closure I-bar = {a : a + i = i for some i in I}."""
+    """Closure I-bar = {a : a + i = i for some i in I}.
+
+    Bits at or past the order are ignored.
+    """
     below = algebra._below
     out = 0
-    for i in bits(mask):
+    for i in bits(mask & full_mask(algebra)):
         out |= below[i]
     return out
 
 
 def is_saturated(algebra: Algebra, mask: int) -> bool:
+    # saturation drops bits at or past the order, so such a mask is never saturated
     return saturation(algebra, mask) == mask
 
 
 def radical(algebra: Algebra, mask: int) -> int:
-    """r(I) = {a : a**n in I for some n >= 1}."""
+    """r(I) = {a : a**n in I for some n >= 1}.
+
+    Bits at or past the order are ignored.
+    """
     out = 0
     for a, powers in enumerate(algebra._powers):
         if powers & mask:
@@ -214,7 +221,10 @@ def annihilator_set(algebra: Algebra, elements) -> int:
 
 
 def conductor(algebra: Algebra, x: int, mask: int) -> int:
-    """C_x(J) = {y : x*y in J}; saturated whenever J is."""
+    """C_x(J) = {y : x*y in J}; saturated whenever J is.
+
+    Bits of J at or past the order are ignored.
+    """
     out = 0
     for t, preimage in enumerate(algebra._preimage[x]):
         if mask >> t & 1:
@@ -276,18 +286,16 @@ def enumerate_saturated_ideals(algebra: Algebra) -> tuple[int, ...]:
 # Congruences and quotients
 
 
-@dataclass(frozen=True)
-class Congruence:
+class Congruence(namedtuple("Congruence", "algebra class_of classes")):
     """Partition of an algebra compatible with both operations.
 
+    algebra: Algebra; class_of: tuple[int, ...]; classes: tuple[int, ...].
     ``class_of[a]`` is the class index of element a; ``classes[k]`` is the
     member mask of class k.  Classes are numbered by smallest member, so
     the class of zero is always class 0.
     """
 
-    algebra: Algebra
-    class_of: tuple[int, ...]
-    classes: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def order(self) -> int:
@@ -297,13 +305,13 @@ class Congruence:
         return self.classes[0]
 
 
-@dataclass(frozen=True)
-class QuotientMap:
-    """Surjection onto a quotient algebra with preimage bookkeeping."""
+class QuotientMap(namedtuple("QuotientMap", "source target projection")):
+    """Surjection onto a quotient algebra with preimage bookkeeping.
 
-    source: Algebra
-    target: Algebra
-    projection: tuple[int, ...]
+    source: Algebra; target: Algebra; projection: tuple[int, ...].
+    """
+
+    __slots__ = ()
 
 
 def congruence_violation(

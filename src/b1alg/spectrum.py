@@ -9,7 +9,7 @@ then mask value), so reports are diffable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .algebra import Algebra
@@ -176,21 +176,22 @@ def is_standard(algebra: Algebra) -> tuple[bool, tuple[int, ...]]:
     return False, ()  # pragma: no cover - the full candidate union covers
 
 
-@dataclass(frozen=True)
-class SpectrumResult:
+class SpectrumResult(namedtuple("SpectrumResult", (
+    "algebra",               # Algebra
+    "primes",                # tuple[int, ...]
+    "saturated_primes",      # tuple[int, ...]
+    "min_primes",            # tuple[int, ...]
+    "min_saturated_primes",  # tuple[int, ...]
+    "max_saturated",         # tuple[int, ...]
+    "associated",            # tuple[tuple[int, int], ...]
+    "nilradical",            # int
+    "zero_divisors",         # int
+    "standard",              # bool
+    "standard_cover",        # tuple[int, ...]
+))):
     """One-shot classification of an algebra's ideal spectrum."""
 
-    algebra: Algebra
-    primes: tuple[int, ...]
-    saturated_primes: tuple[int, ...]
-    min_primes: tuple[int, ...]
-    min_saturated_primes: tuple[int, ...]
-    max_saturated: tuple[int, ...]
-    associated: tuple[tuple[int, int], ...]
-    nilradical: int
-    zero_divisors: int
-    standard: bool
-    standard_cover: tuple[int, ...]
+    __slots__ = ()
 
 
 def spectrum(algebra: Algebra) -> SpectrumResult:

@@ -53,6 +53,17 @@ class TestSaturation:
                     if i & ~j == 0:
                         assert s & ~b.saturation(algebra, j) == 0
 
+    def test_bits_past_the_order_are_ignored(self):
+        # saturation, radical and conductor read only the algebra's own bits;
+        # a mask with a stray bit is therefore never saturated.
+        algebra = b.builtin("bool-2")
+        stray = 1 << algebra.order
+        assert b.saturation(algebra, 1 | stray) == b.saturation(algebra, 1) == 1
+        assert not b.is_saturated(algebra, 1 | stray)
+        assert b.radical(algebra, 1 | stray) == b.radical(algebra, 1) == 1
+        for x in algebra.elements():
+            assert b.conductor(algebra, x, 1 | stray) == b.conductor(algebra, x, 1)
+
 
 class TestRadical:
     def test_frozen_examples(self, ex62):

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -98,3 +101,17 @@ def test_readme_library_example_runs(capsys):
     exec(compile(code, "README.md", "exec"), {})
     # the printed components are the ones the example's comment names
     assert capsys.readouterr().out == "[('0', 'z', 'x'), ('0', 'z', 'y')]\n"
+
+
+def test_cli_import_skips_heavy_standard_modules():
+    # Every CLI op pays for what `import b1alg.cli` loads: the records are
+    # named tuples, and json is imported only for --format json.  -S keeps
+    # the environment's site hooks, which may load anything, out.
+    heavy = ("dataclasses", "inspect", "typing", "json")
+    probe = f"import b1alg.cli, sys; print(*[m for m in {heavy!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.split() == []
