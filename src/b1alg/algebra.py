@@ -63,18 +63,20 @@ class Algebra:
     memoized per instance in ``_memo`` (see ``ideals._per_algebra``), so
     equal tables built twice each compute their own.
 
-    The tables are also read once into per-element bitmasks, so that
-    saturations, radicals, annihilators and conductors are ORs and ANDs of
-    masks: ``_below[i]`` is {a : a + i = i}, ``_powers[a]`` is
-    {a**k : k >= 1} and ``_preimage[x][t]`` is {y : x*y = t}.  They are
-    built here rather than through ``_per_algebra``, which refuses
-    algebras past the enumeration bound, because radicals and the
+    The tables are also read once into bitmasks, so that saturations,
+    radicals, joins, conductors and the prime and primary questions are
+    ORs, ANDs and shifts of masks: ``_above[a]`` is {i : a + i = i},
+    ``_powers[a]`` is {a**k : k >= 1}, ``_principal[a]`` is A*a and
+    ``_products[t]`` is {(u, v) : u*v = t}, pair (u, v) at bit u*n + v.
+    They are built here rather than through ``_per_algebra``, which
+    refuses algebras past the enumeration bound, because radicals and the
     nilradical must still answer on those.
     """
 
     __slots__ = (
         "names", "add", "mul", "zero", "one", "index",
-        "_below", "_powers", "_preimage", "_hash", "_memo", "__weakref__",
+        "_full", "_above", "_powers", "_principal", "_products",
+        "_hash", "_memo", "__weakref__",
     )
 
     def __init__(
@@ -91,12 +93,10 @@ class Algebra:
         self.one = one
         self.index = {name: i for i, name in enumerate(self.names)}
         n = len(self.names)
-        below = [0] * n
-        for a, row in enumerate(self.add):
-            for i, s in enumerate(row):
-                if s == i:
-                    below[i] |= 1 << a
-        self._below = tuple(below)
+        self._full = (1 << n) - 1
+        self._above = tuple(
+            sum(1 << i for i, s in enumerate(row) if s == i) for row in self.add
+        )
         powers = []
         for a in range(n):
             orbit, p = 0, a
@@ -105,13 +105,20 @@ class Algebra:
                 p = self.mul[p][a]
             powers.append(orbit)
         self._powers = tuple(powers)
-        preimage = []
-        for row in self.mul:
+        principal, products = [], [0] * n
+        for x, row in enumerate(self.mul):
             by_value = [0] * n
             for y, t in enumerate(row):
                 by_value[t] |= 1 << y
-            preimage.append(tuple(by_value))
-        self._preimage = tuple(preimage)
+            # A*x is the set of values in the row of x, as mul is commutative.
+            values = 0
+            for t, ys in enumerate(by_value):
+                if ys:
+                    values |= 1 << t
+                    products[t] |= ys << x * n
+            principal.append(values)
+        self._principal = tuple(principal)
+        self._products = tuple(products)
         self._hash = hash((self.names, self.add, self.mul, one))
         self._memo: dict = {}
 
@@ -188,15 +195,20 @@ def check_axioms(
             if mul[a][b] != mul[b][a]:
                 out.append(Violation("mul-commutative", (a, b)))
     for a in rng:
+        add_a, mul_a = add[a], mul[a]
+        col_a = tuple(row[a] for row in mul)  # col_a[x] is x*a
         for b in rng:
+            add_b, mul_b = add[b], mul[b]
+            sum_ab, prod_ab = add[add_a[b]], mul[mul_a[b]]
+            left_ab, right_ba = add[mul_a[b]], add[col_a[b]]
             for c in rng:
-                if add[add[a][b]][c] != add[a][add[b][c]]:
+                if sum_ab[c] != add_a[add_b[c]]:
                     out.append(Violation("add-associative", (a, b, c)))
-                if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+                if prod_ab[c] != mul_a[mul_b[c]]:
                     out.append(Violation("mul-associative", (a, b, c)))
-                if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
+                if mul_a[add_b[c]] != left_ab[mul_a[c]]:
                     out.append(Violation("left-distributive", (a, b, c)))
-                if mul[add[b][c]][a] != add[mul[b][a]][mul[c][a]]:
+                if col_a[add_b[c]] != right_ba[col_a[c]]:
                     out.append(Violation("right-distributive", (a, b, c)))
     # Implied by idempotency but checked on its own so a broken table
     # names the defining axiom directly.
@@ -206,6 +218,20 @@ def check_axioms(
         out.append(Violation("zero-is-not-one", (0,)))
 
     return AxiomReport(valid=not out, violations=tuple(out))
+
+
+def _label_problem(names: tuple[str, ...]) -> str | None:
+    """Why these labels cannot name elements, or None if they can."""
+    if len(set(names)) != len(names):
+        dup = next(n for i, n in enumerate(names) if n in names[:i])
+        return f"duplicate label {dup!r}"
+    for name in names:
+        if not name or any(ch in name for ch in _FORBIDDEN_IN_LABEL) or name.split() != [name]:
+            return (
+                f"bad label {name!r}: labels are non-empty and contain no "
+                "whitespace, '#' or ','"
+            )
+    return None
 
 
 def build_algebra(
@@ -222,15 +248,9 @@ def build_algebra(
     failures raise AxiomError carrying the complete violation report.
     """
     names = tuple(str(n) for n in names)
-    if len(set(names)) != len(names):
-        dup = next(n for i, n in enumerate(names) if n in names[:i])
-        raise AlgebraError(f"duplicate label {dup!r}")
-    for name in names:
-        if not name or any(ch in name for ch in _FORBIDDEN_IN_LABEL) or name.split() != [name]:
-            raise AlgebraError(
-                f"bad label {name!r}: labels are non-empty and contain no "
-                "whitespace, '#' or ','"
-            )
+    problem = _label_problem(names)
+    if problem is not None:
+        raise AlgebraError(problem)
     n = len(names)
     index = {name: i for i, name in enumerate(names)}
     if zero not in index:

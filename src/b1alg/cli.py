@@ -32,7 +32,8 @@ from .algebra import (
     AlgebraError,
     AxiomError,
     BUILTIN_NAMES,
-    build_algebra,
+    _certified,
+    _label_problem,
     builtin,
 )
 from .decompose import (
@@ -45,7 +46,6 @@ from .decompose import (
 from .ideals import (
     enumerate_ideals,
     enumerate_saturated_ideals,
-    full_mask,
     mask_of,
     member_labels,
 )
@@ -65,7 +65,11 @@ class ParseError(AlgebraError):
 
 
 def parse_algebra_text(text: str) -> Algebra:
-    """Parse .b1a source into a validated algebra."""
+    """Parse .b1a source into a validated algebra.
+
+    Labels and entries are checked and mapped to indices in one pass here,
+    so ``_certified`` is left with the axiom check only.
+    """
     # (line number, tokens) with comments and blanks dropped
     rows: list[tuple[int, list[str]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -74,9 +78,10 @@ def parse_algebra_text(text: str) -> Algebra:
             rows.append((lineno, body.split()))
 
     names: tuple[str, ...] | None = None
+    index: dict[str, int] = {}
     zero: str | None = None
     one: str | None = None
-    tables: dict[str, list[list[str]]] = {}
+    tables: dict[str, tuple[tuple[int, ...], ...]] = {}
     seen_at: dict[str, int] = {}
 
     pos = 0
@@ -89,9 +94,10 @@ def parse_algebra_text(text: str) -> Algebra:
             if len(words) < 2:
                 raise ParseError(lineno, "elements directive needs at least one label")
             names = tuple(words[1:])
-            if len(set(names)) != len(names):
-                dup = next(n for i, n in enumerate(names) if n in names[:i])
-                raise ParseError(lineno, f"duplicate label {dup!r}")
+            problem = _label_problem(names)
+            if problem is not None:
+                raise ParseError(lineno, problem)
+            index = {name: i for i, name in enumerate(names)}
             seen_at[head] = lineno
             pos += 1
         elif head in ("zero", "one"):
@@ -110,7 +116,7 @@ def parse_algebra_text(text: str) -> Algebra:
                 raise ParseError(lineno, f"{head} table appears before the elements directive")
             seen_at[head] = lineno
             pos += 1
-            table: list[list[str]] = []
+            table: list[tuple[int, ...]] = []
             for r in range(len(names)):
                 if pos >= len(rows):
                     raise ParseError(
@@ -123,27 +129,30 @@ def parse_algebra_text(text: str) -> Algebra:
                         f"{head} table row {r + 1} has {len(row)} entries, "
                         f"expected {len(names)}",
                     )
-                for col, entry in enumerate(row, start=1):
-                    if entry not in names:
-                        raise ParseError(row_line, f"unknown label {entry!r}", column=col)
-                table.append(row)
+                try:
+                    table.append(tuple(index[entry] for entry in row))
+                except KeyError as exc:
+                    entry = exc.args[0]
+                    raise ParseError(
+                        row_line, f"unknown label {entry!r}", column=row.index(entry) + 1
+                    ) from None
                 pos += 1
-            tables[head] = table
+            tables[head] = tuple(table)
         else:
             raise ParseError(lineno, f"unknown directive {head!r}")
 
     for needed in ("elements", "zero", "one", "add", "mul"):
         if needed not in seen_at:
             raise ParseError(len(text.splitlines()) + 1, f"missing directive: {needed}")
-    if zero not in names:
+    if zero not in index:
         raise ParseError(seen_at["zero"], f"unknown label {zero!r}")
-    if one not in names:
+    if one not in index:
         raise ParseError(seen_at["one"], f"unknown label {one!r}")
     if names[0] != zero:
         raise ParseError(
             seen_at["elements"], f"zero element {zero!r} must be listed first"
         )
-    return build_algebra(list(names), tables["add"], tables["mul"], zero, one)
+    return _certified(names, tables["add"], tables["mul"], index[one])
 
 
 def parse_algebra_file(path: str | Path) -> Algebra:
@@ -334,7 +343,7 @@ def cmd_evans(algebra: Algebra, args) -> tuple[dict, int]:
     if args.ideal is not None:
         masks = [_parse_ideal_flag(algebra, args.ideal)]
     else:
-        full = full_mask(algebra)
+        full = algebra._full
         masks = [m for m in enumerate_saturated_ideals(algebra) if m != full]
     reports = [evans_report(algebra, m) for m in masks]
     passed = all(r.passed for r in reports)

@@ -17,15 +17,14 @@ from collections import namedtuple
 from .algebra import Algebra, AlgebraError, check_axioms
 from .ideals import (
     _canonical,
+    _join,
+    _pairs_in,
     annihilator,
     bits,
     bourne_congruence,
-    conductor,
     enumerate_ideals,
     enumerate_saturated_ideals,
-    full_mask,
     generated_ideal,
-    ideal_sum,
     ideal_violation,
     is_ideal,
     is_saturated,
@@ -60,7 +59,7 @@ class DecompositionResult(namedtuple("DecompositionResult", (
     __slots__ = ()
 
     def intersection(self) -> int:
-        out = full_mask(self.algebra)
+        out = self.algebra._full
         for c in self.components:
             out &= c
         return out
@@ -114,7 +113,7 @@ def _require_saturated_proper(algebra: Algebra, mask: int) -> None:
             algebra.names[w] if w < algebra.order else f"bit {w}" for w in witness
         )
         raise AlgebraError(f"the set {what} (witness: {names})")
-    if mask == full_mask(algebra):
+    if mask == algebra._full:
         raise AlgebraError("the ideal must be proper")
     if not is_saturated(algebra, mask):
         extra = saturation(algebra, mask) & ~mask
@@ -139,7 +138,7 @@ def weak_decompose(algebra: Algebra, mask: int) -> DecompositionResult:
             f"{algebra.names[culprit]!r} lies inside"
         )
 
-    full = full_mask(algebra)
+    full = algebra._full
     components: list[int] = []
     trace: list[tuple[int, tuple[int, int]]] = []
     # Depth first on an explicit stack, since a recursive closure is a cycle that
@@ -155,9 +154,7 @@ def weak_decompose(algebra: Algebra, mask: int) -> DecompositionResult:
             continue
         trace.append((j, witness))
         for w in reversed(witness):
-            arm = radical(
-                algebra, saturation(algebra, ideal_sum(algebra, j, generated_ideal(algebra, (w,))))
-            )
+            arm = radical(algebra, saturation(algebra, _join(algebra, j, algebra._principal[w])))
             if arm == full or arm == j:
                 raise RuntimeError("split arm failed to grow properly (engine bug)")
             stack.append(arm)
@@ -192,7 +189,7 @@ def minimalize(result: DecompositionResult) -> DecompositionResult:
     no component is redundant.
     """
     comps = list(result.components)
-    full = full_mask(result.algebra)
+    full = result.algebra._full
     changed = True
     while changed and len(comps) > 1:
         changed = False
@@ -218,7 +215,7 @@ def laskerian_check(algebra: Algebra) -> LaskerianReport:
     families (saturated and not) are reported; only the saturated one
     decides the verdict.
     """
-    full = full_mask(algebra)
+    full = algebra._full
     saturated = enumerate_saturated_ideals(algebra)
     proper_saturated = [m for m in saturated if m != full]
     primaries = _primaries(algebra)
@@ -263,10 +260,12 @@ def evans_report(algebra: Algebra, mask: int) -> EvansReport:
     be prime and saturated with their union equal to D(I).
     """
     _require_saturated_proper(algebra, mask)
+    n, full = algebra.order, algebra._full
+    pairs = _pairs_in(algebra, mask)  # row y is the conductor C_y(I)
     conductors: dict[int, int] = {}
-    for y in algebra.elements():
+    for y in range(n):
         if not mask >> y & 1:
-            conductors.setdefault(conductor(algebra, y, mask), y)
+            conductors.setdefault(pairs >> y * n & full, y)
     maximal = _canonical(_maximal(conductors))
     entries = tuple((conductors[c], c) for c in maximal)
     all_prime = all(is_prime(algebra, c) for c in maximal)
@@ -302,7 +301,7 @@ def audit(algebra: Algebra) -> AuditResult:
     the detail string says where to look.
     """
     checks: list[AuditCheck] = []
-    full = full_mask(algebra)
+    n, full = algebra.order, algebra._full
     ideals = enumerate_ideals(algebra)
     saturated = enumerate_saturated_ideals(algebra)
     proper_saturated = [m for m in saturated if m != full]
@@ -328,21 +327,26 @@ def audit(algebra: Algebra) -> AuditResult:
 
     @run("natural-order")
     def _order():
-        for a in algebra.elements():
-            if not algebra.leq(0, a):
+        # up[a] = {b : a <= b}, read from the add rows here rather than
+        # from Algebra._above, so that the check stays independent.
+        up = [
+            sum(1 << b for b, s in enumerate(row) if s == b) for row in algebra.add
+        ]
+        for a in range(n):
+            if not up[0] >> a & 1:
                 return f"zero not below {algebra.names[a]}"
-            for b in algebra.elements():
-                if algebra.leq(a, b) and algebra.leq(b, a) and a != b:
+            for b in bits(up[a]):
+                if up[b] >> a & 1 and a != b:
                     return f"antisymmetry fails at ({algebra.names[a]}, {algebra.names[b]})"
-                for c in algebra.elements():
-                    if algebra.leq(a, b) and algebra.leq(b, c) and not algebra.leq(a, c):
-                        return "transitivity fails"
+                if up[b] & ~up[a]:
+                    return "transitivity fails"
         return None
 
     @run("saturation-closure")
     def _sat_closure():
+        sat = {i: saturation(algebra, i) for i in ideals}
         for i in ideals:
-            s = saturation(algebra, i)
+            s = sat[i]
             if i & ~s:
                 return f"not extensive at {_labels(algebra, i)}"
             if saturation(algebra, s) != s:
@@ -350,7 +354,7 @@ def audit(algebra: Algebra) -> AuditResult:
             if not is_ideal(algebra, s):
                 return f"saturation of {_labels(algebra, i)} is not an ideal"
             for j in ideals:
-                if i & ~j == 0 and s & ~saturation(algebra, j):
+                if i & ~j == 0 and s & ~sat[j]:
                     return f"not monotone at {_labels(algebra, i)} <= {_labels(algebra, j)}"
         return None
 
@@ -364,13 +368,20 @@ def audit(algebra: Algebra) -> AuditResult:
 
     @run("radical-saturation-intersection")
     def _rad_sat_intersect():
+        sat = {i: saturation(algebra, i) for i in ideals}
+        rad_sat = {i: radical(algebra, s) for i, s in sat.items()}
+        # r(sat(i & j)) and r(sat i & sat j), memoized by the mask inside
+        lhs_of: dict[int, int] = {}
+        mid_of: dict[int, int] = {}
         for i in ideals:
+            si = sat[i]
             for j in ideals:
-                lhs = radical(algebra, saturation(algebra, i & j))
-                si, sj = saturation(algebra, i), saturation(algebra, j)
-                mid = radical(algebra, si & sj)
-                rhs = radical(algebra, si) & radical(algebra, sj)
-                if not lhs == mid == rhs:
+                meet, sat_meet = i & j, si & sat[j]
+                if meet not in lhs_of:
+                    lhs_of[meet] = radical(algebra, saturation(algebra, meet))
+                if sat_meet not in mid_of:
+                    mid_of[sat_meet] = radical(algebra, sat_meet)
+                if not lhs_of[meet] == mid_of[sat_meet] == rad_sat[i] & rad_sat[j]:
                     return f"identity fails at ({_labels(algebra, i)}, {_labels(algebra, j)})"
         return None
 
@@ -383,9 +394,10 @@ def audit(algebra: Algebra) -> AuditResult:
 
     @run("conductors-saturated")
     def _cond_sat():
-        for x in algebra.elements():
-            for j in saturated:
-                if not is_saturated(algebra, conductor(algebra, x, j)):
+        pairs = [_pairs_in(algebra, j) for j in saturated]  # row x is C_x(j)
+        for x in range(n):
+            for j, p in zip(saturated, pairs):
+                if not is_saturated(algebra, p >> x * n & full):
                     return f"C_{algebra.names[x]}({_labels(algebra, j)}) not saturated"
         return None
 

@@ -7,8 +7,10 @@ ideals are found as joins of principal ideals, once per algebra instance,
 by ``enumerate_ideals``, which refuses algebras with more ideals than the
 enumeration bound; ``_per_algebra`` computes every family with several
 callers once per instance behind the same bound.  Saturations, radicals,
-annihilators and conductors read the per-element masks each ``Algebra``
-builds from its tables instead of scanning the tables on every call.
+joins with principal ideals, the ideal test, annihilators and conductors
+read the masks each ``Algebra`` builds from its tables instead of scanning
+the tables on every call; ``_pairs_in`` gives every conductor of an ideal
+at once, and ``conductor`` is one row of it.
 
 The operations mirror the classical ones: generated ideals, the saturation
 closure I-bar = {a : a + i = i for some i in I}, radicals, annihilators,
@@ -95,7 +97,9 @@ def _per_algebra(fn):
 
 
 def full_mask(algebra: Algebra) -> int:
-    return (1 << algebra.order) - 1
+    """Mask of every element: the public name of ``Algebra._full``, which
+    the package itself reads directly."""
+    return algebra._full
 
 
 def member_labels(algebra: Algebra, mask: int) -> tuple[str, ...]:
@@ -109,22 +113,26 @@ def is_ideal(algebra: Algebra, mask: int) -> bool:
 
 def ideal_violation(algebra: Algebra, mask: int) -> tuple[str, tuple[int, ...]] | None:
     """First failed ideal condition as (description, witness), else None."""
-    if mask & ~full_mask(algebra):
+    if mask & ~algebra._full:
         stray = next(i for i in bits(mask) if i >= algebra.order)
         return ("contains an out-of-range element", (stray,))
     if not mask & 1:
         return ("does not contain zero", (0,))
-    add, mul = algebra.add, algebra.mul
     members = list(bits(mask))
-    for i in members:
-        for j in members:
-            if not mask >> add[i][j] & 1:
+    # i + i = i and i + j = j + i, so the first failing pair (i, j) has i < j.
+    for k, i in enumerate(members):
+        row = algebra.add[i]
+        for j in members[k + 1:]:
+            if not mask >> row[j] & 1:
                 return ("is not closed under addition", (i, j))
-    for a in algebra.elements():
-        row = mul[a]
-        for i in members:
-            if not mask >> row[i] & 1:
-                return ("is not closed under multiplication by the algebra", (a, i))
+    # Only members whose principal ideal A*i leaks can fail; the rows are
+    # scanned just to name the first witness (a, i).
+    leaky = [i for i in members if algebra._principal[i] & ~mask]
+    if leaky:
+        for a, row in enumerate(algebra.mul):
+            for i in leaky:
+                if not mask >> row[i] & 1:
+                    return ("is not closed under multiplication by the algebra", (a, i))
     return None
 
 
@@ -164,10 +172,10 @@ def saturation(algebra: Algebra, mask: int) -> int:
 
     Bits at or past the order are ignored.
     """
-    below = algebra._below
     out = 0
-    for i in bits(mask & full_mask(algebra)):
-        out |= below[i]
+    for a, above in enumerate(algebra._above):
+        if above & mask:
+            out |= 1 << a
     return out
 
 
@@ -210,11 +218,11 @@ def ideal_product(algebra: Algebra, left: int, right: int) -> int:
 
 def annihilator(algebra: Algebra, s: int) -> int:
     """Ann(s) = {x : s*x = 0}; always a saturated ideal."""
-    return algebra._preimage[s][0]
+    return algebra._products[0] >> s * algebra.order & algebra._full
 
 
 def annihilator_set(algebra: Algebra, elements) -> int:
-    out = full_mask(algebra)
+    out = algebra._full
     for s in elements:
         out &= annihilator(algebra, s)
     return out
@@ -225,11 +233,41 @@ def conductor(algebra: Algebra, x: int, mask: int) -> int:
 
     Bits of J at or past the order are ignored.
     """
+    return _pairs_in(algebra, mask) >> x * algebra.order & algebra._full
+
+
+def _pairs_in(algebra: Algebra, mask: int) -> int:
+    """P(I) = {(u, v) : u*v in I}, the pair (u, v) at bit u*n + v.
+
+    Row u of P(I), ``P(I) >> u*n & full``, is the conductor C_u(I).  Bits
+    of I at or past the order are ignored.
+    """
     out = 0
-    for t, preimage in enumerate(algebra._preimage[x]):
+    for t, pairs in enumerate(algebra._products):
         if mask >> t & 1:
-            out |= preimage
+            out |= pairs
     return out
+
+
+def _block(algebra: Algebra, rows: int, cols: int) -> int:
+    """The pairs (u, v) with u in rows and v in cols, laid out as P(I) is."""
+    n = algebra.order
+    out = 0
+    for u in bits(rows):
+        out |= cols << u * n
+    return out
+
+
+def _join(algebra: Algebra, ideal: int, other: int) -> int:
+    """I + J = {i + j}; only sums of i outside J and j outside I are new."""
+    add = algebra.add
+    joined = ideal | other
+    fresh = list(bits(other & ~ideal))
+    for i in bits(ideal & ~other):
+        row = add[i]
+        for j in fresh:
+            joined |= 1 << row[j]
+    return joined
 
 
 # ---------------------------------------------------------------------------
@@ -238,23 +276,13 @@ def conductor(algebra: Algebra, x: int, mask: int) -> int:
 def _scan_ideals(algebra: Algebra) -> tuple[int, ...]:
     # Every ideal is the sum of the principal ideals A*a of its members, so
     # joining each known ideal with A*a, for a = 1..n-1 in turn, finds them
-    # all.  I + A*a = {i + p} is already an ideal; only sums of i outside
-    # A*a and p outside I can be new members.
-    add, mul = algebra.add, algebra.mul
+    # all.
     bound = enumeration_bound()
     found = {1}
     for a in range(1, algebra.order):
-        principal = 0
-        for row in mul:
-            principal |= 1 << row[a]
+        principal = algebra._principal[a]
         for ideal in [m for m in found if not m >> a & 1]:
-            joined = ideal | principal
-            fresh = list(bits(principal & ~ideal))
-            for i in bits(ideal & ~principal):
-                row = add[i]
-                for p in fresh:
-                    joined |= 1 << row[p]
-            found.add(joined)
+            found.add(_join(algebra, ideal, principal))
             if len(found) > bound:
                 raise _over_bound(algebra, bound)
     return tuple(_canonical(found))

@@ -1,10 +1,11 @@
 """Classification of ideals: primes, primaries, spectra, associated primes.
 
-Primality, primarity and divisor sets are read off the conductors
-C_u(I) = {v : u*v in I}, each one OR of per-element preimage masks (see
-``Algebra``), so every predicate costs a polynomial in the order per
-ideal.  Lists come back in the canonical enumeration order (cardinality,
-then mask value), so reports are diffable.
+Primality, primarity and divisor sets are read off the pair mask
+P(I) = {(u, v) : u*v in I} (``ideals._pairs_in``), whose row u is the
+conductor C_u(I): each predicate ORs the pair-product masks of ``Algebra``
+over I once and ANDs the result with a block of pairs, with no
+per-element conductor call.  Lists come back in the canonical enumeration
+order (cardinality, then mask value), so reports are diffable.
 """
 
 from __future__ import annotations
@@ -14,32 +15,34 @@ from itertools import combinations
 
 from .algebra import Algebra
 from .ideals import (
+    _block,
     _canonical,
+    _pairs_in,
     _per_algebra,
     annihilator,
     bourne_congruence,
-    conductor,
     enumerate_ideals,
     enumerate_saturated_ideals,
-    full_mask,
     is_saturated,
     radical,
 )
 
 
 def _prime_witness(algebra: Algebra, mask: int) -> tuple[int, int] | None:
-    """First (u, v) in element-index order with u, v outside and u*v inside."""
-    for u in algebra.elements():
-        if not mask >> u & 1:
-            inside = conductor(algebra, u, mask) & ~mask
-            if inside:
-                return u, (inside & -inside).bit_length() - 1
-    return None
+    """First (u, v) in element-index order with u, v outside and u*v inside.
+
+    Pair (u, v) sits at bit u*n + v, so the lowest bit is that pair.
+    """
+    outside = algebra._full & ~mask
+    hits = _pairs_in(algebra, mask) & _block(algebra, outside, outside)
+    if not hits:
+        return None
+    return divmod((hits & -hits).bit_length() - 1, algebra.order)
 
 
 def is_prime(algebra: Algebra, mask: int) -> bool:
     """Proper, and u*v in I forces u in I or v in I."""
-    return mask != full_mask(algebra) and _prime_witness(algebra, mask) is None
+    return mask != algebra._full and _prime_witness(algebra, mask) is None
 
 
 def is_primary(algebra: Algebra, mask: int) -> bool:
@@ -48,14 +51,11 @@ def is_primary(algebra: Algebra, mask: int) -> bool:
     The power condition on y is exactly membership in the radical, so one
     radical computation replaces the per-pair exponent search.
     """
-    if mask == full_mask(algebra):
+    full = algebra._full
+    if mask == full:
         return False
-    rad = radical(algebra, mask)
-    return not any(
-        conductor(algebra, x, mask) & ~rad
-        for x in algebra.elements()
-        if not mask >> x & 1
-    )
+    outside = _block(algebra, full & ~mask, full & ~radical(algebra, mask))
+    return not _pairs_in(algebra, mask) & outside
 
 
 @_per_algebra
@@ -97,7 +97,7 @@ def min_saturated_primes(algebra: Algebra) -> tuple[int, ...]:
 
 def max_saturated(algebra: Algebra) -> tuple[int, ...]:
     """Maximal elements among the proper saturated ideals."""
-    full = full_mask(algebra)
+    full = algebra._full
     proper = [m for m in enumerate_saturated_ideals(algebra) if m != full]
     return _maximal(proper)
 
@@ -119,9 +119,11 @@ def divisor_set(algebra: Algebra, mask: int) -> int:
     Contains I whenever I is proper, and D({0}) is the zero divisors plus
     zero for any nontrivial algebra.
     """
+    n, outside = algebra.order, algebra._full & ~mask
+    pairs = _pairs_in(algebra, mask)  # row x is the conductor C_x(I)
     out = 0
-    for x in algebra.elements():
-        if conductor(algebra, x, mask) & ~mask:
+    for x in range(n):
+        if pairs >> x * n & outside:
             out |= 1 << x
     return out
 

@@ -4,9 +4,10 @@ These deliberately take different routes than the library: primality via
 multiplicative closure of the complement, primarity via an unbounded
 power walk that stops on cycle detection, ideal enumeration via a scan
 of every subset instead of joins of principal ideals, generation via
-a naive alternating closure, conductors via a scan of the multiplication
-row instead of preimage masks, and associated primes via the quotient
-algebras the library no longer builds.
+a naive alternating closure, the ideal test, conductors, divisor sets and
+prime witnesses via scans of the tables instead of principal-ideal and
+pair-product masks, and associated primes via the quotient algebras the
+library no longer builds.
 """
 
 from __future__ import annotations
@@ -112,12 +113,52 @@ def saturation_oracle(algebra: b.Algebra, mask: int) -> int:
     return out
 
 
+def ideal_violation_oracle(algebra: b.Algebra, mask: int) -> tuple[str, tuple[int, ...]] | None:
+    """First failed ideal condition: every ordered pair of members under
+    addition, then the multiplication table row by row."""
+    n = algebra.order
+    if mask >> n:
+        return ("contains an out-of-range element", (next(i for i in b.bits(mask) if i >= n),))
+    if not mask & 1:
+        return ("does not contain zero", (0,))
+    members = list(b.bits(mask))
+    for i in members:
+        for j in members:
+            if not mask >> algebra.add[i][j] & 1:
+                return ("is not closed under addition", (i, j))
+    for a in algebra.elements():
+        for i in members:
+            if not mask >> algebra.mul[a][i] & 1:
+                return ("is not closed under multiplication by the algebra", (a, i))
+    return None
+
+
 def conductor_oracle(algebra: b.Algebra, x: int, mask: int) -> int:
     """C_x(J) = {y : x*y in J}, read off the row of x."""
     out = 0
     for y in algebra.elements():
         if mask >> algebra.mul[x][y] & 1:
             out |= 1 << y
+    return out
+
+
+def prime_witness_oracle(algebra: b.Algebra, mask: int) -> tuple[int, int] | None:
+    """The first (u, v) in the table, row by row, with u, v outside and u*v inside."""
+    for u in algebra.elements():
+        for v in algebra.elements():
+            if not (mask >> u & 1 or mask >> v & 1) and mask >> algebra.mul[u][v] & 1:
+                return u, v
+    return None
+
+
+def divisor_set_oracle(algebra: b.Algebra, mask: int) -> int:
+    """D(I) = {x : x*y in I for some y outside I}, by scanning the table."""
+    out = 0
+    for x in algebra.elements():
+        for y in algebra.elements():
+            if not mask >> y & 1 and mask >> algebra.mul[x][y] & 1:
+                out |= 1 << x
+                break
     return out
 
 

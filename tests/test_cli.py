@@ -95,6 +95,11 @@ class TestParsing:
         with pytest.raises(ParseError, match="must be listed first"):
             parse_algebra_text(broken)
 
+    def test_comma_in_label_names_its_line(self):
+        broken = EX62_FILE.replace("elements 0 z x", "elements 0 z,w x")
+        with pytest.raises(ParseError, match=r"^line 2: bad label 'z,w'"):
+            parse_algebra_text(broken)
+
     def test_axiom_violation_surfaces(self):
         broken = EX62_FILE.replace("0 0 x 0 x x", "0 0 x u x x")
         with pytest.raises(b.AxiomError):

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import gc
+import random
 import weakref
 
 import pytest
 
 import b1alg as b
+import oracles
 from b1alg.decompose import DecompositionResult
 from support import lbl, msk
 
@@ -93,6 +95,52 @@ class TestWeakDecompose:
                     assert not node >> u & 1
                     assert not node >> v & 1
                     assert node >> algebra.mul[u][v] & 1
+
+
+def _full_check_refusal(algebra, mask):
+    """The refusal of the full check sequence (ideal, proper, saturated),
+    with the ideal witness found by scanning the tables."""
+    bad = oracles.ideal_violation_oracle(algebra, mask)
+    if bad is not None:
+        what, witness = bad
+        names = ", ".join(
+            algebra.names[w] if w < algebra.order else f"bit {w}" for w in witness
+        )
+        return f"the set {what} (witness: {names})"
+    if mask == b.full_mask(algebra):
+        return "the ideal must be proper"
+    extra = oracles.saturation_oracle(algebra, mask) & ~mask
+    if extra:
+        return f"the ideal is not saturated; its closure adds {{{lbl(algebra, extra)}}}"
+    return None
+
+
+class TestInputChecks:
+    def test_refusals_match_the_full_check(self, base_fleet, small_random_fleet):
+        # ideal_violation reads the principal-ideal masks and skips pairs
+        # (j, i) with j > i; its witness must still be the first one the
+        # table scan finds, and every refusal must carry it.
+        rng = random.Random(2024)
+        for algebra in [*base_fleet.values(), *small_random_fleet, b.builtin("bool-5")]:
+            n = algebra.order
+            masks = [
+                *b.enumerate_ideals(algebra),
+                *(rng.getrandbits(n + 2) for _ in range(100)),
+                *(rng.getrandbits(n) | 1 for _ in range(100)),
+            ]
+            for m in masks:
+                assert b.ideal_violation(algebra, m) == oracles.ideal_violation_oracle(algebra, m)
+                want = _full_check_refusal(algebra, m)
+                for analyse in (b.weak_decompose, b.radical_decomposition, b.evans_report):
+                    try:
+                        analyse(algebra, m)
+                        got = None
+                    except b.AlgebraError as exc:
+                        got = str(exc)
+                    if want is None and analyse is b.weak_decompose and b.radical(algebra, m) != m:
+                        assert got.startswith("weak_decompose requires a radical ideal")
+                    else:
+                        assert got == want
 
 
 class TestRadicalDecomposition:

@@ -73,23 +73,31 @@ def test_no_exponential_subset_loops_in_the_package():
 
 
 def test_element_wise_operations_read_the_mask_tables():
-    # These read the per-element masks Algebra builds once; a scan of the
-    # add or mul rows here would redo that work on every call.
+    # These read the masks Algebra builds once; a scan of the add or mul rows
+    # here would redo that work on every call.  The whole-ideal questions
+    # read the pair-product masks, so a per-element conductor call there
+    # would be n calls where a few mask operations do.
     wanted = {
         "ideals.py": {"saturation", "radical", "annihilator", "conductor"},
         "spectrum.py": {"_prime_witness", "is_primary", "divisor_set"},
+        "decompose.py": {"evans_report"},
     }
+    whole_ideal = {"_prime_witness", "is_primary", "divisor_set", "evans_report"}
     found = []
     for name, functions in wanted.items():
         tree = ast.parse((PACKAGE_DIR / name).read_text(encoding="utf-8"))
         for node in tree.body:
             if isinstance(node, ast.FunctionDef) and node.name in functions:
                 functions = functions - {node.name}
-                found += [
-                    f"{name}:{sub.lineno}"
-                    for sub in ast.walk(node)
-                    if isinstance(sub, ast.Attribute) and sub.attr in ("add", "mul")
-                ]
+                for sub in ast.walk(node):
+                    if isinstance(sub, ast.Attribute) and sub.attr in ("add", "mul"):
+                        found.append(f"{name}:{sub.lineno}")
+                    elif (
+                        node.name in whole_ideal
+                        and isinstance(sub, ast.Call)
+                        and getattr(sub.func, "id", None) == "conductor"
+                    ):
+                        found.append(f"{name}:{sub.lineno} conductor call")
         assert not functions, f"{name} lacks {functions}"
     assert found == []
 

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import importlib
+import random
+
+import pytest
 
 import b1alg as b
 import oracles
-from support import lbl, msk
+from support import lbl, msk, null_algebra
 
 
 class TestPrimality:
@@ -187,3 +190,57 @@ class TestComputedOnce:
         assert len(calls) == len(b.enumerate_ideals(algebra)) == 9
         b.spectrum(algebra)
         assert len(calls) == 9
+
+
+@pytest.fixture(scope="module")
+def past_order_six():
+    ex62 = b.builtin("example-6-2")
+    return [
+        b.builtin("bool-5"),
+        b.chain_algebra(24),
+        null_algebra(5),
+        b.direct_product(ex62, b.chain_algebra(3)),  # order 18
+    ]
+
+
+class TestPairProductPredicates:
+    # The predicates read the n*n-bit pair-product masks; the oracles scan
+    # the multiplication table pair by pair.
+
+    @staticmethod
+    def _masks(algebra, rng):
+        # every ideal, then random masks, some with bits past the order
+        stray = [rng.getrandbits(algebra.order + 3) for _ in range(20)]
+        inside = [rng.getrandbits(algebra.order) | 1 for _ in range(20)]
+        return [*b.enumerate_ideals(algebra), *stray, *inside]
+
+    def test_match_the_table_scans(self, base_fleet, small_random_fleet, past_order_six):
+        prime_witness = importlib.import_module("b1alg.spectrum")._prime_witness
+        rng = random.Random(9)
+        for algebra in [*base_fleet.values(), *small_random_fleet, *past_order_six]:
+            for m in self._masks(algebra, rng):
+                witness = oracles.prime_witness_oracle(algebra, m)
+                assert prime_witness(algebra, m) == witness
+                assert b.is_prime(algebra, m) == oracles.prime_oracle(algebra, m)
+                assert b.is_primary(algebra, m) == oracles.primary_oracle(algebra, m)
+                assert b.divisor_set(algebra, m) == oracles.divisor_set_oracle(algebra, m)
+
+    def test_maximal_conductors_match_the_row_scans(
+        self, base_fleet, small_random_fleet, past_order_six
+    ):
+        for algebra in [*base_fleet.values(), *small_random_fleet, *past_order_six]:
+            full = b.full_mask(algebra)
+            for m in b.enumerate_saturated_ideals(algebra):
+                if m == full:
+                    continue
+                conductors = {}
+                for y in algebra.elements():
+                    if not m >> y & 1:
+                        conductors.setdefault(oracles.conductor_oracle(algebra, y, m), y)
+                maximal = [
+                    c for c in conductors if not any(o != c and o & c == c for o in conductors)
+                ]
+                want = tuple(
+                    (conductors[c], c) for c in sorted(maximal, key=lambda c: (c.bit_count(), c))
+                )
+                assert b.evans_report(algebra, m).maximal_conductors == want
