@@ -59,9 +59,12 @@ class Algebra:
 
     ``add`` and ``mul`` are tuples of tuples of element indices;
     ``add[a][b]`` is the index of a + b.  ``zero`` is always 0.
-    Instances compare and hash structurally, but derived ideal families are
-    memoized per instance in ``_memo`` (see ``ideals._per_algebra``), so
-    equal tables built twice each compute their own.
+    Instances compare and hash structurally, but derived ideal families
+    and per-ideal results are memoized per instance in ``_memo``, keyed by
+    the computing function (see ``ideals._per_algebra`` and
+    ``ideals._per_mask``, whose entry is a dict keyed by mask), so equal
+    tables built twice each compute their own.  No entry refers back to
+    the instance, so reference counting alone frees it.
 
     The tables are also read once into bitmasks, so that saturations,
     radicals, joins, conductors and the prime and primary questions are

@@ -19,6 +19,8 @@ from .ideals import (
     _canonical,
     _join,
     _pairs_in,
+    _per_mask_record,
+    _saturated_among,
     annihilator,
     bits,
     bourne_congruence,
@@ -170,6 +172,7 @@ def weak_decompose(algebra: Algebra, mask: int) -> DecompositionResult:
     return result
 
 
+@_per_mask_record
 def radical_decomposition(algebra: Algebra, mask: int) -> DecompositionResult:
     """Decompose the radical of a saturated ideal into saturated primes.
 
@@ -219,7 +222,7 @@ def laskerian_check(algebra: Algebra) -> LaskerianReport:
     saturated = enumerate_saturated_ideals(algebra)
     proper_saturated = [m for m in saturated if m != full]
     primaries = _primaries(algebra)
-    sat_primaries = tuple(m for m in primaries if is_saturated(algebra, m))
+    sat_primaries = _saturated_among(algebra, primaries)
 
     reachable: dict[int, tuple[int, ...]] = {q: (q,) for q in sat_primaries}
     frontier = list(sat_primaries)
@@ -252,6 +255,7 @@ def laskerian_check(algebra: Algebra) -> LaskerianReport:
     )
 
 
+@_per_mask_record
 def evans_report(algebra: Algebra, mask: int) -> EvansReport:
     """Check that D(I) is the union of the maximal I-conductors.
 

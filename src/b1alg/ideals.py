@@ -12,11 +12,22 @@ read the masks each ``Algebra`` builds from its tables instead of scanning
 the tables on every call; ``_pairs_in`` gives every conductor of an ideal
 at once, and ``conductor`` is one row of it.
 
+``_per_mask`` computes each per-ideal result once per instance and mask:
+saturations, radicals, pair masks and the ideal test here, prime
+witnesses, primarity and divisor sets in ``spectrum``, and, through
+``_per_mask_record``, the Bourne congruences here and the Evans reports
+and radical decompositions in ``decompose``.  It makes no bound check, so
+these still answer past the bound.  The one-pass filters for the
+saturated ideals and the primaries read the unmemoized functions through
+``__wrapped__`` instead, so the memo keeps only masks asked about again;
+``primes`` stores one prime witness per ideal, since the primes are asked
+about again and a witness is small.
+
 The operations mirror the classical ones: generated ideals, the saturation
 closure I-bar = {a : a + i = i for some i in I}, radicals, annihilators,
 conductors, ideal sums / intersections / products, the single-witness
-Bourne congruence (a ~ b iff a + w = b + w for some w in I) and its
-quotient algebra.
+Bourne congruence (a ~ b iff a + w = b + w for some w in I, read off the
+join of I as one witness) and its quotient algebra.
 """
 
 from __future__ import annotations
@@ -96,6 +107,51 @@ def _per_algebra(fn):
     return once
 
 
+def _per_mask(fn):
+    """Run fn(algebra, mask) once per algebra instance and mask, memoized
+    on the instance in a dict keyed by mask.
+
+    Unlike ``_per_algebra`` it makes no enumeration-bound check, so the
+    functions it wraps still answer past the bound.  Errors are not
+    memoized.  fn must return immutable values that do not refer to the
+    algebra, or the memo would keep its own algebra alive.
+    """
+
+    @functools.wraps(fn)
+    def once(algebra: Algebra, mask: int):
+        memo = algebra._memo.get(fn)
+        if memo is None:
+            memo = algebra._memo[fn] = {}
+        try:
+            return memo[mask]
+        except KeyError:
+            out = memo[mask] = fn(algebra, mask)
+            return out
+
+    return once
+
+
+def _per_mask_record(fn):
+    """``_per_mask`` for fn(algebra, mask) returning a record whose first
+    field is the algebra.
+
+    The memo keeps the record's class and its other fields and rebuilds
+    the record on every call, so no memo entry refers to its own algebra.
+    """
+
+    @_per_mask
+    def parts(algebra: Algebra, mask: int):
+        record = fn(algebra, mask)
+        return type(record), record[1:]
+
+    @functools.wraps(fn)
+    def once(algebra: Algebra, mask: int):
+        cls, rest = parts(algebra, mask)
+        return cls(algebra, *rest)
+
+    return once
+
+
 def full_mask(algebra: Algebra) -> int:
     """Mask of every element: the public name of ``Algebra._full``, which
     the package itself reads directly."""
@@ -111,6 +167,7 @@ def is_ideal(algebra: Algebra, mask: int) -> bool:
     return ideal_violation(algebra, mask) is None
 
 
+@_per_mask
 def ideal_violation(algebra: Algebra, mask: int) -> tuple[str, tuple[int, ...]] | None:
     """First failed ideal condition as (description, witness), else None."""
     if mask & ~algebra._full:
@@ -167,6 +224,7 @@ def generated_ideal(algebra: Algebra, elements) -> int:
     return _additive_closure(algebra, mask)
 
 
+@_per_mask
 def saturation(algebra: Algebra, mask: int) -> int:
     """Closure I-bar = {a : a + i = i for some i in I}.
 
@@ -184,6 +242,7 @@ def is_saturated(algebra: Algebra, mask: int) -> bool:
     return saturation(algebra, mask) == mask
 
 
+@_per_mask
 def radical(algebra: Algebra, mask: int) -> int:
     """r(I) = {a : a**n in I for some n >= 1}.
 
@@ -236,6 +295,7 @@ def conductor(algebra: Algebra, x: int, mask: int) -> int:
     return _pairs_in(algebra, mask) >> x * algebra.order & algebra._full
 
 
+@_per_mask
 def _pairs_in(algebra: Algebra, mask: int) -> int:
     """P(I) = {(u, v) : u*v in I}, the pair (u, v) at bit u*n + v.
 
@@ -303,11 +363,16 @@ def enumerate_ideals(algebra: Algebra) -> tuple[int, ...]:
     return memo[_scan_ideals]
 
 
+def _saturated_among(algebra: Algebra, masks) -> tuple[int, ...]:
+    """The saturated masks, in order.  A one-pass filter: it reads the
+    unmemoized saturation, so the memo keeps only masks asked about again."""
+    saturate = saturation.__wrapped__
+    return tuple(m for m in masks if saturate(algebra, m) == m)
+
+
 @_per_algebra
 def enumerate_saturated_ideals(algebra: Algebra) -> tuple[int, ...]:
-    return tuple(
-        m for m in enumerate_ideals(algebra) if is_saturated(algebra, m)
-    )
+    return _saturated_among(algebra, enumerate_ideals(algebra))
 
 
 # ---------------------------------------------------------------------------
@@ -359,32 +424,39 @@ def congruence_violation(
     return None
 
 
+@_per_mask_record
 def bourne_congruence(algebra: Algebra, mask: int) -> Congruence:
     """Congruence of an ideal: a ~ b iff a + w = b + w for some w in I.
 
-    A single shared witness suffices because witnesses add, which is what
-    makes the relation transitive.  The class of zero is exactly the
-    saturation of I.
+    The join t of I's members is in I and w + t = t for every w in I, so
+    a ~ b iff a + t = b + t, and the classes are the fibres of x -> x + t,
+    numbered by smallest member.  A mask that does not hold its join (no
+    ideal) is refused.  The class of zero is exactly the saturation of I.
     """
+    if mask & ~algebra._full:
+        stray = next(i for i in bits(mask) if i >= algebra.order)
+        raise AlgebraError(
+            f"the set contains an out-of-range element (witness: bit {stray})"
+        )
     add = algebra.add
-    members = list(bits(mask))
-    n = algebra.order
-    class_of = [-1] * n
+    t = 0
+    for w in bits(mask):
+        t = add[t][w]
+    if not mask >> t & 1:
+        raise AlgebraError(
+            "the set does not hold the join of its members "
+            f"(witness: {algebra.names[t]})"
+        )
+    class_at: dict[int, int] = {}  # x + t -> class index
+    class_of = []
     classes: list[int] = []
-    for a in range(n):
-        if class_of[a] != -1:
-            continue
-        k = len(classes)
-        cls = 1 << a
-        class_of[a] = k
-        row_a = add[a]
-        for b in range(a + 1, n):
-            if class_of[b] == -1:
-                row_b = add[b]
-                if any(row_a[w] == row_b[w] for w in members):
-                    class_of[b] = k
-                    cls |= 1 << b
-        classes.append(cls)
+    for x, v in enumerate(add[t]):
+        if v not in class_at:
+            class_at[v] = len(classes)
+            classes.append(0)
+        k = class_at[v]
+        classes[k] |= 1 << x
+        class_of.append(k)
     return Congruence(algebra, tuple(class_of), tuple(classes))
 
 

@@ -4,8 +4,10 @@ Primality, primarity and divisor sets are read off the pair mask
 P(I) = {(u, v) : u*v in I} (``ideals._pairs_in``), whose row u is the
 conductor C_u(I): each predicate ORs the pair-product masks of ``Algebra``
 over I once and ANDs the result with a block of pairs, with no
-per-element conductor call.  Lists come back in the canonical enumeration
-order (cardinality, then mask value), so reports are diffable.
+per-element conductor call.  Prime witnesses, primarity and divisor sets
+are memoized per algebra and mask (``ideals._per_mask``).  Lists come
+back in the canonical enumeration order (cardinality, then mask value),
+so reports are diffable.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .ideals import (
     _canonical,
     _pairs_in,
     _per_algebra,
+    _per_mask,
     annihilator,
     bourne_congruence,
     enumerate_ideals,
@@ -28,13 +31,16 @@ from .ideals import (
 )
 
 
+@_per_mask
 def _prime_witness(algebra: Algebra, mask: int) -> tuple[int, int] | None:
     """First (u, v) in element-index order with u, v outside and u*v inside.
 
-    Pair (u, v) sits at bit u*n + v, so the lowest bit is that pair.
+    Pair (u, v) sits at bit u*n + v, so the lowest bit is that pair.  The
+    pair mask is read unmemoized: ``primes`` asks about every ideal, and a
+    witness is much smaller than a pair mask.
     """
     outside = algebra._full & ~mask
-    hits = _pairs_in(algebra, mask) & _block(algebra, outside, outside)
+    hits = _pairs_in.__wrapped__(algebra, mask) & _block(algebra, outside, outside)
     if not hits:
         return None
     return divmod((hits & -hits).bit_length() - 1, algebra.order)
@@ -45,17 +51,21 @@ def is_prime(algebra: Algebra, mask: int) -> bool:
     return mask != algebra._full and _prime_witness(algebra, mask) is None
 
 
+@_per_mask
 def is_primary(algebra: Algebra, mask: int) -> bool:
     """Proper, and x*y in Q forces x in Q or some power of y in Q.
 
     The power condition on y is exactly membership in the radical, so one
-    radical computation replaces the per-pair exponent search.
+    radical computation replaces the per-pair exponent search.  Both masks
+    are read unmemoized, so that ``_primaries``, which reads this function
+    unmemoized, leaves every per-mask memo alone.
     """
     full = algebra._full
     if mask == full:
         return False
-    outside = _block(algebra, full & ~mask, full & ~radical(algebra, mask))
-    return not _pairs_in(algebra, mask) & outside
+    rad = radical.__wrapped__(algebra, mask)
+    outside = _block(algebra, full & ~mask, full & ~rad)
+    return not _pairs_in.__wrapped__(algebra, mask) & outside
 
 
 @_per_algebra
@@ -70,7 +80,9 @@ def saturated_primes(algebra: Algebra) -> tuple[int, ...]:
 
 @_per_algebra
 def _primaries(algebra: Algebra) -> tuple[int, ...]:
-    return tuple(m for m in enumerate_ideals(algebra) if is_primary(algebra, m))
+    # One pass over every ideal, so it reads the unmemoized predicate.
+    primary = is_primary.__wrapped__
+    return tuple(m for m in enumerate_ideals(algebra) if primary(algebra, m))
 
 
 def _minimal(family) -> tuple[int, ...]:
@@ -113,6 +125,7 @@ def zero_divisors(algebra: Algebra) -> int:
     return out
 
 
+@_per_mask
 def divisor_set(algebra: Algebra, mask: int) -> int:
     """D(I) = {x : x*y in I for some y outside I}.
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 import b1alg as b
-from support import named_base_fleet, random_fleet
+from support import named_base_fleet, null_algebra, random_fleet
 
 
 @pytest.fixture(scope="session")
@@ -35,3 +35,14 @@ def small_random_fleet():
 @pytest.fixture(scope="session")
 def full_random_fleet():
     return random_fleet(count=200)
+
+
+@pytest.fixture(scope="session")
+def past_order_six():
+    ex62 = b.builtin("example-6-2")
+    return [
+        b.builtin("bool-5"),
+        b.chain_algebra(24),
+        null_algebra(5),
+        b.direct_product(ex62, b.chain_algebra(3)),  # order 18
+    ]

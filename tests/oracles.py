@@ -6,8 +6,9 @@ power walk that stops on cycle detection, ideal enumeration via a scan
 of every subset instead of joins of principal ideals, generation via
 a naive alternating closure, the ideal test, conductors, divisor sets and
 prime witnesses via scans of the tables instead of principal-ideal and
-pair-product masks, and associated primes via the quotient algebras the
-library no longer builds.
+pair-product masks, Bourne classes via the pairwise single-witness
+relation instead of the join of the ideal, and associated primes via the
+quotient algebras the library no longer builds.
 """
 
 from __future__ import annotations
@@ -162,12 +163,37 @@ def divisor_set_oracle(algebra: b.Algebra, mask: int) -> int:
     return out
 
 
+def bourne_classes_oracle(algebra: b.Algebra, mask: int) -> b.Congruence:
+    """Bourne classes by testing every pair: a ~ b iff a + w = b + w for
+    some w in I, classes numbered by smallest member."""
+    add = algebra.add
+    members = list(b.bits(mask))
+    n = algebra.order
+    class_of = [-1] * n
+    classes: list[int] = []
+    for a in range(n):
+        if class_of[a] != -1:
+            continue
+        k = len(classes)
+        cls = 1 << a
+        class_of[a] = k
+        row_a = add[a]
+        for c in range(a + 1, n):
+            if class_of[c] == -1:
+                row_c = add[c]
+                if any(row_a[w] == row_c[w] for w in members):
+                    class_of[c] = k
+                    cls |= 1 << c
+        classes.append(cls)
+    return b.Congruence(algebra, tuple(class_of), tuple(classes))
+
+
 def associated_oracle(algebra: b.Algebra) -> tuple[tuple[int, int], ...]:
     """Associated primes through the quotients: for each x != 0, the minimal
     primes of A / Bourne(Ann(x)) pulled back to A, smallest witness kept."""
     found: dict[int, int] = {}
     for x in range(1, algebra.order):
-        congruence = b.bourne_congruence(algebra, b.annihilator(algebra, x))
+        congruence = bourne_classes_oracle(algebra, b.annihilator(algebra, x))
         qmap = b.quotient(algebra, congruence)
         target = qmap.target
         primes = [m for m in ideals_oracle(target) if prime_oracle(target, m)]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import importlib
 import random
 import weakref
 
@@ -68,10 +69,22 @@ class TestWeakDecompose:
 
     def test_analysed_algebra_is_freed_without_gc(self):
         # Reference counting alone must free an analysed algebra, and with
-        # it every family memoized on it.
+        # it every family and per-mask result memoized on it: no memo entry
+        # may refer back to its algebra.
+        def fleet_op(algebra):
+            # the library op of the benchmark's fleet workload
+            b.spectrum(algebra)
+            b.laskerian_check(algebra)
+            full = b.full_mask(algebra)
+            for m in b.enumerate_saturated_ideals(algebra):
+                if m != full:
+                    b.evans_report(algebra, m)
+            b.minimalize(b.radical_decomposition(algebra, 1))
+            b.audit(algebra)
+
         gc.disable()
         try:
-            for analyse in (lambda a: b.radical_decomposition(a, 1), b.audit):
+            for analyse in (lambda a: b.radical_decomposition(a, 1), b.audit, fleet_op):
                 algebra = b.builtin("example-6-2")
                 analyse(algebra)
                 ref = weakref.ref(algebra)
@@ -314,3 +327,100 @@ class TestAudit:
             "divisor-sets",
             "standard",
         ]
+
+
+def _fresh(algebra: b.Algebra) -> b.Algebra:
+    """An equal algebra with an empty memo."""
+    return b.Algebra(algebra.names, algebra.add, algebra.mul, algebra.one)
+
+
+class TestPerMaskMemo:
+    # Saturations, radicals, pair masks, the ideal test, prime witnesses,
+    # primarity, divisor sets, and the Bourne, Evans and decomposition
+    # records are memoized per algebra and mask.
+
+    def test_memoized_functions_match_the_oracles(self, small_random_fleet, past_order_six):
+        spectrum = importlib.import_module("b1alg.spectrum")
+        rng = random.Random(10)
+        for algebra in [*small_random_fleet, *past_order_six]:
+            algebra = _fresh(algebra)
+            n, full = algebra.order, b.full_mask(algebra)
+            ideals = b.enumerate_ideals(algebra)
+            stray = [rng.getrandbits(n + 3) for _ in range(20)]
+            inside = [rng.getrandbits(n) | 1 for _ in range(20)]
+            for m in [*ideals, *stray, *inside]:
+                expected = (
+                    oracles.saturation_oracle(algebra, m & full),
+                    oracles.radical_oracle(algebra, m),
+                    oracles.ideal_violation_oracle(algebra, m),
+                    oracles.prime_witness_oracle(algebra, m),
+                    oracles.primary_oracle(algebra, m),
+                    oracles.divisor_set_oracle(algebra, m),
+                    [oracles.conductor_oracle(algebra, x, m) for x in range(n)],
+                )
+                for _ in range(2):  # computed, then read from the memo
+                    assert (
+                        b.saturation(algebra, m),
+                        b.radical(algebra, m),
+                        b.ideal_violation(algebra, m),
+                        spectrum._prime_witness(algebra, m),
+                        b.is_primary(algebra, m),
+                        b.divisor_set(algebra, m),
+                        [b.conductor(algebra, x, m) for x in range(n)],
+                    ) == expected
+            for m in ideals:
+                expected = oracles.bourne_classes_oracle(algebra, m)
+                for _ in range(2):
+                    assert b.bourne_congruence(algebra, m) == expected
+
+    def test_audit_is_unchanged_by_a_filled_memo(self, small_random_fleet, past_order_six):
+        for algebra in [*small_random_fleet, *past_order_six]:
+            filled = _fresh(algebra)
+            full = b.full_mask(filled)
+            reports = [
+                b.evans_report(filled, m)
+                for m in b.enumerate_saturated_ideals(filled)
+                if m != full
+            ]
+            if not filled.is_trivial:
+                first = b.radical_decomposition(filled, 1)
+                again = b.radical_decomposition(filled, 1)
+                assert again == first and again is not first
+            for r in reports:
+                again = b.evans_report(filled, r.ideal)
+                assert again == r and again.algebra is filled
+            assert b.audit(filled).checks == b.audit(_fresh(algebra)).checks
+
+    def test_refusals_are_not_memoized(self, ex62):
+        algebra = _fresh(ex62)
+        for analyse in (b.evans_report, b.radical_decomposition):
+            for _ in range(2):
+                with pytest.raises(b.AlgebraError, match="not saturated"):
+                    analyse(algebra, msk(algebra, "x"))
+
+    def test_one_pass_filters_leave_the_memo_empty(self, ex62):
+        # The saturated ideals and the primaries ask about every ideal once;
+        # memoizing those answers would cost memory in proportion to the
+        # ideals.  primes keeps one prime witness per proper ideal, no more.
+        def per_mask(algebra):
+            return {fn: memo for fn, memo in algebra._memo.items() if isinstance(memo, dict)}
+
+        algebra = _fresh(ex62)
+        b.enumerate_saturated_ideals(algebra)
+        assert b.saturation.__wrapped__ not in algebra._memo
+        b.laskerian_check(algebra)
+        assert per_mask(algebra) == {}
+        b.primes(algebra)
+        witness = importlib.import_module("b1alg.spectrum")._prime_witness.__wrapped__
+        proper = set(b.enumerate_ideals(algebra)) - {b.full_mask(algebra)}
+        assert {fn: set(memo) for fn, memo in per_mask(algebra).items()} == {witness: proper}
+
+    def test_memoized_functions_keep_their_names(self):
+        spectrum = importlib.import_module("b1alg.spectrum")
+        ideals = importlib.import_module("b1alg.ideals")
+        for fn in (
+            b.saturation, b.radical, ideals._pairs_in, b.ideal_violation,
+            b.bourne_congruence, spectrum._prime_witness, b.is_primary,
+            b.divisor_set, b.evans_report, b.radical_decomposition,
+        ):
+            assert fn.__name__ == fn.__wrapped__.__name__

@@ -276,10 +276,15 @@ class TestBourneAndQuotients:
                 assert cong.zero_class() == b.saturation(algebra, i)
                 assert b.congruence_violation(algebra, cong.class_of) is None
 
-    def test_classes_match_naive_pairwise_relation(self, ex62, chain4, small_random_fleet):
-        for algebra in [ex62, chain4, *small_random_fleet[:10]]:
+    def test_classes_match_naive_pairwise_relation(
+        self, ex62, chain4, small_random_fleet, past_order_six
+    ):
+        # The engine groups x by x + t for the join t of the ideal; the
+        # oracle and the pair loop here try every member as a witness.
+        for algebra in [ex62, chain4, *small_random_fleet[:10], *past_order_six]:
             for i in b.enumerate_ideals(algebra):
                 cong = b.bourne_congruence(algebra, i)
+                assert cong == oracles.bourne_classes_oracle(algebra, i)
                 witnesses = list(b.bits(i))
                 for x in algebra.elements():
                     for y in algebra.elements():
@@ -287,6 +292,13 @@ class TestBourneAndQuotients:
                             algebra.add[x][w] == algebra.add[y][w] for w in witnesses
                         )
                         assert related == (cong.class_of[x] == cong.class_of[y])
+
+    def test_refuses_a_set_without_its_join(self, ex62):
+        # x + y = u, so {0, x, y} is no ideal and has no single witness
+        with pytest.raises(b.AlgebraError, match=r"join of its members \(witness: u\)"):
+            b.bourne_congruence(ex62, msk(ex62, "x,y"))
+        with pytest.raises(b.AlgebraError, match="out-of-range element"):
+            b.bourne_congruence(ex62, 1 | 1 << ex62.order)
 
     def test_congruence_violation_detects_bad_partition(self, ex62):
         # merge 0 with x only: adding y separates them

@@ -7,7 +7,7 @@ import pytest
 
 import b1alg as b
 import oracles
-from support import lbl, msk, null_algebra
+from support import lbl, msk
 
 
 class TestPrimality:
@@ -190,17 +190,6 @@ class TestComputedOnce:
         assert len(calls) == len(b.enumerate_ideals(algebra)) == 9
         b.spectrum(algebra)
         assert len(calls) == 9
-
-
-@pytest.fixture(scope="module")
-def past_order_six():
-    ex62 = b.builtin("example-6-2")
-    return [
-        b.builtin("bool-5"),
-        b.chain_algebra(24),
-        null_algebra(5),
-        b.direct_product(ex62, b.chain_algebra(3)),  # order 18
-    ]
 
 
 class TestPairProductPredicates:
