@@ -162,7 +162,9 @@ def parse_algebra_file(path: str | Path) -> Algebra:
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ParseError(line, f"not valid UTF-8 (byte offset {exc.start})") from None
-    return parse_algebra_text(text)
+    # A leading byte-order mark is dropped after decoding, so that the
+    # offsets of decode errors still count from the file's first byte.
+    return parse_algebra_text(text.removeprefix("\ufeff"))
 
 
 def serialize_algebra(algebra: Algebra) -> str:

@@ -20,7 +20,6 @@ from .ideals import (
     _join,
     _pairs_in,
     _per_mask_record,
-    _saturated_among,
     annihilator,
     bits,
     bourne_congruence,
@@ -222,7 +221,7 @@ def laskerian_check(algebra: Algebra) -> LaskerianReport:
     saturated = enumerate_saturated_ideals(algebra)
     proper_saturated = [m for m in saturated if m != full]
     primaries = _primaries(algebra)
-    sat_primaries = _saturated_among(algebra, primaries)
+    sat_primaries = tuple(q for q in primaries if is_saturated(algebra, q))
 
     reachable: dict[int, tuple[int, ...]] = {q: (q,) for q in sat_primaries}
     frontier = list(sat_primaries)
@@ -471,14 +470,17 @@ def audit(algebra: Algebra) -> AuditResult:
             meet_all = full
             for q in group:
                 meet_all &= q
+            # Each distinct meet once, named by the first pair that gives it.
+            first_pair: dict[int, tuple[int, int]] = {}
             for a in group:
                 for b in group:
-                    c = a & b
-                    if not is_primary(algebra, c) or radical(algebra, c) != p:
-                        return (
-                            f"{_labels(algebra, a)} meet {_labels(algebra, b)} "
-                            "is not primary for the same prime"
-                        )
+                    first_pair.setdefault(a & b, (a, b))
+            for c, (a, b) in first_pair.items():
+                if not is_primary(algebra, c) or radical(algebra, c) != p:
+                    return (
+                        f"{_labels(algebra, a)} meet {_labels(algebra, b)} "
+                        "is not primary for the same prime"
+                    )
             if not is_primary(algebra, meet_all) or radical(algebra, meet_all) != p:
                 return f"whole family meet fails for {_labels(algebra, p)}"
         return None

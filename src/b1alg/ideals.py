@@ -13,15 +13,12 @@ the tables on every call; ``_pairs_in`` gives every conductor of an ideal
 at once, and ``conductor`` is one row of it.
 
 ``_per_mask`` computes each per-ideal result once per instance and mask:
-saturations, radicals, pair masks and the ideal test here, prime
-witnesses, primarity and divisor sets in ``spectrum``, and, through
-``_per_mask_record``, the Bourne congruences here and the Evans reports
-and radical decompositions in ``decompose``.  It makes no bound check, so
-these still answer past the bound.  The one-pass filters for the
-saturated ideals and the primaries read the unmemoized functions through
-``__wrapped__`` instead, so the memo keeps only masks asked about again;
-``primes`` stores one prime witness per ideal, since the primes are asked
-about again and a witness is small.
+saturations, radicals and the ideal test here, prime witnesses, primarity
+and divisor sets in ``spectrum``, and, through ``_per_mask_record``, the
+Bourne congruences here and the Evans reports and radical decompositions
+in ``decompose``.  Every caller, the one-pass filters included, goes
+through the memoized function.  It makes no bound check, so these still
+answer past the bound.
 
 The operations mirror the classical ones: generated ideals, the saturation
 closure I-bar = {a : a + i = i for some i in I}, radicals, annihilators,
@@ -114,7 +111,9 @@ def _per_mask(fn):
     Unlike ``_per_algebra`` it makes no enumeration-bound check, so the
     functions it wraps still answer past the bound.  Errors are not
     memoized.  fn must return immutable values that do not refer to the
-    algebra, or the memo would keep its own algebra alive.
+    algebra, or the memo would keep its own algebra alive.  Callers never
+    read fn around the memo; a function whose memo would not pay, such as
+    ``_pairs_in``, is left unwrapped instead.
     """
 
     @functools.wraps(fn)
@@ -295,7 +294,6 @@ def conductor(algebra: Algebra, x: int, mask: int) -> int:
     return _pairs_in(algebra, mask) >> x * algebra.order & algebra._full
 
 
-@_per_mask
 def _pairs_in(algebra: Algebra, mask: int) -> int:
     """P(I) = {(u, v) : u*v in I}, the pair (u, v) at bit u*n + v.
 
@@ -306,15 +304,6 @@ def _pairs_in(algebra: Algebra, mask: int) -> int:
     for t, pairs in enumerate(algebra._products):
         if mask >> t & 1:
             out |= pairs
-    return out
-
-
-def _block(algebra: Algebra, rows: int, cols: int) -> int:
-    """The pairs (u, v) with u in rows and v in cols, laid out as P(I) is."""
-    n = algebra.order
-    out = 0
-    for u in bits(rows):
-        out |= cols << u * n
     return out
 
 
@@ -363,16 +352,9 @@ def enumerate_ideals(algebra: Algebra) -> tuple[int, ...]:
     return memo[_scan_ideals]
 
 
-def _saturated_among(algebra: Algebra, masks) -> tuple[int, ...]:
-    """The saturated masks, in order.  A one-pass filter: it reads the
-    unmemoized saturation, so the memo keeps only masks asked about again."""
-    saturate = saturation.__wrapped__
-    return tuple(m for m in masks if saturate(algebra, m) == m)
-
-
 @_per_algebra
 def enumerate_saturated_ideals(algebra: Algebra) -> tuple[int, ...]:
-    return _saturated_among(algebra, enumerate_ideals(algebra))
+    return tuple(m for m in enumerate_ideals(algebra) if is_saturated(algebra, m))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 Primality, primarity and divisor sets are read off the pair mask
 P(I) = {(u, v) : u*v in I} (``ideals._pairs_in``), whose row u is the
 conductor C_u(I): each predicate ORs the pair-product masks of ``Algebra``
-over I once and ANDs the result with a block of pairs, with no
+over I once and then reads the rows of the elements outside I, with no
 per-element conductor call.  Prime witnesses, primarity and divisor sets
 are memoized per algebra and mask (``ideals._per_mask``).  Lists come
 back in the canonical enumeration order (cardinality, then mask value),
@@ -17,12 +17,12 @@ from itertools import combinations
 
 from .algebra import Algebra
 from .ideals import (
-    _block,
     _canonical,
     _pairs_in,
     _per_algebra,
     _per_mask,
     annihilator,
+    bits,
     bourne_congruence,
     enumerate_ideals,
     enumerate_saturated_ideals,
@@ -35,15 +35,16 @@ from .ideals import (
 def _prime_witness(algebra: Algebra, mask: int) -> tuple[int, int] | None:
     """First (u, v) in element-index order with u, v outside and u*v inside.
 
-    Pair (u, v) sits at bit u*n + v, so the lowest bit is that pair.  The
-    pair mask is read unmemoized: ``primes`` asks about every ideal, and a
-    witness is much smaller than a pair mask.
+    The first outside u whose row of P(I) meets the outside, with the
+    lowest bit of that meet as v.
     """
-    outside = algebra._full & ~mask
-    hits = _pairs_in.__wrapped__(algebra, mask) & _block(algebra, outside, outside)
-    if not hits:
-        return None
-    return divmod((hits & -hits).bit_length() - 1, algebra.order)
+    n, outside = algebra.order, algebra._full & ~mask
+    pairs = _pairs_in(algebra, mask)  # row u is the conductor C_u(I)
+    for u in bits(outside):
+        hits = pairs >> u * n & outside
+        if hits:
+            return u, (hits & -hits).bit_length() - 1
+    return None
 
 
 def is_prime(algebra: Algebra, mask: int) -> bool:
@@ -55,17 +56,19 @@ def is_prime(algebra: Algebra, mask: int) -> bool:
 def is_primary(algebra: Algebra, mask: int) -> bool:
     """Proper, and x*y in Q forces x in Q or some power of y in Q.
 
-    The power condition on y is exactly membership in the radical, so one
-    radical computation replaces the per-pair exponent search.  Both masks
-    are read unmemoized, so that ``_primaries``, which reads this function
-    unmemoized, leaves every per-mask memo alone.
+    The power condition on y is exactly membership in the radical, so Q is
+    primary iff no row of P(Q) for an x outside Q meets the complement of
+    r(Q).
     """
-    full = algebra._full
+    n, full = algebra.order, algebra._full
     if mask == full:
         return False
-    rad = radical.__wrapped__(algebra, mask)
-    outside = _block(algebra, full & ~mask, full & ~rad)
-    return not _pairs_in.__wrapped__(algebra, mask) & outside
+    pairs = _pairs_in(algebra, mask)  # row x is the conductor C_x(Q)
+    beyond = full & ~radical(algebra, mask)
+    for x in bits(full & ~mask):
+        if pairs >> x * n & beyond:
+            return False
+    return True
 
 
 @_per_algebra
@@ -80,9 +83,8 @@ def saturated_primes(algebra: Algebra) -> tuple[int, ...]:
 
 @_per_algebra
 def _primaries(algebra: Algebra) -> tuple[int, ...]:
-    # One pass over every ideal, so it reads the unmemoized predicate.
-    primary = is_primary.__wrapped__
-    return tuple(m for m in enumerate_ideals(algebra) if primary(algebra, m))
+    """The primary ideals, in the canonical order."""
+    return tuple(m for m in enumerate_ideals(algebra) if is_primary(algebra, m))
 
 
 def _minimal(family) -> tuple[int, ...]:

@@ -15,6 +15,7 @@ import b1alg as b
 from b1alg.cli import (
     ParseError,
     main,
+    parse_algebra_file,
     parse_algebra_text,
     serialize_algebra,
 )
@@ -164,6 +165,13 @@ class TestCommands:
         assert main(["validate", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "line 1" in err and "byte offset 12" in err
+
+    def test_leading_byte_order_mark_is_accepted(self, tmp_path, capsys):
+        marked = tmp_path / "bom.b1a"
+        marked.write_bytes(b"\xef\xbb\xbf" + EX62_FILE.encode("utf-8"))
+        assert parse_algebra_file(marked) == parse_algebra_text(EX62_FILE)
+        assert main(["validate", str(marked)]) == 0
+        assert "valid: True" in capsys.readouterr().out
 
     def test_parse_error_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.b1a"

@@ -10,7 +10,7 @@ import pytest
 import b1alg as b
 import oracles
 from b1alg.decompose import DecompositionResult
-from support import lbl, msk
+from support import lbl, msk, null_algebra
 
 
 class TestWeakDecompose:
@@ -302,6 +302,29 @@ class TestAudit:
         for factor in (b1, b.builtin("bool-3")):  # orders 12 and 48
             assert b.audit(b.direct_product(ex62, factor)).passed
 
+    def test_primary_meet_failure_names_the_first_failing_pair(self, monkeypatch):
+        # The check tests each distinct meet once; its detail must still name
+        # the first failing pair of the nested scan over every pair.
+        decompose = importlib.import_module("b1alg.decompose")
+        algebra = null_algebra(3)  # one radical group of 12 primaries
+        group = b.laskerian_check(algebra).primaries
+        assert len({b.radical(algebra, q) for q in group}) == 1
+        failing = {group[len(group) // 2], group[-1]}
+        real = decompose.is_primary
+
+        def fake(alg, mask):
+            return mask not in failing and real(alg, mask)
+
+        first = next((a, c) for a in group for c in group if a & c in failing)
+        want = f"{{{lbl(algebra, first[0])}}} meet {{{lbl(algebra, first[1])}}}"
+        monkeypatch.setattr(decompose, "is_primary", fake)
+        check = next(
+            c for c in b.audit(algebra).checks
+            if c.name == "primary-intersections-stay-primary"
+        )
+        assert not check.passed
+        assert check.detail == f"{want} is not primary for the same prime"
+
     def test_check_names_are_stable(self, b1):
         names = [c.name for c in b.audit(b1).checks]
         assert names == [
@@ -335,9 +358,9 @@ def _fresh(algebra: b.Algebra) -> b.Algebra:
 
 
 class TestPerMaskMemo:
-    # Saturations, radicals, pair masks, the ideal test, prime witnesses,
-    # primarity, divisor sets, and the Bourne, Evans and decomposition
-    # records are memoized per algebra and mask.
+    # Saturations, radicals, the ideal test, prime witnesses, primarity,
+    # divisor sets, and the Bourne, Evans and decomposition records are
+    # memoized per algebra and mask.
 
     def test_memoized_functions_match_the_oracles(self, small_random_fleet, past_order_six):
         spectrum = importlib.import_module("b1alg.spectrum")
@@ -398,29 +421,11 @@ class TestPerMaskMemo:
                 with pytest.raises(b.AlgebraError, match="not saturated"):
                     analyse(algebra, msk(algebra, "x"))
 
-    def test_one_pass_filters_leave_the_memo_empty(self, ex62):
-        # The saturated ideals and the primaries ask about every ideal once;
-        # memoizing those answers would cost memory in proportion to the
-        # ideals.  primes keeps one prime witness per proper ideal, no more.
-        def per_mask(algebra):
-            return {fn: memo for fn, memo in algebra._memo.items() if isinstance(memo, dict)}
-
-        algebra = _fresh(ex62)
-        b.enumerate_saturated_ideals(algebra)
-        assert b.saturation.__wrapped__ not in algebra._memo
-        b.laskerian_check(algebra)
-        assert per_mask(algebra) == {}
-        b.primes(algebra)
-        witness = importlib.import_module("b1alg.spectrum")._prime_witness.__wrapped__
-        proper = set(b.enumerate_ideals(algebra)) - {b.full_mask(algebra)}
-        assert {fn: set(memo) for fn, memo in per_mask(algebra).items()} == {witness: proper}
-
     def test_memoized_functions_keep_their_names(self):
         spectrum = importlib.import_module("b1alg.spectrum")
-        ideals = importlib.import_module("b1alg.ideals")
         for fn in (
-            b.saturation, b.radical, ideals._pairs_in, b.ideal_violation,
-            b.bourne_congruence, spectrum._prime_witness, b.is_primary,
-            b.divisor_set, b.evans_report, b.radical_decomposition,
+            b.saturation, b.radical, b.ideal_violation, b.bourne_congruence,
+            spectrum._prime_witness, b.is_primary, b.divisor_set,
+            b.evans_report, b.radical_decomposition,
         ):
             assert fn.__name__ == fn.__wrapped__.__name__

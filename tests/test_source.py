@@ -48,6 +48,20 @@ def test_no_module_level_mutable_containers_in_the_package():
     assert found == []
 
 
+def test_no_memo_bypasses_in_the_package():
+    # Each per-ideal result has one route, the memoized function; reading
+    # fn.__wrapped__ would compute it a second way, around the memo.
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "__wrapped__"
+        ]
+    assert found == []
+
+
 def test_no_exponential_subset_loops_in_the_package():
     # Subset scans over range(1 << n) or range(2 ** n) belong to the test
     # oracles; the engine enumerates ideals in time that grows with their number.
