@@ -177,6 +177,11 @@ def check_axioms(
     Returns the complete list of violations; every witness is a tuple of
     element indices in the order the axiom quantifies them.  Zero is
     position 0 by convention.
+
+    The unary axioms and commutativity are always scanned in full.  When
+    they hold, ``_ternary_laws_hold`` tests each remaining equation once;
+    if it accepts, the full ternary scan would find nothing and is
+    skipped.  Otherwise the full scan runs and alone builds the report.
     """
     n = len(add)
     rng = range(n)
@@ -197,22 +202,25 @@ def check_axioms(
                 out.append(Violation("add-commutative", (a, b)))
             if mul[a][b] != mul[b][a]:
                 out.append(Violation("mul-commutative", (a, b)))
-    for a in rng:
-        add_a, mul_a = add[a], mul[a]
-        col_a = tuple(row[a] for row in mul)  # col_a[x] is x*a
-        for b in rng:
-            add_b, mul_b = add[b], mul[b]
-            sum_ab, prod_ab = add[add_a[b]], mul[mul_a[b]]
-            left_ab, right_ba = add[mul_a[b]], add[col_a[b]]
-            for c in rng:
-                if sum_ab[c] != add_a[add_b[c]]:
-                    out.append(Violation("add-associative", (a, b, c)))
-                if prod_ab[c] != mul_a[mul_b[c]]:
-                    out.append(Violation("mul-associative", (a, b, c)))
-                if mul_a[add_b[c]] != left_ab[mul_a[c]]:
-                    out.append(Violation("left-distributive", (a, b, c)))
-                if col_a[add_b[c]] != right_ba[col_a[c]]:
-                    out.append(Violation("right-distributive", (a, b, c)))
+    # The fast pass needs the unary axioms and commutativity; when it
+    # accepts, the full scan below would find nothing.
+    if out or not _ternary_laws_hold(add, mul):
+        for a in rng:
+            add_a, mul_a = add[a], mul[a]
+            col_a = tuple(row[a] for row in mul)  # col_a[x] is x*a
+            for b in rng:
+                add_b, mul_b = add[b], mul[b]
+                sum_ab, prod_ab = add[add_a[b]], mul[mul_a[b]]
+                left_ab, right_ba = add[mul_a[b]], add[col_a[b]]
+                for c in rng:
+                    if sum_ab[c] != add_a[add_b[c]]:
+                        out.append(Violation("add-associative", (a, b, c)))
+                    if prod_ab[c] != mul_a[mul_b[c]]:
+                        out.append(Violation("mul-associative", (a, b, c)))
+                    if mul_a[add_b[c]] != left_ab[mul_a[c]]:
+                        out.append(Violation("left-distributive", (a, b, c)))
+                    if col_a[add_b[c]] != right_ba[col_a[c]]:
+                        out.append(Violation("right-distributive", (a, b, c)))
     # Implied by idempotency but checked on its own so a broken table
     # names the defining axiom directly.
     if add[one][one] != one:
@@ -221,6 +229,35 @@ def check_axioms(
         out.append(Violation("zero-is-not-one", (0,)))
 
     return AxiomReport(valid=not out, violations=tuple(out))
+
+
+def _ternary_laws_hold(
+    add: tuple[tuple[int, ...], ...], mul: tuple[tuple[int, ...], ...]
+) -> bool:
+    """Both associative laws and both distributive laws, each equation
+    tested once, for commutative tables with idempotent addition.
+
+    There the triple (c, b, a) of an associative law gives the same
+    equation as (a, b, c), and (a, b, a) holds outright, so c > a
+    suffices.  Left distributivity at (a, c, b) is the one at (a, b, c),
+    and at (a, b, b) it reads ab = ab + ab, so c > b suffices.  Right
+    distributivity at (a, b, c) is left distributivity at (a, b, c).
+    """
+    n = len(add)
+    rng = range(n)
+    for a in rng:
+        add_a, mul_a = add[a], mul[a]
+        for b in rng:
+            add_b, mul_b = add[b], mul[b]
+            sum_ab, prod_ab = add[add_a[b]], mul[mul_a[b]]
+            left_ab = add[mul_a[b]]
+            for c in range(a + 1, n):
+                if sum_ab[c] != add_a[add_b[c]] or prod_ab[c] != mul_a[mul_b[c]]:
+                    return False
+            for c in range(b + 1, n):
+                if mul_a[add_b[c]] != left_ab[mul_a[c]]:
+                    return False
+    return True
 
 
 def _label_problem(names: tuple[str, ...]) -> str | None:

@@ -16,6 +16,7 @@ from collections import namedtuple
 
 from .algebra import Algebra, AlgebraError, check_axioms
 from .ideals import (
+    _bounded,
     _canonical,
     _join,
     _pairs_in,
@@ -207,6 +208,7 @@ def minimalize(result: DecompositionResult) -> DecompositionResult:
     return result._replace(components=tuple(comps), irredundant=True)
 
 
+@_bounded
 def laskerian_check(algebra: Algebra) -> LaskerianReport:
     """Can every proper saturated ideal be cut out by saturated primaries?
 
@@ -296,263 +298,319 @@ def _labels(algebra: Algebra, mask: int) -> str:
     return "{" + ",".join(member_labels(algebra, mask)) + "}"
 
 
-def audit(algebra: Algebra) -> AuditResult:
-    """Run the full invariant suite against one finite algebra.
+class _AuditInputs:
+    """What the audit's checks read, each taken once before the first check."""
 
-    A finite algebra satisfies both chain conditions vacuously, so every
-    check must pass; any failure is an engine defect, and the witness in
-    the detail string says where to look.
-    """
-    checks: list[AuditCheck] = []
+    __slots__ = (
+        "ideals", "saturated", "proper_saturated", "saturation_of",
+        "min_primes", "min_saturated_primes", "primaries", "evans_failure",
+    )
+
+    def __init__(self, algebra: Algebra):
+        full = algebra._full
+        self.ideals = enumerate_ideals(algebra)
+        self.saturated = enumerate_saturated_ideals(algebra)
+        self.proper_saturated = [m for m in self.saturated if m != full]
+        self.saturation_of = {i: saturation(algebra, i) for i in self.ideals}
+        self.min_primes = min_primes(algebra)
+        self.min_saturated_primes = min_saturated_primes(algebra)
+        self.primaries = _primaries(algebra)
+        # The first proper saturated ideal failing Evans' condition; both
+        # Evans checks read it.
+        self.evans_failure = next(
+            (i for i in self.proper_saturated if not evans_report(algebra, i).passed),
+            None,
+        )
+
+
+# Each check returns None when its law holds on the algebra, else the
+# failure's detail.
+
+
+def _audit_axioms(algebra: Algebra, given: _AuditInputs) -> str | None:
+    report = check_axioms(algebra.add, algebra.mul, algebra.one)
+    if not report.valid:
+        v = report.violations[0]
+        return f"{v.axiom} at {v.witness}"
+    return None
+
+
+def _audit_natural_order(algebra: Algebra, given: _AuditInputs) -> str | None:
+    # up[a] = {b : a <= b}, read from the add rows here rather than from
+    # Algebra._above, so that the check stays independent.
+    up = [sum(1 << b for b, s in enumerate(row) if s == b) for row in algebra.add]
+    for a in range(algebra.order):
+        if not up[0] >> a & 1:
+            return f"zero not below {algebra.names[a]}"
+        for b in bits(up[a]):
+            if up[b] >> a & 1 and a != b:
+                return f"antisymmetry fails at ({algebra.names[a]}, {algebra.names[b]})"
+            if up[b] & ~up[a]:
+                return "transitivity fails"
+    return None
+
+
+def _audit_saturation_closure(algebra: Algebra, given: _AuditInputs) -> str | None:
+    ideals, sat = given.ideals, given.saturation_of
+    for i in ideals:
+        s = sat[i]
+        if i & ~s:
+            return f"not extensive at {_labels(algebra, i)}"
+        if saturation(algebra, s) != s:
+            return f"not idempotent at {_labels(algebra, i)}"
+        if not is_ideal(algebra, s):
+            return f"saturation of {_labels(algebra, i)} is not an ideal"
+        for j in ideals:
+            if i & ~j == 0 and s & ~sat[j]:
+                return f"not monotone at {_labels(algebra, i)} <= {_labels(algebra, j)}"
+    return None
+
+
+def _audit_radical_closure(algebra: Algebra, given: _AuditInputs) -> str | None:
+    for i in given.ideals:
+        r = radical(algebra, i)
+        if i & ~r or radical(algebra, r) != r or not is_ideal(algebra, r):
+            return f"radical misbehaves at {_labels(algebra, i)}"
+    return None
+
+
+def _audit_radical_saturation_intersection(algebra: Algebra, given: _AuditInputs) -> str | None:
+    ideals, sat = given.ideals, given.saturation_of
+    rad_sat = {i: radical(algebra, s) for i, s in sat.items()}
+    # r(sat(i & j)) and r(sat i & sat j), memoized by the mask inside
+    lhs_of: dict[int, int] = {}
+    mid_of: dict[int, int] = {}
+    for i in ideals:
+        si = sat[i]
+        for j in ideals:
+            meet, sat_meet = i & j, si & sat[j]
+            if meet not in lhs_of:
+                lhs_of[meet] = radical(algebra, saturation(algebra, meet))
+            if sat_meet not in mid_of:
+                mid_of[sat_meet] = radical(algebra, sat_meet)
+            if not lhs_of[meet] == mid_of[sat_meet] == rad_sat[i] & rad_sat[j]:
+                return f"identity fails at ({_labels(algebra, i)}, {_labels(algebra, j)})"
+    return None
+
+
+def _audit_annihilators_saturated(algebra: Algebra, given: _AuditInputs) -> str | None:
+    for s in algebra.elements():
+        if not is_saturated(algebra, annihilator(algebra, s)):
+            return f"Ann({algebra.names[s]}) is not saturated"
+    return None
+
+
+def _audit_conductors_saturated(algebra: Algebra, given: _AuditInputs) -> str | None:
+    saturated = given.saturated
     n, full = algebra.order, algebra._full
-    ideals = enumerate_ideals(algebra)
-    saturated = enumerate_saturated_ideals(algebra)
-    proper_saturated = [m for m in saturated if m != full]
+    pairs = [_pairs_in(algebra, j) for j in saturated]  # row x is C_x(j)
+    passed = set()  # each distinct conductor is tested once
+    for x in range(n):
+        for j, p in zip(saturated, pairs):
+            c = p >> x * n & full
+            if c in passed:
+                continue
+            if not is_saturated(algebra, c):
+                return f"C_{algebra.names[x]}({_labels(algebra, j)}) not saturated"
+            passed.add(c)
+    return None
 
-    def run(name: str):
-        def wrap(fn):
-            failure = fn()
-            if failure is None:
-                checks.append(AuditCheck(name, True, "ok"))
-            else:
-                checks.append(AuditCheck(name, False, failure))
-            return fn
 
-        return wrap
+def _audit_bourne_zero_class(algebra: Algebra, given: _AuditInputs) -> str | None:
+    sat = given.saturation_of
+    for i in given.ideals:
+        if bourne_congruence(algebra, i).zero_class() != sat[i]:
+            return f"zero class wrong for {_labels(algebra, i)}"
+    return None
 
-    @run("axioms")
-    def _axioms():
-        report = check_axioms(algebra.add, algebra.mul, algebra.one)
-        if not report.valid:
-            v = report.violations[0]
-            return f"{v.axiom} at {v.witness}"
-        return None
 
-    @run("natural-order")
-    def _order():
-        # up[a] = {b : a <= b}, read from the add rows here rather than
-        # from Algebra._above, so that the check stays independent.
-        up = [
-            sum(1 << b for b, s in enumerate(row) if s == b) for row in algebra.add
-        ]
-        for a in range(n):
-            if not up[0] >> a & 1:
-                return f"zero not below {algebra.names[a]}"
-            for b in bits(up[a]):
-                if up[b] >> a & 1 and a != b:
-                    return f"antisymmetry fails at ({algebra.names[a]}, {algebra.names[b]})"
-                if up[b] & ~up[a]:
-                    return "transitivity fails"
-        return None
+def _audit_generated_roundtrip(algebra: Algebra, given: _AuditInputs) -> str | None:
+    for i in given.ideals:
+        if generated_ideal(algebra, bits(i)) != i:
+            return f"regenerating {_labels(algebra, i)} changed it"
+    return None
 
-    @run("saturation-closure")
-    def _sat_closure():
-        sat = {i: saturation(algebra, i) for i in ideals}
-        for i in ideals:
-            s = sat[i]
-            if i & ~s:
-                return f"not extensive at {_labels(algebra, i)}"
-            if saturation(algebra, s) != s:
-                return f"not idempotent at {_labels(algebra, i)}"
-            if not is_ideal(algebra, s):
-                return f"saturation of {_labels(algebra, i)} is not an ideal"
-            for j in ideals:
-                if i & ~j == 0 and s & ~sat[j]:
-                    return f"not monotone at {_labels(algebra, i)} <= {_labels(algebra, j)}"
-        return None
 
-    @run("radical-closure")
-    def _rad_closure():
-        for i in ideals:
-            r = radical(algebra, i)
-            if i & ~r or radical(algebra, r) != r or not is_ideal(algebra, r):
-                return f"radical misbehaves at {_labels(algebra, i)}"
-        return None
+def _audit_maximal_saturated_are_prime(algebra: Algebra, given: _AuditInputs) -> str | None:
+    sat_primes = set(saturated_primes(algebra))
+    for m in max_saturated(algebra):
+        if m not in sat_primes:
+            return f"{_labels(algebra, m)} is maximal saturated but not prime"
+    return None
 
-    @run("radical-saturation-intersection")
-    def _rad_sat_intersect():
-        sat = {i: saturation(algebra, i) for i in ideals}
-        rad_sat = {i: radical(algebra, s) for i, s in sat.items()}
-        # r(sat(i & j)) and r(sat i & sat j), memoized by the mask inside
-        lhs_of: dict[int, int] = {}
-        mid_of: dict[int, int] = {}
-        for i in ideals:
-            si = sat[i]
-            for j in ideals:
-                meet, sat_meet = i & j, si & sat[j]
-                if meet not in lhs_of:
-                    lhs_of[meet] = radical(algebra, saturation(algebra, meet))
-                if sat_meet not in mid_of:
-                    mid_of[sat_meet] = radical(algebra, sat_meet)
-                if not lhs_of[meet] == mid_of[sat_meet] == rad_sat[i] & rad_sat[j]:
-                    return f"identity fails at ({_labels(algebra, i)}, {_labels(algebra, j)})"
-        return None
 
-    @run("annihilators-saturated")
-    def _ann_sat():
-        for s in algebra.elements():
-            if not is_saturated(algebra, annihilator(algebra, s)):
-                return f"Ann({algebra.names[s]}) is not saturated"
-        return None
+def _audit_minimal_primes_are_zero_divisors(algebra: Algebra, given: _AuditInputs) -> str | None:
+    divisors = zero_divisors(algebra)
+    for p in set(given.min_primes) | set(given.min_saturated_primes):
+        for a in bits(p & ~1):
+            if not divisors >> a & 1:
+                return f"{algebra.names[a]} in {_labels(algebra, p)} is no zero divisor"
+    return None
 
-    @run("conductors-saturated")
-    def _cond_sat():
-        pairs = [_pairs_in(algebra, j) for j in saturated]  # row x is C_x(j)
-        for x in range(n):
-            for j, p in zip(saturated, pairs):
-                if not is_saturated(algebra, p >> x * n & full):
-                    return f"C_{algebra.names[x]}({_labels(algebra, j)}) not saturated"
-        return None
 
-    @run("bourne-zero-class")
-    def _bourne_zero():
-        for i in ideals:
-            cong = bourne_congruence(algebra, i)
-            if cong.zero_class() != saturation(algebra, i):
-                return f"zero class wrong for {_labels(algebra, i)}"
-        return None
+def _audit_minimal_primes_equal_minimal_saturated(
+    algebra: Algebra, given: _AuditInputs
+) -> str | None:
+    if given.min_primes != given.min_saturated_primes:
+        return "the two minimal families differ"
+    return None
 
-    @run("generated-roundtrip")
-    def _roundtrip():
-        for i in ideals:
-            if generated_ideal(algebra, bits(i)) != i:
-                return f"regenerating {_labels(algebra, i)} changed it"
-        return None
 
-    @run("maximal-saturated-are-prime")
-    def _max_sat_prime():
-        sat_primes = set(saturated_primes(algebra))
-        for m in max_saturated(algebra):
-            if m not in sat_primes:
-                return f"{_labels(algebra, m)} is maximal saturated but not prime"
-        return None
+def _audit_associated_primes_are_annihilators(algebra: Algebra, given: _AuditInputs) -> str | None:
+    annihilators = {annihilator(algebra, u) for u in range(1, algebra.order)}
+    for x, p in associated_primes(algebra):
+        if not is_prime(algebra, p):
+            return f"associated {_labels(algebra, p)} is not prime"
+        if not is_saturated(algebra, p):
+            return f"associated {_labels(algebra, p)} is not saturated"
+        if p not in annihilators:
+            return f"associated {_labels(algebra, p)} is no annihilator"
+    return None
 
-    @run("minimal-primes-are-zero-divisors")
-    def _min_prime_zerodiv():
-        divisors = zero_divisors(algebra)
-        for p in set(min_primes(algebra)) | set(min_saturated_primes(algebra)):
-            for a in bits(p & ~1):
-                if not divisors >> a & 1:
-                    return f"{algebra.names[a]} in {_labels(algebra, p)} is no zero divisor"
-        return None
 
-    @run("minimal-primes-equal-minimal-saturated")
-    def _minpr_equal():
-        if min_primes(algebra) != min_saturated_primes(algebra):
-            return "the two minimal families differ"
-        return None
+def _audit_primary_radical_is_prime(algebra: Algebra, given: _AuditInputs) -> str | None:
+    for q in given.primaries:
+        if not is_prime(algebra, radical(algebra, q)):
+            return f"r({_labels(algebra, q)}) is not prime"
+    return None
 
-    @run("associated-primes-are-annihilators")
-    def _assoc_ann():
-        annihilators = {annihilator(algebra, u) for u in range(1, algebra.order)}
-        for x, p in associated_primes(algebra):
-            if not is_prime(algebra, p):
-                return f"associated {_labels(algebra, p)} is not prime"
-            if not is_saturated(algebra, p):
-                return f"associated {_labels(algebra, p)} is not saturated"
-            if p not in annihilators:
-                return f"associated {_labels(algebra, p)} is no annihilator"
-        return None
 
-    @run("primary-radical-is-prime")
-    def _primary_rad():
-        for q in _primaries(algebra):
-            if not is_prime(algebra, radical(algebra, q)):
-                return f"r({_labels(algebra, q)}) is not prime"
-        return None
-
-    @run("primary-intersections-stay-primary")
-    def _primary_meet():
-        by_radical: dict[int, list[int]] = {}
-        for q in _primaries(algebra):
-            by_radical.setdefault(radical(algebra, q), []).append(q)
-        for p, group in by_radical.items():
-            meet_all = full
-            for q in group:
-                meet_all &= q
-            # Each distinct meet once, named by the first pair that gives it.
-            first_pair: dict[int, tuple[int, int]] = {}
-            for a in group:
-                for b in group:
-                    first_pair.setdefault(a & b, (a, b))
-            for c, (a, b) in first_pair.items():
+def _audit_primary_intersections_stay_primary(algebra: Algebra, given: _AuditInputs) -> str | None:
+    by_radical: dict[int, list[int]] = {}
+    for q in given.primaries:
+        by_radical.setdefault(radical(algebra, q), []).append(q)
+    for p, group in by_radical.items():
+        meet_all = algebra._full
+        for q in group:
+            meet_all &= q
+        # Pairs in nested order; a meet is tested the first time it comes
+        # up, so the first failing pair is the one named.
+        passed = set()
+        for a in group:
+            for b in group:
+                c = a & b
+                if c in passed:
+                    continue
                 if not is_primary(algebra, c) or radical(algebra, c) != p:
                     return (
                         f"{_labels(algebra, a)} meet {_labels(algebra, b)} "
                         "is not primary for the same prime"
                     )
-            if not is_primary(algebra, meet_all) or radical(algebra, meet_all) != p:
-                return f"whole family meet fails for {_labels(algebra, p)}"
-        return None
+                passed.add(c)
+        if not is_primary(algebra, meet_all) or radical(algebra, meet_all) != p:
+            return f"whole family meet fails for {_labels(algebra, p)}"
+    return None
 
-    @run("weak-decomposition-exact")
-    def _weak_dec():
-        for j in proper_saturated:
-            if radical(algebra, j) != j:
-                continue
-            result = weak_decompose(algebra, j)
-            for c in result.components:
-                if not is_prime(algebra, c) or not is_saturated(algebra, c):
-                    return f"component {_labels(algebra, c)} of {_labels(algebra, j)}"
-            if result.intersection() != j:
-                return f"intersection drifted for {_labels(algebra, j)}"
-            slim = minimalize(result)
-            if slim.intersection() != j:
-                return f"minimalize broke {_labels(algebra, j)}"
-            for node, (u, v) in result.split_trace:
-                if node >> u & 1 or node >> v & 1 or not node >> algebra.mul[u][v] & 1:
-                    return f"bad split witness at {_labels(algebra, node)}"
-        return None
 
-    @run("radical-decomposition-matches-minimal-primes")
-    def _rad_dec_minpr():
-        if algebra.is_trivial:
-            return None
-        result = radical_decomposition(algebra, 1)
-        comps = set(result.components)
-        minimal = min_primes(algebra)
-        if not set(minimal) <= comps:
-            return "a minimal prime is missing from the components"
+def _audit_weak_decomposition_exact(algebra: Algebra, given: _AuditInputs) -> str | None:
+    for j in given.proper_saturated:
+        if radical(algebra, j) != j:
+            continue
+        result = weak_decompose(algebra, j)
+        for c in result.components:
+            if not is_prime(algebra, c) or not is_saturated(algebra, c):
+                return f"component {_labels(algebra, c)} of {_labels(algebra, j)}"
+        if result.intersection() != j:
+            return f"intersection drifted for {_labels(algebra, j)}"
         slim = minimalize(result)
-        if tuple(_canonical(slim.components)) != minimal:
-            return "minimalized components differ from the minimal primes"
+        if slim.intersection() != j:
+            return f"minimalize broke {_labels(algebra, j)}"
+        for node, (u, v) in result.split_trace:
+            if node >> u & 1 or node >> v & 1 or not node >> algebra.mul[u][v] & 1:
+                return f"bad split witness at {_labels(algebra, node)}"
+    return None
+
+
+def _audit_radical_decomposition_matches_minimal_primes(
+    algebra: Algebra, given: _AuditInputs
+) -> str | None:
+    if algebra.is_trivial:
         return None
+    result = radical_decomposition(algebra, 1)
+    comps = set(result.components)
+    minimal = given.min_primes
+    if not set(minimal) <= comps:
+        return "a minimal prime is missing from the components"
+    slim = minimalize(result)
+    if tuple(_canonical(slim.components)) != minimal:
+        return "minimalized components differ from the minimal primes"
+    return None
 
-    # The first proper saturated ideal failing Evans' condition; both
-    # Evans checks read it.
-    evans_failure = next(
-        (i for i in proper_saturated if not evans_report(algebra, i).passed), None
-    )
 
-    @run("evans-property")
-    def _evans():
-        if evans_failure is not None:
-            return f"evans fails at {_labels(algebra, evans_failure)}"
-        return None
+def _audit_evans_property(algebra: Algebra, given: _AuditInputs) -> str | None:
+    if given.evans_failure is not None:
+        return f"evans fails at {_labels(algebra, given.evans_failure)}"
+    return None
 
-    @run("laskerian-implies-evans")
-    def _lask_evans():
-        if evans_failure is not None and laskerian_check(algebra).laskerian:
-            return f"laskerian algebra fails evans at {_labels(algebra, evans_failure)}"
-        return None
 
-    @run("divisor-sets")
-    def _divisors():
-        for i in ideals:
-            if i == full:
-                continue
-            if i & ~divisor_set(algebra, i):
-                return f"D({_labels(algebra, i)}) does not contain the ideal"
-        if not algebra.is_trivial:
-            if divisor_set(algebra, 1) != zero_divisors(algebra) | 1:
-                return "D({0}) differs from the zero divisors plus zero"
-        return None
+def _audit_laskerian_implies_evans(algebra: Algebra, given: _AuditInputs) -> str | None:
+    failure = given.evans_failure
+    if failure is not None and laskerian_check(algebra).laskerian:
+        return f"laskerian algebra fails evans at {_labels(algebra, failure)}"
+    return None
 
-    @run("standard")
-    def _standard():
-        ok, _cover = is_standard(algebra)
-        if not ok:
-            return "zero divisors are not a union of saturated primes"
-        return None
 
+def _audit_divisor_sets(algebra: Algebra, given: _AuditInputs) -> str | None:
+    full = algebra._full
+    for i in given.ideals:
+        if i == full:
+            continue
+        if i & ~divisor_set(algebra, i):
+            return f"D({_labels(algebra, i)}) does not contain the ideal"
+    if not algebra.is_trivial:
+        if divisor_set(algebra, 1) != zero_divisors(algebra) | 1:
+            return "D({0}) differs from the zero divisors plus zero"
+    return None
+
+
+def _audit_standard(algebra: Algebra, given: _AuditInputs) -> str | None:
+    ok, _cover = is_standard(algebra)
+    if not ok:
+        return "zero divisors are not a union of saturated primes"
+    return None
+
+
+_AUDIT_CHECKS = (
+    ("axioms", _audit_axioms),
+    ("natural-order", _audit_natural_order),
+    ("saturation-closure", _audit_saturation_closure),
+    ("radical-closure", _audit_radical_closure),
+    ("radical-saturation-intersection", _audit_radical_saturation_intersection),
+    ("annihilators-saturated", _audit_annihilators_saturated),
+    ("conductors-saturated", _audit_conductors_saturated),
+    ("bourne-zero-class", _audit_bourne_zero_class),
+    ("generated-roundtrip", _audit_generated_roundtrip),
+    ("maximal-saturated-are-prime", _audit_maximal_saturated_are_prime),
+    ("minimal-primes-are-zero-divisors", _audit_minimal_primes_are_zero_divisors),
+    ("minimal-primes-equal-minimal-saturated", _audit_minimal_primes_equal_minimal_saturated),
+    ("associated-primes-are-annihilators", _audit_associated_primes_are_annihilators),
+    ("primary-radical-is-prime", _audit_primary_radical_is_prime),
+    ("primary-intersections-stay-primary", _audit_primary_intersections_stay_primary),
+    ("weak-decomposition-exact", _audit_weak_decomposition_exact),
+    ("radical-decomposition-matches-minimal-primes",
+     _audit_radical_decomposition_matches_minimal_primes),
+    ("evans-property", _audit_evans_property),
+    ("laskerian-implies-evans", _audit_laskerian_implies_evans),
+    ("divisor-sets", _audit_divisor_sets),
+    ("standard", _audit_standard),
+)
+
+
+@_bounded
+def audit(algebra: Algebra) -> AuditResult:
+    """Run the full invariant suite against one finite algebra.
+
+    A finite algebra satisfies both chain conditions vacuously, so every
+    check must pass; any failure is an engine defect, and the witness in
+    the detail string says where to look.  The ideal families and the
+    saturation of every ideal are taken once, before the first check.
+    """
+    given = _AuditInputs(algebra)
+    checks = []
+    for name, check in _AUDIT_CHECKS:
+        failure = check(algebra, given)
+        if failure is None:
+            checks.append(AuditCheck(name, True, "ok"))
+        else:
+            checks.append(AuditCheck(name, False, failure))
     return AuditResult(algebra=algebra, checks=tuple(checks))

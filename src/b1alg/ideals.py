@@ -6,11 +6,13 @@ ideal result here is a mask over the algebra passed alongside it.  The
 ideals are found as joins of principal ideals, once per algebra instance,
 by ``enumerate_ideals``, which refuses algebras with more ideals than the
 enumeration bound; ``_per_algebra`` computes every family with several
-callers once per instance behind the same bound.  Saturations, radicals,
-joins with principal ideals, the ideal test, annihilators and conductors
-read the masks each ``Algebra`` builds from its tables instead of scanning
-the tables on every call; ``_pairs_in`` gives every conductor of an ideal
-at once, and ``conductor`` is one row of it.
+callers once per instance behind the same bound.  A public call reads the
+bound once on entry (``_bounded``), and every family it asks for inside
+uses that one value.  Saturations, radicals, joins with principal ideals,
+the ideal test, annihilators and conductors read the masks each
+``Algebra`` builds from its tables instead of scanning the tables on every
+call; ``_pairs_in`` gives every conductor of an ideal at once, and
+``conductor`` is one row of it.
 
 ``_per_mask`` computes each per-ideal result once per instance and mask:
 saturations, radicals and the ideal test here, prime witnesses, primarity
@@ -29,6 +31,7 @@ join of I as one witness) and its quotient algebra.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import os
 from collections import namedtuple
@@ -44,7 +47,11 @@ class EnumerationBoundError(AlgebraError):
 
 
 def enumeration_bound() -> int:
-    """Most ideals an algebra may have for its ideal families to be computed."""
+    """Most ideals an algebra may have for its ideal families to be computed.
+
+    Read from the environment on every call.  The engine reads it once per
+    public call, on entry (see ``_bounded``), not once per family.
+    """
     raw = os.environ.get(ENUMERATION_BOUND_ENV)
     if raw is None:
         return DEFAULT_ENUMERATION_BOUND
@@ -57,6 +64,31 @@ def enumeration_bound() -> int:
     if value < 1:
         raise AlgebraError(f"{ENUMERATION_BOUND_ENV} must be positive, got {value}")
     return value
+
+
+# The bound of the public call in progress, read once on entry; 0 outside one.
+_call_bound = contextvars.ContextVar("b1alg_enumeration_bound", default=0)
+
+
+def _bounded(fn):
+    """Run fn with the enumeration bound read once for the whole call.
+
+    The outermost call reads ``enumeration_bound()`` and holds it until it
+    returns or raises; every bounded function it reaches inside, however
+    deeply nested, uses that value instead of reading the environment again.
+    """
+
+    @functools.wraps(fn)
+    def call(*args):
+        if _call_bound.get():
+            return fn(*args)
+        token = _call_bound.set(enumeration_bound())
+        try:
+            return fn(*args)
+        finally:
+            _call_bound.reset(token)
+
+    return call
 
 
 def _over_bound(algebra: Algebra, bound: int) -> EnumerationBoundError:
@@ -90,9 +122,12 @@ def _per_algebra(fn):
     """Run fn(algebra) once per algebra instance, memoized on the instance.
 
     Every call, memo hits included, first goes through enumerate_ideals,
-    which holds the ideal count to the bound.
+    which holds the ideal count to the bound of the call in progress.  A
+    direct call reads that bound on entry (``_bounded``), so a lowered
+    bound refuses every family, whatever was computed before.
     """
 
+    @_bounded
     @functools.wraps(fn)
     def once(algebra: Algebra):
         enumerate_ideals(algebra)
@@ -159,7 +194,12 @@ def full_mask(algebra: Algebra) -> int:
 
 def member_labels(algebra: Algebra, mask: int) -> tuple[str, ...]:
     """Labels of the mask's members in element-index order (zero first)."""
-    return tuple(algebra.names[i] for i in bits(mask))
+    names, out = algebra.names, []
+    while mask:
+        low = mask & -mask
+        out.append(names[low.bit_length() - 1])
+        mask ^= low
+    return tuple(out)
 
 
 def is_ideal(algebra: Algebra, mask: int) -> bool:
@@ -322,11 +362,10 @@ def _join(algebra: Algebra, ideal: int, other: int) -> int:
 # ---------------------------------------------------------------------------
 # Ideal enumeration by joins of principal ideals
 
-def _scan_ideals(algebra: Algebra) -> tuple[int, ...]:
+def _scan_ideals(algebra: Algebra, bound: int) -> tuple[int, ...]:
     # Every ideal is the sum of the principal ideals A*a of its members, so
     # joining each known ideal with A*a, for a = 1..n-1 in turn, finds them
     # all.
-    bound = enumeration_bound()
     found = {1}
     for a in range(1, algebra.order):
         principal = algebra._principal[a]
@@ -337,16 +376,17 @@ def _scan_ideals(algebra: Algebra) -> tuple[int, ...]:
     return tuple(_canonical(found))
 
 
+@_bounded
 def enumerate_ideals(algebra: Algebra) -> tuple[int, ...]:
     """All ideals, sorted by cardinality then by mask value.
 
     Found once per algebra as joins of principal ideals, in time that grows
     with their number; refused past the enumeration bound on every call.
     """
+    bound = _call_bound.get()
     memo = algebra._memo
     if _scan_ideals not in memo:
-        memo[_scan_ideals] = _scan_ideals(algebra)
-    bound = enumeration_bound()
+        memo[_scan_ideals] = _scan_ideals(algebra, bound)
     if len(memo[_scan_ideals]) > bound:
         raise _over_bound(algebra, bound)
     return memo[_scan_ideals]
@@ -406,6 +446,16 @@ def congruence_violation(
     return None
 
 
+def _member_sum(algebra: Algebra, mask: int) -> int:
+    """The sum t of the mask's members: an ideal's largest element, whose
+    row x -> x + t gives its Bourne classes."""
+    add = algebra.add
+    t = 0
+    for w in bits(mask):
+        t = add[t][w]
+    return t
+
+
 @_per_mask_record
 def bourne_congruence(algebra: Algebra, mask: int) -> Congruence:
     """Congruence of an ideal: a ~ b iff a + w = b + w for some w in I.
@@ -420,10 +470,7 @@ def bourne_congruence(algebra: Algebra, mask: int) -> Congruence:
         raise AlgebraError(
             f"the set contains an out-of-range element (witness: bit {stray})"
         )
-    add = algebra.add
-    t = 0
-    for w in bits(mask):
-        t = add[t][w]
+    t = _member_sum(algebra, mask)
     if not mask >> t & 1:
         raise AlgebraError(
             "the set does not hold the join of its members "
@@ -432,7 +479,7 @@ def bourne_congruence(algebra: Algebra, mask: int) -> Congruence:
     class_at: dict[int, int] = {}  # x + t -> class index
     class_of = []
     classes: list[int] = []
-    for x, v in enumerate(add[t]):
+    for x, v in enumerate(algebra.add[t]):
         if v not in class_at:
             class_at[v] = len(classes)
             classes.append(0)

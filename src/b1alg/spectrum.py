@@ -5,9 +5,11 @@ P(I) = {(u, v) : u*v in I} (``ideals._pairs_in``), whose row u is the
 conductor C_u(I): each predicate ORs the pair-product masks of ``Algebra``
 over I once and then reads the rows of the elements outside I, with no
 per-element conductor call.  Prime witnesses, primarity and divisor sets
-are memoized per algebra and mask (``ideals._per_mask``).  Lists come
-back in the canonical enumeration order (cardinality, then mask value),
-so reports are diffable.
+are memoized per algebra and mask (``ideals._per_mask``), and every
+family (primes, saturated primes, primaries, the minimal and maximal
+spectra, associated primes and the standard verdict) once per algebra
+(``ideals._per_algebra``).  Lists come back in the canonical enumeration
+order (cardinality, then mask value), so reports are diffable.
 """
 
 from __future__ import annotations
@@ -17,13 +19,14 @@ from itertools import combinations
 
 from .algebra import Algebra
 from .ideals import (
+    _bounded,
     _canonical,
+    _member_sum,
     _pairs_in,
     _per_algebra,
     _per_mask,
     annihilator,
     bits,
-    bourne_congruence,
     enumerate_ideals,
     enumerate_saturated_ideals,
     is_saturated,
@@ -101,14 +104,17 @@ def _maximal(family) -> tuple[int, ...]:
     )
 
 
+@_per_algebra
 def min_primes(algebra: Algebra) -> tuple[int, ...]:
     return _minimal(primes(algebra))
 
 
+@_per_algebra
 def min_saturated_primes(algebra: Algebra) -> tuple[int, ...]:
     return _minimal(saturated_primes(algebra))
 
 
+@_per_algebra
 def max_saturated(algebra: Algebra) -> tuple[int, ...]:
     """Maximal elements among the proper saturated ideals."""
     full = algebra._full
@@ -118,11 +124,12 @@ def max_saturated(algebra: Algebra) -> tuple[int, ...]:
 
 def zero_divisors(algebra: Algebra) -> int:
     """Mask of nonzero elements that kill some nonzero element."""
-    mul = algebra.mul
+    n = algebra.order
+    killed = algebra._products[0]  # row a is Ann(a)
+    nonzero = algebra._full & ~1
     out = 0
-    for a in range(1, algebra.order):
-        row = mul[a]
-        if any(row[b] == 0 for b in range(1, algebra.order)):
+    for a in range(1, n):
+        if killed >> a * n & nonzero:
             out |= 1 << a
     return out
 
@@ -155,20 +162,32 @@ def associated_primes(algebra: Algebra) -> tuple[tuple[int, int], ...]:
     The quotient is never built: its primes pull back to exactly the
     primes of the algebra that are unions of congruence classes, and the
     pullback keeps inclusion, so the minimal ones among those are the
-    answer.  One witness is kept per distinct prime, the smallest element
-    index; x = 1 always contributes, so the minimal primes are always
-    present.
+    answer.  The classes are the fibres of y -> y + t, with t the largest
+    element of Ann(x), and y + t lies in the class of y, so a prime p is a
+    union of classes exactly when {y : y + t in p} = p, and no
+    congruence record is built.  One witness is kept per distinct prime,
+    the smallest element index; x = 1 always contributes, so the minimal
+    primes are always present.
     """
     candidates = primes(algebra)
     found: dict[int, int] = {}
     for x in range(1, algebra.order):
-        classes = bourne_congruence(algebra, annihilator(algebra, x)).classes
-        unions = [p for p in candidates if all(p & c in (0, c) for c in classes)]
+        t = _member_sum(algebra, annihilator(algebra, x))
+        shifted = algebra.add[t]  # y -> y + t
+        unions = []
+        for p in candidates:
+            pulled = 0
+            for y, v in enumerate(shifted):
+                if p >> v & 1:
+                    pulled |= 1 << y
+            if pulled == p:
+                unions.append(p)
         for p in _minimal(unions):
             found.setdefault(p, x)
     return tuple((found[p], p) for p in _canonical(found))
 
 
+@_per_algebra
 def is_standard(algebra: Algebra) -> tuple[bool, tuple[int, ...]]:
     """Whether the zero divisors plus zero are a union of saturated primes.
 
@@ -211,6 +230,7 @@ class SpectrumResult(namedtuple("SpectrumResult", (
     __slots__ = ()
 
 
+@_bounded
 def spectrum(algebra: Algebra) -> SpectrumResult:
     standard, cover = is_standard(algebra)
     return SpectrumResult(

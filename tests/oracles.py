@@ -7,13 +7,61 @@ of every subset instead of joins of principal ideals, generation via
 a naive alternating closure, the ideal test, conductors, divisor sets and
 prime witnesses via scans of the tables instead of principal-ideal and
 pair-product masks, Bourne classes via the pairwise single-witness
-relation instead of the join of the ideal, and associated primes via the
-quotient algebras the library no longer builds.
+relation instead of the join of the ideal, associated primes via the
+quotient algebras the library no longer builds, the axioms via a scan of
+every triple with no fast pass, the laskerian verdict via the meet of the
+saturated primaries above each ideal instead of a meet closure, and the
+standard cover via every subset of the saturated primes.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import b1alg as b
+
+
+def _canonical(masks) -> list[int]:
+    return sorted(masks, key=lambda m: (m.bit_count(), m))
+
+
+def axiom_report_oracle(add, mul, one) -> b.AxiomReport:
+    """Every axiom on every element, pair and triple, in the order
+    ``check_axioms`` reports them, with no fast pass."""
+    n = len(add)
+    rng = range(n)
+    out = []
+    for x in rng:
+        if add[x][x] != x:
+            out.append(b.Violation("add-idempotent", (x,)))
+        if add[0][x] != x or add[x][0] != x:
+            out.append(b.Violation("add-identity", (x,)))
+        if mul[one][x] != x or mul[x][one] != x:
+            out.append(b.Violation("mul-identity", (x,)))
+        if mul[0][x] != 0 or mul[x][0] != 0:
+            out.append(b.Violation("mul-zero-absorbs", (x,)))
+    for x in rng:
+        for y in rng:
+            if add[x][y] != add[y][x]:
+                out.append(b.Violation("add-commutative", (x, y)))
+            if mul[x][y] != mul[y][x]:
+                out.append(b.Violation("mul-commutative", (x, y)))
+    for x in rng:
+        for y in rng:
+            for z in rng:
+                if add[add[x][y]][z] != add[x][add[y][z]]:
+                    out.append(b.Violation("add-associative", (x, y, z)))
+                if mul[mul[x][y]][z] != mul[x][mul[y][z]]:
+                    out.append(b.Violation("mul-associative", (x, y, z)))
+                if mul[x][add[y][z]] != add[mul[x][y]][mul[x][z]]:
+                    out.append(b.Violation("left-distributive", (x, y, z)))
+                if mul[add[y][z]][x] != add[mul[y][x]][mul[z][x]]:
+                    out.append(b.Violation("right-distributive", (x, y, z)))
+    if add[one][one] != one:
+        out.append(b.Violation("characteristic-one", (one,)))
+    if n > 1 and one == 0:
+        out.append(b.Violation("zero-is-not-one", (0,)))
+    return b.AxiomReport(valid=not out, violations=tuple(out))
 
 
 def prime_oracle(algebra: b.Algebra, mask: int) -> bool:
@@ -200,6 +248,47 @@ def associated_oracle(algebra: b.Algebra) -> tuple[tuple[int, int], ...]:
         for q in primes:
             if not any(o != q and o & q == o for o in primes):
                 found.setdefault(b.preimage_ideal(qmap, q), x)
-    return tuple(
-        (found[p], p) for p in sorted(found, key=lambda m: (m.bit_count(), m))
-    )
+    return tuple((found[p], p) for p in _canonical(found))
+
+
+def _saturated_ideals(algebra: b.Algebra) -> list[int]:
+    # The engine's ideal list, which tests check against ideals_oracle, so
+    # that algebras too large for the subset scan are covered too.
+    return [
+        m for m in b.enumerate_ideals(algebra)
+        if saturation_oracle(algebra, m) == m
+    ]
+
+
+def laskerian_oracle(algebra: b.Algebra) -> tuple[bool, int | None]:
+    """(verdict, witness): every proper saturated I must equal the meet of
+    the proper saturated primaries containing it; the witness is the first
+    that does not, in the canonical order."""
+    full = b.full_mask(algebra)
+    saturated = _saturated_ideals(algebra)
+    primaries = [q for q in saturated if primary_oracle(algebra, q)]
+    for m in saturated:
+        if m == full:
+            continue
+        meet = full
+        for q in primaries:
+            if q & m == m:
+                meet &= q
+        if meet != m:
+            return False, m
+    return True, None
+
+
+def standard_oracle(algebra: b.Algebra) -> tuple[bool, tuple[int, ...]]:
+    """(verdict, cover): the first subset of all saturated primes, smallest
+    first and in ``combinations`` order, whose union is D({0})."""
+    target = divisor_set_oracle(algebra, 1)
+    primes = [p for p in _saturated_ideals(algebra) if prime_oracle(algebra, p)]
+    for k in range(len(primes) + 1):
+        for combo in combinations(primes, k):
+            union = 0
+            for p in combo:
+                union |= p
+            if union == target:
+                return True, combo
+    return False, ()

@@ -65,6 +65,27 @@ def null_algebra(k: int) -> b.Algebra:
     return b.build_algebra(names, add, mul, "0", "1")
 
 
+def idempotent_chain() -> b.Algebra:
+    """The chain 0 < eps < e < 1 with e*e = e and eps*eps = eps*e = 0.
+
+    A non-laskerian algebra of order 4: its zero ideal is not an
+    intersection of saturated primaries.
+    """
+    names = ["0", "eps", "e", "1"]
+    products = {("e", "e"): "e"}
+
+    def times(x: str, y: str) -> str:
+        if x == "1":
+            return y
+        if y == "1":
+            return x
+        return products.get((x, y), "0")
+
+    add = [[names[max(i, j)] for j in range(4)] for i in range(4)]
+    mul = [[times(x, y) for y in names] for x in names]
+    return b.build_algebra(names, add, mul, "0", "1")
+
+
 def _product_pool() -> list[b.Algebra]:
     seeds = [
         b.builtin("b1"),

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import random
 import warnings
 
 import pytest
 
 import b1alg as b
+import oracles
 from b1alg.algebra import check_axioms
+from support import null_algebra
 
 
 def as_label_tables(algebra):
@@ -138,6 +141,70 @@ class TestAxiomLaws:
                         assert add[add[a][c]][d] == add[a][add[c][d]]
                         assert mul[mul[a][c]][d] == mul[a][mul[c][d]]
                         assert mul[a][add[c][d]] == add[mul[a][c]][mul[a][d]]
+
+    def test_check_matches_the_full_scan_on_fleet(self, base_fleet, full_random_fleet):
+        for algebra in [*base_fleet.values(), *full_random_fleet]:
+            tables = (algebra.add, algebra.mul, algebra.one)
+            assert check_axioms(*tables) == oracles.axiom_report_oracle(*tables)
+
+    def test_check_matches_the_full_scan_on_mutations(self, base_fleet, full_random_fleet):
+        # One or two cells of a valid table change.  Every other mutation is
+        # mirrored off the rows of zero and one and off the add diagonal, so
+        # the unary axioms and commutativity hold and the fast pass runs: it
+        # must hand every table that breaks a ternary law to the full scan.
+        ternary = {"add-associative", "mul-associative", "left-distributive",
+                   "right-distributive"}
+        fleet = [a for a in [*base_fleet.values(), *full_random_fleet] if a.order > 2]
+        rng = random.Random(13)
+        only_ternary = 0
+        for k in range(2400):
+            algebra = rng.choice(fleet)
+            n, mirror = algebra.order, k % 2 == 0
+            inner = [x for x in range(1, n) if x != algebra.one]
+            tables = [[list(row) for row in algebra.add], [list(row) for row in algebra.mul]]
+            for _ in range(rng.randint(1, 2)):
+                t = rng.randrange(2)
+                v = rng.randrange(n)
+                if not mirror:
+                    tables[t][rng.randrange(n)][rng.randrange(n)] = v
+                    continue
+                i, j = rng.choice(inner), rng.choice(inner)
+                if t == 0 and i == j:
+                    continue
+                tables[t][i][j] = tables[t][j][i] = v
+            add, mul = (tuple(map(tuple, rows)) for rows in tables)
+            want = oracles.axiom_report_oracle(add, mul, algebra.one)
+            assert check_axioms(add, mul, algebra.one) == want
+            if want.violations and {w.axiom for w in want.violations} <= ternary:
+                only_ternary += 1
+        assert only_ternary >= 600
+
+    def test_check_matches_the_full_scan_on_every_mirrored_cell(self, ex62):
+        # Every commutative one-cell change off the rows of zero and one and
+        # off the add diagonal.  Between them these two algebras yield tables
+        # that break just one ternary law, for each law.
+        alone = set()
+        for algebra in (ex62, null_algebra(3)):
+            n = algebra.order
+            inner = [x for x in range(1, n) if x != algebra.one]
+            for t in range(2):
+                for i in inner:
+                    for j in inner:
+                        if j < i or t == 0 and i == j:
+                            continue
+                        for v in range(n):
+                            tables = [[list(r) for r in algebra.add],
+                                      [list(r) for r in algebra.mul]]
+                            tables[t][i][j] = tables[t][j][i] = v
+                            add, mul = (tuple(map(tuple, rows)) for rows in tables)
+                            want = oracles.axiom_report_oracle(add, mul, algebra.one)
+                            assert check_axioms(add, mul, algebra.one) == want
+                            alone.add(tuple(sorted({w.axiom for w in want.violations})))
+        assert alone >= {
+            ("add-associative",),
+            ("mul-associative",),
+            ("left-distributive", "right-distributive"),
+        }
 
 
 class TestConstructions:

@@ -10,7 +10,7 @@ import pytest
 import b1alg as b
 import oracles
 from b1alg.decompose import DecompositionResult
-from support import lbl, msk, null_algebra
+from support import idempotent_chain, lbl, msk, null_algebra
 
 
 class TestWeakDecompose:
@@ -247,6 +247,19 @@ class TestLaskerian:
         assert b.laskerian_check(b1).laskerian
         for n in range(2, 7):
             assert b.laskerian_check(b.chain_algebra(n)).laskerian
+
+    def test_order_four_counterexample(self):
+        algebra = idempotent_chain()
+        report = b.laskerian_check(algebra)
+        assert not report.laskerian and report.witness == 1
+        assert b.audit(algebra).passed
+
+    def test_matches_the_meet_oracle(self, base_fleet, full_random_fleet, past_order_six):
+        for algebra in [
+            *base_fleet.values(), *full_random_fleet, *past_order_six, idempotent_chain()
+        ]:
+            report = b.laskerian_check(algebra)
+            assert (report.laskerian, report.witness) == oracles.laskerian_oracle(algebra)
 
     def test_trivial_is_laskerian(self):
         report = b.laskerian_check(b.builtin("trivial"))

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import gc
+import os
 import weakref
+from types import SimpleNamespace
 
 import pytest
 
 import b1alg as b
+import b1alg.ideals as ideals_module
 import oracles
 from support import lbl, msk, null_algebra
 
@@ -210,24 +213,53 @@ class TestEnumeration:
     def test_bound_holds_for_every_memoized_family(self, monkeypatch):
         algebra = b.builtin("example-6-2")  # fresh instance, empty memo
         b.spectrum(algebra)
+        b.audit(algebra)
         monkeypatch.setenv("B1ALG_ENUM_BOUND", "4")
         for family in (
             b.primes,
             b.saturated_primes,
             b.enumerate_saturated_ideals,
             b.associated_primes,
+            b.min_primes,
+            b.min_saturated_primes,
+            b.max_saturated,
+            b.is_standard,
+            b.spectrum,
             b.laskerian_check,
+            b.audit,
         ):
             with pytest.raises(b.EnumerationBoundError, match="bound 4"):
                 family(algebra)
+
+    def test_one_environment_read_per_public_call(self, monkeypatch):
+        # A public call reads B1ALG_ENUM_BOUND once on entry; the families
+        # it asks for inside use that value.
+        reads = []
+
+        class CountingEnviron:
+            def get(self, key, default=None):
+                reads.append(key)
+                return os.environ.get(key, default)
+
+        monkeypatch.setattr(ideals_module, "os", SimpleNamespace(environ=CountingEnviron()))
+        for call in (
+            b.spectrum, b.audit, b.laskerian_check, b.enumerate_ideals, b.primes,
+            b.min_primes, b.is_standard, b.associated_primes,
+        ):
+            for algebra in (b.builtin("example-6-2"), null_algebra(3)):
+                for _ in range(2):  # computed, then read from the memo
+                    reads.clear()
+                    call(algebra)
+                    assert reads == ["B1ALG_ENUM_BOUND"], call.__name__
 
     def test_bound_env_override(self, ex62, monkeypatch):
         monkeypatch.setenv("B1ALG_ENUM_BOUND", "4")
         with pytest.raises(b.EnumerationBoundError, match="bound 4"):
             b.enumerate_ideals(ex62)
         monkeypatch.setenv("B1ALG_ENUM_BOUND", "garbage")
-        with pytest.raises(b.AlgebraError, match="integer"):
-            b.enumerate_ideals(ex62)
+        for call in (b.enumerate_ideals, b.primes, b.spectrum, b.laskerian_check, b.audit):
+            with pytest.raises(b.AlgebraError, match="integer"):
+                call(ex62)
 
     def test_null_algebra_counts(self):
         for k in range(11):

@@ -93,7 +93,7 @@ def test_element_wise_operations_read_the_mask_tables():
     # would be n calls where a few mask operations do.
     wanted = {
         "ideals.py": {"saturation", "radical", "annihilator", "conductor"},
-        "spectrum.py": {"_prime_witness", "is_primary", "divisor_set"},
+        "spectrum.py": {"_prime_witness", "is_primary", "divisor_set", "zero_divisors"},
         "decompose.py": {"evans_report"},
     }
     whole_ideal = {"_prime_witness", "is_primary", "divisor_set", "evans_report"}

@@ -7,7 +7,7 @@ import pytest
 
 import b1alg as b
 import oracles
-from support import lbl, msk
+from support import idempotent_chain, lbl, msk, null_algebra
 
 
 class TestPrimality:
@@ -148,6 +148,12 @@ class TestStandard:
                 union |= p
             assert union == b.divisor_set(algebra, 1)
 
+    def test_matches_the_subset_oracle(self, base_fleet, full_random_fleet, past_order_six):
+        for algebra in [
+            *base_fleet.values(), *full_random_fleet, *past_order_six, idempotent_chain()
+        ]:
+            assert b.is_standard(algebra) == oracles.standard_oracle(algebra)
+
 
 class TestTrivialAlgebra:
     def test_empty_spectra(self):
@@ -190,6 +196,26 @@ class TestComputedOnce:
         assert len(calls) == len(b.enumerate_ideals(algebra)) == 9
         b.spectrum(algebra)
         assert len(calls) == 9
+
+    def test_audit_after_spectrum_recomputes_no_family(self, monkeypatch):
+        spectrum_module = importlib.import_module("b1alg.spectrum")
+        calls = []
+
+        def counting(fn):
+            def wrapper(family):
+                calls.append(fn.__name__)
+                return fn(family)
+
+            return wrapper
+
+        for name in ("_minimal", "_maximal"):
+            monkeypatch.setattr(spectrum_module, name, counting(getattr(spectrum_module, name)))
+        for algebra in (b.builtin("example-6-2"), null_algebra(3), idempotent_chain()):
+            b.spectrum(algebra)
+            assert calls
+            calls.clear()
+            assert b.audit(algebra).passed
+            assert calls == []
 
 
 class TestPairProductPredicates:
