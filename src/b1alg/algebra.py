@@ -137,12 +137,22 @@ class Algebra:
     def elements(self) -> range:
         return range(len(self.names))
 
+    def _require_element(self, a: int) -> None:
+        """Refuse an element index outside range(order), naming it."""
+        if not 0 <= a < len(self.names):
+            raise AlgebraError(
+                f"element index {a} is out of range for this order-{self.order} algebra"
+            )
+
     def leq(self, a: int, b: int) -> bool:
         """Natural order: a <= b iff a + b = b.  Zero is the minimum."""
+        self._require_element(a)
+        self._require_element(b)
         return self.add[a][b] == b
 
     def power(self, a: int, k: int) -> int:
         """a**k for k >= 1 (k = 0 is deliberately unsupported)."""
+        self._require_element(a)
         if k < 1:
             raise AlgebraError(f"exponent must be >= 1, got {k}")
         acc = a

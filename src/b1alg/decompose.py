@@ -298,36 +298,11 @@ def _labels(algebra: Algebra, mask: int) -> str:
     return "{" + ",".join(member_labels(algebra, mask)) + "}"
 
 
-class _AuditInputs:
-    """What the audit's checks read, each taken once before the first check."""
-
-    __slots__ = (
-        "ideals", "saturated", "proper_saturated", "saturation_of",
-        "min_primes", "min_saturated_primes", "primaries", "evans_failure",
-    )
-
-    def __init__(self, algebra: Algebra):
-        full = algebra._full
-        self.ideals = enumerate_ideals(algebra)
-        self.saturated = enumerate_saturated_ideals(algebra)
-        self.proper_saturated = [m for m in self.saturated if m != full]
-        self.saturation_of = {i: saturation(algebra, i) for i in self.ideals}
-        self.min_primes = min_primes(algebra)
-        self.min_saturated_primes = min_saturated_primes(algebra)
-        self.primaries = _primaries(algebra)
-        # The first proper saturated ideal failing Evans' condition; both
-        # Evans checks read it.
-        self.evans_failure = next(
-            (i for i in self.proper_saturated if not evans_report(algebra, i).passed),
-            None,
-        )
-
-
 # Each check returns None when its law holds on the algebra, else the
-# failure's detail.
+# failure's detail.  Each asks the memoized families for what it reads.
 
 
-def _audit_axioms(algebra: Algebra, given: _AuditInputs) -> str | None:
+def _audit_axioms(algebra: Algebra) -> str | None:
     report = check_axioms(algebra.add, algebra.mul, algebra.one)
     if not report.valid:
         v = report.violations[0]
@@ -335,7 +310,7 @@ def _audit_axioms(algebra: Algebra, given: _AuditInputs) -> str | None:
     return None
 
 
-def _audit_natural_order(algebra: Algebra, given: _AuditInputs) -> str | None:
+def _audit_natural_order(algebra: Algebra) -> str | None:
     # up[a] = {b : a <= b}, read from the add rows here rather than from
     # Algebra._above, so that the check stays independent.
     up = [sum(1 << b for b, s in enumerate(row) if s == b) for row in algebra.add]
@@ -350,8 +325,9 @@ def _audit_natural_order(algebra: Algebra, given: _AuditInputs) -> str | None:
     return None
 
 
-def _audit_saturation_closure(algebra: Algebra, given: _AuditInputs) -> str | None:
-    ideals, sat = given.ideals, given.saturation_of
+def _audit_saturation_closure(algebra: Algebra) -> str | None:
+    ideals = enumerate_ideals(algebra)
+    sat = {i: saturation(algebra, i) for i in ideals}
     for i in ideals:
         s = sat[i]
         if i & ~s:
@@ -366,16 +342,17 @@ def _audit_saturation_closure(algebra: Algebra, given: _AuditInputs) -> str | No
     return None
 
 
-def _audit_radical_closure(algebra: Algebra, given: _AuditInputs) -> str | None:
-    for i in given.ideals:
+def _audit_radical_closure(algebra: Algebra) -> str | None:
+    for i in enumerate_ideals(algebra):
         r = radical(algebra, i)
         if i & ~r or radical(algebra, r) != r or not is_ideal(algebra, r):
             return f"radical misbehaves at {_labels(algebra, i)}"
     return None
 
 
-def _audit_radical_saturation_intersection(algebra: Algebra, given: _AuditInputs) -> str | None:
-    ideals, sat = given.ideals, given.saturation_of
+def _audit_radical_saturation_intersection(algebra: Algebra) -> str | None:
+    ideals = enumerate_ideals(algebra)
+    sat = {i: saturation(algebra, i) for i in ideals}
     rad_sat = {i: radical(algebra, s) for i, s in sat.items()}
     # r(sat(i & j)) and r(sat i & sat j), memoized by the mask inside
     lhs_of: dict[int, int] = {}
@@ -393,15 +370,15 @@ def _audit_radical_saturation_intersection(algebra: Algebra, given: _AuditInputs
     return None
 
 
-def _audit_annihilators_saturated(algebra: Algebra, given: _AuditInputs) -> str | None:
+def _audit_annihilators_saturated(algebra: Algebra) -> str | None:
     for s in algebra.elements():
         if not is_saturated(algebra, annihilator(algebra, s)):
             return f"Ann({algebra.names[s]}) is not saturated"
     return None
 
 
-def _audit_conductors_saturated(algebra: Algebra, given: _AuditInputs) -> str | None:
-    saturated = given.saturated
+def _audit_conductors_saturated(algebra: Algebra) -> str | None:
+    saturated = enumerate_saturated_ideals(algebra)
     n, full = algebra.order, algebra._full
     pairs = [_pairs_in(algebra, j) for j in saturated]  # row x is C_x(j)
     passed = set()  # each distinct conductor is tested once
@@ -416,22 +393,21 @@ def _audit_conductors_saturated(algebra: Algebra, given: _AuditInputs) -> str | 
     return None
 
 
-def _audit_bourne_zero_class(algebra: Algebra, given: _AuditInputs) -> str | None:
-    sat = given.saturation_of
-    for i in given.ideals:
-        if bourne_congruence(algebra, i).zero_class() != sat[i]:
+def _audit_bourne_zero_class(algebra: Algebra) -> str | None:
+    for i in enumerate_ideals(algebra):
+        if bourne_congruence(algebra, i).zero_class() != saturation(algebra, i):
             return f"zero class wrong for {_labels(algebra, i)}"
     return None
 
 
-def _audit_generated_roundtrip(algebra: Algebra, given: _AuditInputs) -> str | None:
-    for i in given.ideals:
+def _audit_generated_roundtrip(algebra: Algebra) -> str | None:
+    for i in enumerate_ideals(algebra):
         if generated_ideal(algebra, bits(i)) != i:
             return f"regenerating {_labels(algebra, i)} changed it"
     return None
 
 
-def _audit_maximal_saturated_are_prime(algebra: Algebra, given: _AuditInputs) -> str | None:
+def _audit_maximal_saturated_are_prime(algebra: Algebra) -> str | None:
     sat_primes = set(saturated_primes(algebra))
     for m in max_saturated(algebra):
         if m not in sat_primes:
@@ -439,24 +415,22 @@ def _audit_maximal_saturated_are_prime(algebra: Algebra, given: _AuditInputs) ->
     return None
 
 
-def _audit_minimal_primes_are_zero_divisors(algebra: Algebra, given: _AuditInputs) -> str | None:
+def _audit_minimal_primes_are_zero_divisors(algebra: Algebra) -> str | None:
     divisors = zero_divisors(algebra)
-    for p in set(given.min_primes) | set(given.min_saturated_primes):
+    for p in set(min_primes(algebra)) | set(min_saturated_primes(algebra)):
         for a in bits(p & ~1):
             if not divisors >> a & 1:
                 return f"{algebra.names[a]} in {_labels(algebra, p)} is no zero divisor"
     return None
 
 
-def _audit_minimal_primes_equal_minimal_saturated(
-    algebra: Algebra, given: _AuditInputs
-) -> str | None:
-    if given.min_primes != given.min_saturated_primes:
+def _audit_minimal_primes_equal_minimal_saturated(algebra: Algebra) -> str | None:
+    if min_primes(algebra) != min_saturated_primes(algebra):
         return "the two minimal families differ"
     return None
 
 
-def _audit_associated_primes_are_annihilators(algebra: Algebra, given: _AuditInputs) -> str | None:
+def _audit_associated_primes_are_annihilators(algebra: Algebra) -> str | None:
     annihilators = {annihilator(algebra, u) for u in range(1, algebra.order)}
     for x, p in associated_primes(algebra):
         if not is_prime(algebra, p):
@@ -468,16 +442,16 @@ def _audit_associated_primes_are_annihilators(algebra: Algebra, given: _AuditInp
     return None
 
 
-def _audit_primary_radical_is_prime(algebra: Algebra, given: _AuditInputs) -> str | None:
-    for q in given.primaries:
+def _audit_primary_radical_is_prime(algebra: Algebra) -> str | None:
+    for q in _primaries(algebra):
         if not is_prime(algebra, radical(algebra, q)):
             return f"r({_labels(algebra, q)}) is not prime"
     return None
 
 
-def _audit_primary_intersections_stay_primary(algebra: Algebra, given: _AuditInputs) -> str | None:
+def _audit_primary_intersections_stay_primary(algebra: Algebra) -> str | None:
     by_radical: dict[int, list[int]] = {}
-    for q in given.primaries:
+    for q in _primaries(algebra):
         by_radical.setdefault(radical(algebra, q), []).append(q)
     for p, group in by_radical.items():
         meet_all = algebra._full
@@ -502,9 +476,10 @@ def _audit_primary_intersections_stay_primary(algebra: Algebra, given: _AuditInp
     return None
 
 
-def _audit_weak_decomposition_exact(algebra: Algebra, given: _AuditInputs) -> str | None:
-    for j in given.proper_saturated:
-        if radical(algebra, j) != j:
+def _audit_weak_decomposition_exact(algebra: Algebra) -> str | None:
+    full = algebra._full
+    for j in enumerate_saturated_ideals(algebra):
+        if j == full or radical(algebra, j) != j:
             continue
         result = weak_decompose(algebra, j)
         for c in result.components:
@@ -521,14 +496,12 @@ def _audit_weak_decomposition_exact(algebra: Algebra, given: _AuditInputs) -> st
     return None
 
 
-def _audit_radical_decomposition_matches_minimal_primes(
-    algebra: Algebra, given: _AuditInputs
-) -> str | None:
+def _audit_radical_decomposition_matches_minimal_primes(algebra: Algebra) -> str | None:
     if algebra.is_trivial:
         return None
     result = radical_decomposition(algebra, 1)
     comps = set(result.components)
-    minimal = given.min_primes
+    minimal = min_primes(algebra)
     if not set(minimal) <= comps:
         return "a minimal prime is missing from the components"
     slim = minimalize(result)
@@ -537,22 +510,32 @@ def _audit_radical_decomposition_matches_minimal_primes(
     return None
 
 
-def _audit_evans_property(algebra: Algebra, given: _AuditInputs) -> str | None:
-    if given.evans_failure is not None:
-        return f"evans fails at {_labels(algebra, given.evans_failure)}"
+def _evans_failure(algebra: Algebra) -> int | None:
+    """The first proper saturated ideal failing Evans' condition, if any."""
+    full = algebra._full
+    for i in enumerate_saturated_ideals(algebra):
+        if i != full and not evans_report(algebra, i).passed:
+            return i
     return None
 
 
-def _audit_laskerian_implies_evans(algebra: Algebra, given: _AuditInputs) -> str | None:
-    failure = given.evans_failure
+def _audit_evans_property(algebra: Algebra) -> str | None:
+    failure = _evans_failure(algebra)
+    if failure is not None:
+        return f"evans fails at {_labels(algebra, failure)}"
+    return None
+
+
+def _audit_laskerian_implies_evans(algebra: Algebra) -> str | None:
+    failure = _evans_failure(algebra)
     if failure is not None and laskerian_check(algebra).laskerian:
         return f"laskerian algebra fails evans at {_labels(algebra, failure)}"
     return None
 
 
-def _audit_divisor_sets(algebra: Algebra, given: _AuditInputs) -> str | None:
+def _audit_divisor_sets(algebra: Algebra) -> str | None:
     full = algebra._full
-    for i in given.ideals:
+    for i in enumerate_ideals(algebra):
         if i == full:
             continue
         if i & ~divisor_set(algebra, i):
@@ -563,7 +546,7 @@ def _audit_divisor_sets(algebra: Algebra, given: _AuditInputs) -> str | None:
     return None
 
 
-def _audit_standard(algebra: Algebra, given: _AuditInputs) -> str | None:
+def _audit_standard(algebra: Algebra) -> str | None:
     ok, _cover = is_standard(algebra)
     if not ok:
         return "zero divisors are not a union of saturated primes"
@@ -602,13 +585,11 @@ def audit(algebra: Algebra) -> AuditResult:
 
     A finite algebra satisfies both chain conditions vacuously, so every
     check must pass; any failure is an engine defect, and the witness in
-    the detail string says where to look.  The ideal families and the
-    saturation of every ideal are taken once, before the first check.
+    the detail string says where to look.
     """
-    given = _AuditInputs(algebra)
     checks = []
     for name, check in _AUDIT_CHECKS:
-        failure = check(algebra, given)
+        failure = check(algebra)
         if failure is None:
             checks.append(AuditCheck(name, True, "ok"))
         else:

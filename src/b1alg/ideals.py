@@ -3,24 +3,24 @@
 Ideals are plain int bitmasks: bit i set means element i belongs to the
 ideal, with element 0 (zero) as the least significant bit.  Every proper
 ideal result here is a mask over the algebra passed alongside it.  The
-ideals are found as joins of principal ideals, once per algebra instance,
-by ``enumerate_ideals``, which refuses algebras with more ideals than the
-enumeration bound; ``_per_algebra`` computes every family with several
-callers once per instance behind the same bound.  A public call reads the
-bound once on entry (``_bounded``), and every family it asks for inside
-uses that one value.  Saturations, radicals, joins with principal ideals,
-the ideal test, annihilators and conductors read the masks each
-``Algebra`` builds from its tables instead of scanning the tables on every
-call; ``_pairs_in`` gives every conductor of an ideal at once, and
-``conductor`` is one row of it.
+algebra's memo (``Algebra._memo``) is the engine's only cache.
+``_per_algebra`` computes each family once per instance, the ideals
+themselves included: ``enumerate_ideals`` finds them as joins of principal
+ideals and refuses once it finds more than the enumeration bound.
+``_bounded`` alone holds a known ideal count to that bound: a public call
+reads the bound once on entry, and every bounded call, nested or not,
+refuses an algebra whose memoized ideals exceed it.  Saturations, radicals,
+joins with principal ideals, the ideal test, annihilators and conductors
+read the masks each ``Algebra`` builds from its tables instead of scanning
+the tables on every call; ``_pairs_in`` gives every conductor of an ideal
+at once, and ``conductor`` is one row of it.
 
 ``_per_mask`` computes each per-ideal result once per instance and mask:
 saturations, radicals and the ideal test here, prime witnesses, primarity
 and divisor sets in ``spectrum``, and, through ``_per_mask_record``, the
-Bourne congruences here and the Evans reports and radical decompositions
-in ``decompose``.  Every caller, the one-pass filters included, goes
-through the memoized function.  It makes no bound check, so these still
-answer past the bound.
+Evans reports and radical decompositions in ``decompose``.  Every caller,
+the one-pass filters included, goes through the memoized function.  It
+makes no bound check, so these still answer past the bound.
 
 The operations mirror the classical ones: generated ideals, the saturation
 closure I-bar = {a : a + i = i for some i in I}, radicals, annihilators,
@@ -71,22 +71,29 @@ _call_bound = contextvars.ContextVar("b1alg_enumeration_bound", default=0)
 
 
 def _bounded(fn):
-    """Run fn with the enumeration bound read once for the whole call.
+    """Run fn(algebra, ...) with the enumeration bound read once for the
+    whole call, refusing an algebra whose known ideals exceed it.
 
     The outermost call reads ``enumeration_bound()`` and holds it until it
     returns or raises; every bounded function it reaches inside, however
-    deeply nested, uses that value instead of reading the environment again.
+    deeply nested, uses that value instead of reading the environment
+    again.  Every call, nested or not, compares the algebra's memoized
+    ideal count, if any, with that bound, so a lowered bound refuses every
+    family, whatever was computed before.
     """
 
     @functools.wraps(fn)
-    def call(*args):
-        if _call_bound.get():
-            return fn(*args)
-        token = _call_bound.set(enumeration_bound())
-        try:
-            return fn(*args)
-        finally:
-            _call_bound.reset(token)
+    def call(algebra: Algebra, *args):
+        bound = _call_bound.get()
+        if not bound:
+            token = _call_bound.set(enumeration_bound())
+            try:
+                return call(algebra, *args)
+            finally:
+                _call_bound.reset(token)
+        if len(algebra._memo.get(_IDEALS, ())) > bound:
+            raise _over_bound(algebra, bound)
+        return fn(algebra, *args)
 
     return call
 
@@ -119,22 +126,19 @@ def _canonical(masks) -> list[int]:
 
 
 def _per_algebra(fn):
-    """Run fn(algebra) once per algebra instance, memoized on the instance.
-
-    Every call, memo hits included, first goes through enumerate_ideals,
-    which holds the ideal count to the bound of the call in progress.  A
-    direct call reads that bound on entry (``_bounded``), so a lowered
-    bound refuses every family, whatever was computed before.
-    """
+    """Run fn(algebra) once per algebra instance, memoized on the instance
+    under fn, behind ``_bounded``.  A memo hit reads the memo and nothing
+    else."""
 
     @_bounded
     @functools.wraps(fn)
     def once(algebra: Algebra):
-        enumerate_ideals(algebra)
         memo = algebra._memo
-        if fn not in memo:
-            memo[fn] = fn(algebra)
-        return memo[fn]
+        try:
+            return memo[fn]
+        except KeyError:
+            out = memo[fn] = fn(algebra)
+            return out
 
     return once
 
@@ -143,12 +147,12 @@ def _per_mask(fn):
     """Run fn(algebra, mask) once per algebra instance and mask, memoized
     on the instance in a dict keyed by mask.
 
-    Unlike ``_per_algebra`` it makes no enumeration-bound check, so the
-    functions it wraps still answer past the bound.  Errors are not
-    memoized.  fn must return immutable values that do not refer to the
-    algebra, or the memo would keep its own algebra alive.  Callers never
-    read fn around the memo; a function whose memo would not pay, such as
-    ``_pairs_in``, is left unwrapped instead.
+    It is not bounded, so the functions it wraps still answer past the
+    enumeration bound.  Errors are not memoized.  fn must return immutable
+    values that do not refer to the algebra, or the memo would keep its own
+    algebra alive.  Callers never read fn around the memo; a function whose
+    memo would not pay, such as ``_pairs_in`` or ``bourne_congruence``, is
+    left unwrapped instead.
     """
 
     @functools.wraps(fn)
@@ -258,6 +262,7 @@ def generated_ideal(algebra: Algebra, elements) -> int:
     mul = algebra.mul
     mask = 1
     for s in elements:
+        algebra._require_element(s)
         for a in algebra.elements():
             mask |= 1 << mul[a][s]
     return _additive_closure(algebra, mask)
@@ -316,6 +321,7 @@ def ideal_product(algebra: Algebra, left: int, right: int) -> int:
 
 def annihilator(algebra: Algebra, s: int) -> int:
     """Ann(s) = {x : s*x = 0}; always a saturated ideal."""
+    algebra._require_element(s)
     return algebra._products[0] >> s * algebra.order & algebra._full
 
 
@@ -331,6 +337,7 @@ def conductor(algebra: Algebra, x: int, mask: int) -> int:
 
     Bits of J at or past the order are ignored.
     """
+    algebra._require_element(x)
     return _pairs_in(algebra, mask) >> x * algebra.order & algebra._full
 
 
@@ -362,10 +369,17 @@ def _join(algebra: Algebra, ideal: int, other: int) -> int:
 # ---------------------------------------------------------------------------
 # Ideal enumeration by joins of principal ideals
 
-def _scan_ideals(algebra: Algebra, bound: int) -> tuple[int, ...]:
+def enumerate_ideals(algebra: Algebra) -> tuple[int, ...]:
+    """All ideals, sorted by cardinality then by mask value.
+
+    Found once per algebra as joins of principal ideals, in time that grows
+    with their number; the scan stops as soon as it finds more ideals than
+    the bound in force.
+    """
     # Every ideal is the sum of the principal ideals A*a of its members, so
     # joining each known ideal with A*a, for a = 1..n-1 in turn, finds them
     # all.
+    bound = _call_bound.get()
     found = {1}
     for a in range(1, algebra.order):
         principal = algebra._principal[a]
@@ -376,20 +390,9 @@ def _scan_ideals(algebra: Algebra, bound: int) -> tuple[int, ...]:
     return tuple(_canonical(found))
 
 
-@_bounded
-def enumerate_ideals(algebra: Algebra) -> tuple[int, ...]:
-    """All ideals, sorted by cardinality then by mask value.
-
-    Found once per algebra as joins of principal ideals, in time that grows
-    with their number; refused past the enumeration bound on every call.
-    """
-    bound = _call_bound.get()
-    memo = algebra._memo
-    if _scan_ideals not in memo:
-        memo[_scan_ideals] = _scan_ideals(algebra, bound)
-    if len(memo[_scan_ideals]) > bound:
-        raise _over_bound(algebra, bound)
-    return memo[_scan_ideals]
+# The memo key of the ideals, whose count _bounded holds to the bound.
+_IDEALS = enumerate_ideals
+enumerate_ideals = _per_algebra(enumerate_ideals)
 
 
 @_per_algebra
@@ -456,7 +459,6 @@ def _member_sum(algebra: Algebra, mask: int) -> int:
     return t
 
 
-@_per_mask_record
 def bourne_congruence(algebra: Algebra, mask: int) -> Congruence:
     """Congruence of an ideal: a ~ b iff a + w = b + w for some w in I.
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 import warnings
 
@@ -206,6 +207,34 @@ class TestAxiomLaws:
             ("left-distributive", "right-distributive"),
         }
 
+    def test_check_matches_the_full_scan_on_every_small_table(self):
+        # Every commutative table of orders 2-4 with idempotent addition,
+        # zero as additive identity and absorbing, and the last element as
+        # one, so the fast pass runs on each: between them they break each
+        # ternary law alone at every kind of triple the fast pass skips.
+        tables = 0
+        for n in (2, 3, 4):
+            one = n - 1
+            add_cells = list(itertools.combinations(range(1, n), 2))
+            mul_cells = list(itertools.combinations_with_replacement(range(1, one), 2))
+            for add_values in itertools.product(range(n), repeat=len(add_cells)):
+                # the fixed cells; every other cell is one of the free ones
+                add = [[a + b if 0 in (a, b) else a for b in range(n)] for a in range(n)]
+                for (a, b), v in zip(add_cells, add_values):
+                    add[a][b] = add[b][a] = v
+                add = tuple(map(tuple, add))
+                for mul_values in itertools.product(range(n), repeat=len(mul_cells)):
+                    mul = [[b if a == one else a if b == one else 0 for b in range(n)]
+                           for a in range(n)]
+                    for (a, b), v in zip(mul_cells, mul_values):
+                        mul[a][b] = mul[b][a] = v
+                    mul = tuple(map(tuple, mul))
+                    assert check_axioms(add, mul, one) == oracles.axiom_report_oracle(
+                        add, mul, one
+                    ), (add, mul)
+                    tables += 1
+        assert tables == 1 + 9 + 4096
+
 
 class TestConstructions:
     def test_product_of_booleans(self, b1):
@@ -285,6 +314,16 @@ class TestConstructions:
         assert all(ex62.power(x, k) == x for k in range(1, 7))
         with pytest.raises(b.AlgebraError):
             ex62.power(x, 0)
+
+    def test_element_indices_are_range_checked(self, ex62):
+        for index in (ex62.order, -1):
+            for call in (
+                lambda: ex62.leq(index, 0),
+                lambda: ex62.leq(0, index),
+                lambda: ex62.power(index, 2),
+            ):
+                with pytest.raises(b.AlgebraError, match=f"element index {index} is out of"):
+                    call()
 
     def test_structural_equality(self, b1, ex62):
         assert b1 != ex62

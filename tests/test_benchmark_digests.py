@@ -4,12 +4,15 @@ The benchmark in perfbench/ counts an op whose report differs from the
 digest recorded in perfbench/expected.json as failed.  These tests run the
 same ops untimed: the fleet op on every algebra the fleet generator can
 draw, and every CLI op of the cli-small and enum-large workloads in both
-report formats.  They only read perfbench/.
+report formats.  The CLI workloads also install the tracer of
+perfbench/tracing.py, so every engine name it wraps must exist.  They only
+read perfbench/.
 """
 
 from __future__ import annotations
 
 import contextlib
+import importlib
 import io
 import json
 import sys
@@ -23,6 +26,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import inputs  # noqa: E402  (perfbench/inputs.py)
 import run  # noqa: E402  (perfbench/run.py)
+import tracing  # noqa: E402  (perfbench/tracing.py)
 import worker  # noqa: E402  (perfbench/worker.py)
 
 
@@ -35,6 +39,16 @@ def recorded():
 def default_bound(monkeypatch):
     # The benchmark's children run without B1ALG_ENUM_BOUND.
     monkeypatch.delenv("B1ALG_ENUM_BOUND", raising=False)
+
+
+def test_every_traced_name_is_an_engine_function():
+    # Tracer.install looks each name up; a missing one fails every traced op.
+    missing = [
+        f"{module}.{name}"
+        for module, name in tracing.TRACED
+        if not callable(getattr(importlib.import_module(f"b1alg.{module}"), name, None))
+    ]
+    assert missing == []
 
 
 def test_fleet_op_matches_the_recorded_digests(recorded):

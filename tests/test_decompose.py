@@ -372,8 +372,9 @@ def _fresh(algebra: b.Algebra) -> b.Algebra:
 
 class TestPerMaskMemo:
     # Saturations, radicals, the ideal test, prime witnesses, primarity,
-    # divisor sets, and the Bourne, Evans and decomposition records are
-    # memoized per algebra and mask.
+    # divisor sets, and the Evans and decomposition records are memoized
+    # per algebra and mask.  Bourne congruences are not: each is asked for
+    # once per analysis.
 
     def test_memoized_functions_match_the_oracles(self, small_random_fleet, past_order_six):
         spectrum = importlib.import_module("b1alg.spectrum")
@@ -437,8 +438,7 @@ class TestPerMaskMemo:
     def test_memoized_functions_keep_their_names(self):
         spectrum = importlib.import_module("b1alg.spectrum")
         for fn in (
-            b.saturation, b.radical, b.ideal_violation, b.bourne_congruence,
-            spectrum._prime_witness, b.is_primary, b.divisor_set,
-            b.evans_report, b.radical_decomposition,
+            b.saturation, b.radical, b.ideal_violation, spectrum._prime_witness,
+            b.is_primary, b.divisor_set, b.evans_report, b.radical_decomposition,
         ):
             assert fn.__name__ == fn.__wrapped__.__name__

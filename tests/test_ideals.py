@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import importlib
 import os
 import weakref
 from types import SimpleNamespace
@@ -138,6 +139,17 @@ class TestAnnihilatorsAndConductors:
         got = b.annihilator_set(ex62, [ex62.index["x"], ex62.index["y"]])
         assert got == msk(ex62, "z")
 
+    def test_element_indices_are_range_checked(self, ex62):
+        for index in (ex62.order, -1):
+            for call in (
+                lambda: b.annihilator(ex62, index),
+                lambda: b.annihilator_set(ex62, [0, index]),
+                lambda: b.conductor(ex62, index, 1),
+                lambda: b.generated_ideal(ex62, [index]),
+            ):
+                with pytest.raises(b.AlgebraError, match=f"element index {index} is out of"):
+                    call()
+
     def test_annihilators_saturated(self, ex62, chain4, small_random_fleet):
         for algebra in [ex62, chain4, *small_random_fleet[:10]]:
             for s in algebra.elements():
@@ -251,6 +263,25 @@ class TestEnumeration:
                     reads.clear()
                     call(algebra)
                     assert reads == ["B1ALG_ENUM_BOUND"], call.__name__
+
+    def test_a_family_memo_hit_reads_only_the_memo(self, monkeypatch):
+        algebra = b.builtin("example-6-2")  # fresh instance, empty memo
+        b.spectrum(algebra)
+        calls = []
+
+        def counting(alg):
+            calls.append(alg)
+            return ()
+
+        spectrum_module = importlib.import_module("b1alg.spectrum")
+        for module in (ideals_module, spectrum_module):
+            monkeypatch.setattr(module, "enumerate_ideals", counting)
+        for family in (
+            b.primes, b.saturated_primes, b.enumerate_saturated_ideals, b.min_primes,
+            b.max_saturated, b.associated_primes, b.is_standard, b.spectrum,
+        ):
+            family(algebra)
+        assert calls == []
 
     def test_bound_env_override(self, ex62, monkeypatch):
         monkeypatch.setenv("B1ALG_ENUM_BOUND", "4")

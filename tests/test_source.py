@@ -27,8 +27,9 @@ def test_no_assert_statements_in_the_package():
 
 
 def test_no_module_level_mutable_containers_in_the_package():
-    # The per-algebra memo (ideals._per_algebra) is the engine's only cache;
-    # a module-level dict, list or set would be a second, global one.
+    # The algebra's memo (Algebra._memo, filled through ideals._per_algebra
+    # and ideals._per_mask) is the engine's only cache; a module-level dict,
+    # list or set would be a second, global one.
     displays = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
     factories = {"dict", "list", "set", "WeakKeyDictionary", "WeakValueDictionary"}
     found = []
@@ -60,6 +61,19 @@ def test_no_memo_bypasses_in_the_package():
             if isinstance(node, ast.Attribute) and node.attr == "__wrapped__"
         ]
     assert found == []
+
+
+def test_audit_checks_take_only_the_algebra():
+    # Each audit check asks the memoized families itself; a second
+    # parameter would carry a per-call copy of what the memo already holds.
+    tree = ast.parse((PACKAGE_DIR / "decompose.py").read_text(encoding="utf-8"))
+    checks = {
+        node.name: [a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)]
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_audit_")
+    }
+    assert len(checks) == 21
+    assert {name: args for name, args in checks.items() if args != ["algebra"]} == {}
 
 
 def test_no_exponential_subset_loops_in_the_package():
