@@ -61,10 +61,12 @@ class Algebra:
     ``add[a][b]`` is the index of a + b.  ``zero`` is always 0.
     Instances compare and hash structurally, but derived ideal families
     and per-ideal results are memoized per instance in ``_memo``, keyed by
-    the computing function (see ``ideals._per_algebra`` and
-    ``ideals._per_mask``, whose entry is a dict keyed by mask), so equal
-    tables built twice each compute their own.  No entry refers back to
-    the instance, so reference counting alone frees it.
+    the computing function, so equal tables built twice each compute their
+    own.  A family's entry is its result (``ideals._per_algebra``); a
+    per-ideal function's entry is a dict keyed by mask, of results
+    (``ideals._per_mask``) or of a record's class and fields without the
+    algebra (``ideals._per_mask_record``).  No entry refers back to the
+    instance, so reference counting alone frees it.
 
     The tables are also read once into bitmasks, so that saturations,
     radicals, joins, conductors and the prime and primary questions are
@@ -90,16 +92,21 @@ class Algebra:
         one: int,
     ):
         self.names = tuple(names)
-        self.add = tuple(tuple(row) for row in add)
-        self.mul = tuple(tuple(row) for row in mul)
+        self.add = tuple(map(tuple, add))
+        self.mul = tuple(map(tuple, mul))
         self.zero = 0
         self.one = one
         self.index = {name: i for i, name in enumerate(self.names)}
         n = len(self.names)
         self._full = (1 << n) - 1
-        self._above = tuple(
-            sum(1 << i for i, s in enumerate(row) if s == i) for row in self.add
-        )
+        above = []
+        for row in self.add:
+            mask = 0
+            for i, s in enumerate(row):
+                if s == i:
+                    mask |= 1 << i
+            above.append(mask)
+        self._above = tuple(above)
         powers = []
         for a in range(n):
             orbit, p = 0, a
@@ -276,7 +283,7 @@ def _label_problem(names: tuple[str, ...]) -> str | None:
         dup = next(n for i, n in enumerate(names) if n in names[:i])
         return f"duplicate label {dup!r}"
     for name in names:
-        if not name or any(ch in name for ch in _FORBIDDEN_IN_LABEL) or name.split() != [name]:
+        if not name or any(map(name.__contains__, _FORBIDDEN_IN_LABEL)) or name.split() != [name]:
             return (
                 f"bad label {name!r}: labels are non-empty and contain no "
                 "whitespace, '#' or ','"

@@ -130,7 +130,7 @@ def parse_algebra_text(text: str) -> Algebra:
                         f"expected {len(names)}",
                     )
                 try:
-                    table.append(tuple(index[entry] for entry in row))
+                    table.append(tuple(map(index.__getitem__, row)))
                 except KeyError as exc:
                     entry = exc.args[0]
                     raise ParseError(

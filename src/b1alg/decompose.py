@@ -103,7 +103,7 @@ class AuditResult(namedtuple("AuditResult", "algebra checks")):
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return all([c.passed for c in self.checks])
 
 
 def _require_saturated_proper(algebra: Algebra, mask: int) -> None:
@@ -223,7 +223,7 @@ def laskerian_check(algebra: Algebra) -> LaskerianReport:
     saturated = enumerate_saturated_ideals(algebra)
     proper_saturated = [m for m in saturated if m != full]
     primaries = _primaries(algebra)
-    sat_primaries = tuple(q for q in primaries if is_saturated(algebra, q))
+    sat_primaries = tuple([q for q in primaries if is_saturated(algebra, q)])
 
     reachable: dict[int, tuple[int, ...]] = {q: (q,) for q in sat_primaries}
     frontier = list(sat_primaries)
@@ -272,9 +272,9 @@ def evans_report(algebra: Algebra, mask: int) -> EvansReport:
         if not mask >> y & 1:
             conductors.setdefault(pairs >> y * n & full, y)
     maximal = _canonical(_maximal(conductors))
-    entries = tuple((conductors[c], c) for c in maximal)
-    all_prime = all(is_prime(algebra, c) for c in maximal)
-    all_saturated = all(is_saturated(algebra, c) for c in maximal)
+    entries = tuple([(conductors[c], c) for c in maximal])
+    all_prime = all([is_prime(algebra, c) for c in maximal])
+    all_saturated = all([is_saturated(algebra, c) for c in maximal])
     union = 0
     for c in maximal:
         union |= c
@@ -313,15 +313,25 @@ def _audit_axioms(algebra: Algebra) -> str | None:
 def _audit_natural_order(algebra: Algebra) -> str | None:
     # up[a] = {b : a <= b}, read from the add rows here rather than from
     # Algebra._above, so that the check stays independent.
-    up = [sum(1 << b for b, s in enumerate(row) if s == b) for row in algebra.add]
+    up = []
+    for row in algebra.add:
+        mask = 0
+        for b, s in enumerate(row):
+            if s == b:
+                mask |= 1 << b
+        up.append(mask)
     for a in range(algebra.order):
         if not up[0] >> a & 1:
             return f"zero not below {algebra.names[a]}"
-        for b in bits(up[a]):
+        rest = up[a]
+        while rest:
+            low = rest & -rest
+            b = low.bit_length() - 1
             if up[b] >> a & 1 and a != b:
                 return f"antisymmetry fails at ({algebra.names[a]}, {algebra.names[b]})"
             if up[b] & ~up[a]:
                 return "transitivity fails"
+            rest ^= low
     return None
 
 
@@ -401,8 +411,9 @@ def _audit_bourne_zero_class(algebra: Algebra) -> str | None:
 
 
 def _audit_generated_roundtrip(algebra: Algebra) -> str | None:
+    everything = algebra.elements()
     for i in enumerate_ideals(algebra):
-        if generated_ideal(algebra, bits(i)) != i:
+        if generated_ideal(algebra, [e for e in everything if i >> e & 1]) != i:
             return f"regenerating {_labels(algebra, i)} changed it"
     return None
 

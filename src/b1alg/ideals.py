@@ -3,24 +3,29 @@
 Ideals are plain int bitmasks: bit i set means element i belongs to the
 ideal, with element 0 (zero) as the least significant bit.  Every proper
 ideal result here is a mask over the algebra passed alongside it.  The
-algebra's memo (``Algebra._memo``) is the engine's only cache.
-``_per_algebra`` computes each family once per instance, the ideals
-themselves included: ``enumerate_ideals`` finds them as joins of principal
-ideals and refuses once it finds more than the enumeration bound.
-``_bounded`` alone holds a known ideal count to that bound: a public call
-reads the bound once on entry, and every bounded call, nested or not,
-refuses an algebra whose memoized ideals exceed it.  Saturations, radicals,
-joins with principal ideals, the ideal test, annihilators and conductors
-read the masks each ``Algebra`` builds from its tables instead of scanning
-the tables on every call; ``_pairs_in`` gives every conductor of an ideal
-at once, and ``conductor`` is one row of it.
+algebra's memo (``Algebra._memo``) is the engine's only cache, and a memo
+hit is one Python frame.  ``_per_algebra`` computes each family once per
+instance, the ideals themselves included: ``enumerate_ideals`` finds them
+as joins of principal ideals and refuses once it finds more than the
+enumeration bound.  ``_bounded`` alone holds a known ideal count to that
+bound, and ``_per_algebra`` is its memoizing form: a public call reads the
+bound once on entry, and every bounded call, nested or not, refuses an
+algebra whose memoized ideals exceed it before it reads the memo.
+Saturations, radicals, joins with principal ideals, the ideal test,
+annihilators and conductors read the masks each ``Algebra`` builds from its
+tables instead of scanning the tables on every call; ``_pairs_in`` gives
+every conductor of an ideal at once, and ``conductor`` is one row of it.
+Sums, products and intersections refuse a mask with a bit at or past the
+order, as the Bourne congruence does.
 
 ``_per_mask`` computes each per-ideal result once per instance and mask:
-saturations, radicals and the ideal test here, prime witnesses, primarity
-and divisor sets in ``spectrum``, and, through ``_per_mask_record``, the
-Evans reports and radical decompositions in ``decompose``.  Every caller,
-the one-pass filters included, goes through the memoized function.  It
-makes no bound check, so these still answer past the bound.
+saturations, the saturated test, radicals and the ideal test here, prime
+witnesses, primarity and divisor sets in ``spectrum``, and, through
+``_per_mask_record``, the Evans reports and radical decompositions in
+``decompose``.  Every caller, the one-pass filters included, goes through
+the memoized function.  It makes no bound check, so these still answer
+past the bound.  The hot loops walk mask bits inline and build lists
+rather than resume generators, so they enter no frame per item.
 
 The operations mirror the classical ones: generated ideals, the saturation
 closure I-bar = {a : a + i = i for some i in I}, radicals, annihilators,
@@ -70,7 +75,7 @@ def enumeration_bound() -> int:
 _call_bound = contextvars.ContextVar("b1alg_enumeration_bound", default=0)
 
 
-def _bounded(fn):
+def _bounded(fn, memoize: bool = False):
     """Run fn(algebra, ...) with the enumeration bound read once for the
     whole call, refusing an algebra whose known ideals exceed it.
 
@@ -79,21 +84,32 @@ def _bounded(fn):
     deeply nested, uses that value instead of reading the environment
     again.  Every call, nested or not, compares the algebra's memoized
     ideal count, if any, with that bound, so a lowered bound refuses every
-    family, whatever was computed before.
+    family, whatever was computed before.  With ``memoize`` (see
+    ``_per_algebra``) the same body then reads fn's memo entry, so a
+    family hit with the bound held is one frame.
     """
 
     @functools.wraps(fn)
     def call(algebra: Algebra, *args):
+        memo = algebra._memo
         bound = _call_bound.get()
+        token = None
         if not bound:
-            token = _call_bound.set(enumeration_bound())
+            bound = enumeration_bound()
+            token = _call_bound.set(bound)
+        try:
+            if len(memo.get(_IDEALS, ())) > bound:
+                raise _over_bound(algebra, bound)
+            if not memoize or args:  # a family takes the algebra alone
+                return fn(algebra, *args)
             try:
-                return call(algebra, *args)
-            finally:
+                return memo[fn]
+            except KeyError:
+                out = memo[fn] = fn(algebra)
+                return out
+        finally:
+            if token is not None:
                 _call_bound.reset(token)
-        if len(algebra._memo.get(_IDEALS, ())) > bound:
-            raise _over_bound(algebra, bound)
-        return fn(algebra, *args)
 
     return call
 
@@ -113,6 +129,20 @@ def bits(mask: int):
         mask ^= low
 
 
+def _stray_bit(algebra: Algebra, mask: int) -> int:
+    """The lowest bit of mask at or past the order."""
+    high = mask >> algebra.order
+    return (high & -high).bit_length() - 1 + algebra.order
+
+
+def _out_of_range(algebra: Algebra, mask: int) -> AlgebraError:
+    """The refusal of a mask with a bit at or past the order, naming the lowest."""
+    return AlgebraError(
+        "the set contains an out-of-range element "
+        f"(witness: bit {_stray_bit(algebra, mask)})"
+    )
+
+
 def mask_of(elements) -> int:
     out = 0
     for e in elements:
@@ -122,30 +152,21 @@ def mask_of(elements) -> int:
 
 def _canonical(masks) -> list[int]:
     """Masks in the canonical report order: cardinality, then mask value."""
-    return sorted(masks, key=lambda m: (m.bit_count(), m))
+    # The sort is stable, so sorting by value first leaves ties by value.
+    return sorted(sorted(masks), key=int.bit_count)
 
 
 def _per_algebra(fn):
     """Run fn(algebra) once per algebra instance, memoized on the instance
-    under fn, behind ``_bounded``.  A memo hit reads the memo and nothing
-    else."""
-
-    @_bounded
-    @functools.wraps(fn)
-    def once(algebra: Algebra):
-        memo = algebra._memo
-        try:
-            return memo[fn]
-        except KeyError:
-            out = memo[fn] = fn(algebra)
-            return out
-
-    return once
+    under fn: the memoizing form of ``_bounded``, whose one wrapper body
+    holds the bound, compares the memoized ideal count and then reads the
+    memo.  A hit calls nothing else."""
+    return _bounded(fn, memoize=True)
 
 
 def _per_mask(fn):
     """Run fn(algebra, mask) once per algebra instance and mask, memoized
-    on the instance in a dict keyed by mask.
+    on the instance in a dict keyed by mask.  A hit is one frame.
 
     It is not bounded, so the functions it wraps still answer past the
     enumeration bound.  Errors are not memoized.  fn must return immutable
@@ -173,18 +194,21 @@ def _per_mask_record(fn):
     """``_per_mask`` for fn(algebra, mask) returning a record whose first
     field is the algebra.
 
-    The memo keeps the record's class and its other fields and rebuilds
-    the record on every call, so no memo entry refers to its own algebra.
+    Its own per-mask dict keeps the record's class and its other fields,
+    and every call rebuilds the record from them, so no memo entry refers
+    to its own algebra and a hit is one frame.
     """
-
-    @_per_mask
-    def parts(algebra: Algebra, mask: int):
-        record = fn(algebra, mask)
-        return type(record), record[1:]
 
     @functools.wraps(fn)
     def once(algebra: Algebra, mask: int):
-        cls, rest = parts(algebra, mask)
+        memo = algebra._memo.get(fn)
+        if memo is None:
+            memo = algebra._memo[fn] = {}
+        try:
+            cls, rest = memo[mask]
+        except KeyError:
+            record = fn(algebra, mask)
+            cls, rest = memo[mask] = type(record), record[1:]
         return cls(algebra, *rest)
 
     return once
@@ -214,11 +238,15 @@ def is_ideal(algebra: Algebra, mask: int) -> bool:
 def ideal_violation(algebra: Algebra, mask: int) -> tuple[str, tuple[int, ...]] | None:
     """First failed ideal condition as (description, witness), else None."""
     if mask & ~algebra._full:
-        stray = next(i for i in bits(mask) if i >= algebra.order)
-        return ("contains an out-of-range element", (stray,))
+        return ("contains an out-of-range element", (_stray_bit(algebra, mask),))
     if not mask & 1:
         return ("does not contain zero", (0,))
-    members = list(bits(mask))
+    members = []
+    rest = mask
+    while rest:
+        low = rest & -rest
+        members.append(low.bit_length() - 1)
+        rest ^= low
     # i + i = i and i + j = j + i, so the first failing pair (i, j) has i < j.
     for k, i in enumerate(members):
         row = algebra.add[i]
@@ -241,7 +269,12 @@ def _additive_closure(algebra: Algebra, mask: int) -> int:
     changed = True
     while changed:
         changed = False
-        members = list(bits(mask))
+        members = []
+        rest = mask
+        while rest:
+            low = rest & -rest
+            members.append(low.bit_length() - 1)
+            rest ^= low
         for i in members:
             row = add[i]
             for j in members:
@@ -261,9 +294,10 @@ def generated_ideal(algebra: Algebra, elements) -> int:
     """
     mul = algebra.mul
     mask = 1
+    everything = algebra.elements()
     for s in elements:
         algebra._require_element(s)
-        for a in algebra.elements():
+        for a in everything:
             mask |= 1 << mul[a][s]
     return _additive_closure(algebra, mask)
 
@@ -281,6 +315,7 @@ def saturation(algebra: Algebra, mask: int) -> int:
     return out
 
 
+@_per_mask
 def is_saturated(algebra: Algebra, mask: int) -> bool:
     # saturation drops bits at or past the order, so such a mask is never saturated
     return saturation(algebra, mask) == mask
@@ -302,14 +337,21 @@ def radical(algebra: Algebra, mask: int) -> int:
 def ideal_sum(algebra: Algebra, left: int, right: int) -> int:
     # The union of two ideals is already closed under external
     # multiplication, so only the additive closure is missing.
-    return _additive_closure(algebra, left | right)
+    union = left | right
+    if union & ~algebra._full:
+        raise _out_of_range(algebra, union)
+    return _additive_closure(algebra, union)
 
 
 def ideal_intersect(algebra: Algebra, left: int, right: int) -> int:
+    if (left | right) & ~algebra._full:
+        raise _out_of_range(algebra, left | right)
     return left & right
 
 
 def ideal_product(algebra: Algebra, left: int, right: int) -> int:
+    if (left | right) & ~algebra._full:
+        raise _out_of_range(algebra, left | right)
     mul = algebra.mul
     mask = 1
     for i in bits(left):
@@ -358,11 +400,19 @@ def _join(algebra: Algebra, ideal: int, other: int) -> int:
     """I + J = {i + j}; only sums of i outside J and j outside I are new."""
     add = algebra.add
     joined = ideal | other
-    fresh = list(bits(other & ~ideal))
-    for i in bits(ideal & ~other):
-        row = add[i]
+    fresh = []
+    rest = other & ~ideal
+    while rest:
+        low = rest & -rest
+        fresh.append(low.bit_length() - 1)
+        rest ^= low
+    rest = ideal & ~other
+    while rest:
+        low = rest & -rest
+        row = add[low.bit_length() - 1]
         for j in fresh:
             joined |= 1 << row[j]
+        rest ^= low
     return joined
 
 
@@ -397,7 +447,7 @@ enumerate_ideals = _per_algebra(enumerate_ideals)
 
 @_per_algebra
 def enumerate_saturated_ideals(algebra: Algebra) -> tuple[int, ...]:
-    return tuple(m for m in enumerate_ideals(algebra) if is_saturated(algebra, m))
+    return tuple([m for m in enumerate_ideals(algebra) if is_saturated(algebra, m)])
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +504,10 @@ def _member_sum(algebra: Algebra, mask: int) -> int:
     row x -> x + t gives its Bourne classes."""
     add = algebra.add
     t = 0
-    for w in bits(mask):
-        t = add[t][w]
+    while mask:
+        low = mask & -mask
+        t = add[t][low.bit_length() - 1]
+        mask ^= low
     return t
 
 
@@ -468,10 +520,7 @@ def bourne_congruence(algebra: Algebra, mask: int) -> Congruence:
     ideal) is refused.  The class of zero is exactly the saturation of I.
     """
     if mask & ~algebra._full:
-        stray = next(i for i in bits(mask) if i >= algebra.order)
-        raise AlgebraError(
-            f"the set contains an out-of-range element (witness: bit {stray})"
-        )
+        raise _out_of_range(algebra, mask)
     t = _member_sum(algebra, mask)
     if not mask >> t & 1:
         raise AlgebraError(

@@ -26,7 +26,6 @@ from .ideals import (
     _per_algebra,
     _per_mask,
     annihilator,
-    bits,
     enumerate_ideals,
     enumerate_saturated_ideals,
     is_saturated,
@@ -43,10 +42,14 @@ def _prime_witness(algebra: Algebra, mask: int) -> tuple[int, int] | None:
     """
     n, outside = algebra.order, algebra._full & ~mask
     pairs = _pairs_in(algebra, mask)  # row u is the conductor C_u(I)
-    for u in bits(outside):
+    rest = outside
+    while rest:
+        low = rest & -rest
+        u = low.bit_length() - 1
         hits = pairs >> u * n & outside
         if hits:
             return u, (hits & -hits).bit_length() - 1
+        rest ^= low
     return None
 
 
@@ -68,40 +71,53 @@ def is_primary(algebra: Algebra, mask: int) -> bool:
         return False
     pairs = _pairs_in(algebra, mask)  # row x is the conductor C_x(Q)
     beyond = full & ~radical(algebra, mask)
-    for x in bits(full & ~mask):
-        if pairs >> x * n & beyond:
+    rest = full & ~mask
+    while rest:
+        low = rest & -rest
+        if pairs >> (low.bit_length() - 1) * n & beyond:
             return False
+        rest ^= low
     return True
 
 
 @_per_algebra
 def primes(algebra: Algebra) -> tuple[int, ...]:
-    return tuple(m for m in enumerate_ideals(algebra) if is_prime(algebra, m))
+    return tuple([m for m in enumerate_ideals(algebra) if is_prime(algebra, m)])
 
 
 @_per_algebra
 def saturated_primes(algebra: Algebra) -> tuple[int, ...]:
-    return tuple(p for p in primes(algebra) if is_saturated(algebra, p))
+    return tuple([p for p in primes(algebra) if is_saturated(algebra, p)])
 
 
 @_per_algebra
 def _primaries(algebra: Algebra) -> tuple[int, ...]:
     """The primary ideals, in the canonical order."""
-    return tuple(m for m in enumerate_ideals(algebra) if is_primary(algebra, m))
+    return tuple([m for m in enumerate_ideals(algebra) if is_primary(algebra, m)])
 
 
 def _minimal(family) -> tuple[int, ...]:
     fam = list(family)
-    return tuple(
-        m for m in fam if not any(o != m and o & m == o for o in fam)
-    )
+    out = []
+    for m in fam:
+        for o in fam:
+            if o != m and o & m == o:
+                break
+        else:
+            out.append(m)
+    return tuple(out)
 
 
 def _maximal(family) -> tuple[int, ...]:
     fam = list(family)
-    return tuple(
-        m for m in fam if not any(o != m and o & m == m for o in fam)
-    )
+    out = []
+    for m in fam:
+        for o in fam:
+            if o != m and o & m == m:
+                break
+        else:
+            out.append(m)
+    return tuple(out)
 
 
 @_per_algebra

@@ -3,8 +3,33 @@
 from __future__ import annotations
 
 import random
+import sys
+from pathlib import Path
 
 import b1alg as b
+
+_PACKAGE = str(Path(b.__file__).parent)
+
+
+def engine_frames(call, *args) -> list[str]:
+    """Names of the b1alg frames that call(*args) enters, in order.
+
+    Counted as sys.setprofile "call" events whose code lives in the b1alg
+    package; a generator resumed n times counts n times.  The count is the
+    same on every host for a given Python version.
+    """
+    names: list[str] = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(_PACKAGE):
+            names.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        call(*args)
+    finally:
+        sys.setprofile(None)
+    return names
 
 
 def msk(algebra: b.Algebra, labels: str) -> int:

@@ -10,7 +10,29 @@ import pytest
 import b1alg as b
 import oracles
 from b1alg.decompose import DecompositionResult
-from support import idempotent_chain, lbl, msk, null_algebra
+from support import engine_frames, idempotent_chain, lbl, msk, null_algebra
+
+
+def fleet_op(algebra: b.Algebra) -> None:
+    """The library op of the benchmark's fleet workload, less parsing and
+    rendering."""
+    b.spectrum(algebra)
+    b.laskerian_check(algebra)
+    full = b.full_mask(algebra)
+    for m in b.enumerate_saturated_ideals(algebra):
+        if m != full:
+            b.evans_report(algebra, m)
+    b.minimalize(b.radical_decomposition(algebra, 1))
+    b.audit(algebra)
+
+
+# b1alg frames that fleet_op enters on a fresh example-6-2, measured on
+# Python 3.11.  The count is the same on every host, so it guards the fixed
+# per-call cost where wall time cannot; Python >= 3.12 inlines comprehensions,
+# so counts there only fall.  Re-measure with
+#     len(support.engine_frames(fleet_op, b.builtin("example-6-2")))
+# and lower the ceiling when a change cuts frames.
+FLEET_OP_FRAME_CEILING = 870
 
 
 class TestWeakDecompose:
@@ -71,17 +93,6 @@ class TestWeakDecompose:
         # Reference counting alone must free an analysed algebra, and with
         # it every family and per-mask result memoized on it: no memo entry
         # may refer back to its algebra.
-        def fleet_op(algebra):
-            # the library op of the benchmark's fleet workload
-            b.spectrum(algebra)
-            b.laskerian_check(algebra)
-            full = b.full_mask(algebra)
-            for m in b.enumerate_saturated_ideals(algebra):
-                if m != full:
-                    b.evans_report(algebra, m)
-            b.minimalize(b.radical_decomposition(algebra, 1))
-            b.audit(algebra)
-
         gc.disable()
         try:
             for analyse in (lambda a: b.radical_decomposition(a, 1), b.audit, fleet_op):
@@ -92,6 +103,10 @@ class TestWeakDecompose:
                 assert ref() is None
         finally:
             gc.enable()
+
+    def test_fleet_op_frames_stay_under_the_ceiling(self):
+        frames = engine_frames(fleet_op, b.builtin("example-6-2"))
+        assert len(frames) <= FLEET_OP_FRAME_CEILING
 
     def test_exactness_on_fleet(self, base_fleet, small_random_fleet):
         for algebra in [*base_fleet.values(), *small_random_fleet]:
@@ -371,10 +386,10 @@ def _fresh(algebra: b.Algebra) -> b.Algebra:
 
 
 class TestPerMaskMemo:
-    # Saturations, radicals, the ideal test, prime witnesses, primarity,
-    # divisor sets, and the Evans and decomposition records are memoized
-    # per algebra and mask.  Bourne congruences are not: each is asked for
-    # once per analysis.
+    # Saturations, the saturated test, radicals, the ideal test, prime
+    # witnesses, primarity, divisor sets, and the Evans and decomposition
+    # records are memoized per algebra and mask.  Bourne congruences are
+    # not: each is asked for once per analysis.
 
     def test_memoized_functions_match_the_oracles(self, small_random_fleet, past_order_six):
         spectrum = importlib.import_module("b1alg.spectrum")
@@ -438,7 +453,8 @@ class TestPerMaskMemo:
     def test_memoized_functions_keep_their_names(self):
         spectrum = importlib.import_module("b1alg.spectrum")
         for fn in (
-            b.saturation, b.radical, b.ideal_violation, spectrum._prime_witness,
-            b.is_primary, b.divisor_set, b.evans_report, b.radical_decomposition,
+            b.saturation, b.is_saturated, b.radical, b.ideal_violation,
+            spectrum._prime_witness, b.is_primary, b.divisor_set, b.evans_report,
+            b.radical_decomposition,
         ):
             assert fn.__name__ == fn.__wrapped__.__name__

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import importlib
 import os
+import re
 import weakref
 from types import SimpleNamespace
 
@@ -11,7 +12,12 @@ import pytest
 import b1alg as b
 import b1alg.ideals as ideals_module
 import oracles
-from support import lbl, msk, null_algebra
+from support import engine_frames, lbl, msk, null_algebra
+
+
+def out_of_range(bit: int) -> str:
+    """The refusal text of a mask whose lowest stray bit is bit."""
+    return re.escape(f"the set contains an out-of-range element (witness: bit {bit})")
 
 
 class TestGeneratedIdeal:
@@ -126,6 +132,24 @@ class TestIdealArithmetic:
                     p = b.ideal_product(algebra, i, j)
                     assert b.is_ideal(algebra, p)
                     assert p & ~(i & j) == 0
+
+    # A bit at or past the order is refused, naming the lowest such bit as
+    # bourne_congruence does, never with a bare IndexError or a mask that
+    # reaches past the algebra.
+    def test_sum_refuses_an_out_of_range_bit(self, ex62):
+        for left, right, stray in ((1 << 7, 1, 7), (1, 1 << 9 | 1 << 6, 6)):
+            with pytest.raises(b.AlgebraError, match=out_of_range(stray)):
+                b.ideal_sum(ex62, left, right)
+
+    def test_product_refuses_an_out_of_range_bit(self, ex62):
+        for left, right, stray in ((1 << 7 | 1, 3, 7), (3, 1 << 8 | 1, 8)):
+            with pytest.raises(b.AlgebraError, match=out_of_range(stray)):
+                b.ideal_product(ex62, left, right)
+
+    def test_intersect_refuses_an_out_of_range_bit(self, ex62):
+        for left, right, stray in ((1 << 9, 1 << 9, 9), (1, 1 << 6 | 1, 6)):
+            with pytest.raises(b.AlgebraError, match=out_of_range(stray)):
+                b.ideal_intersect(ex62, left, right)
 
 
 class TestAnnihilatorsAndConductors:
@@ -282,6 +306,25 @@ class TestEnumeration:
         ):
             family(algebra)
         assert calls == []
+
+    def test_a_memo_hit_is_one_frame(self):
+        # One wrapper body answers a hit: for a family, it holds the bound,
+        # compares the memoized ideal count and reads the memo.  The record
+        # class's own __new__ is not b1alg code, so it is not counted.
+        algebra = b.builtin("example-6-2")  # fresh instance, empty memo
+        full = b.full_mask(algebra)
+        b.spectrum(algebra)
+        b.saturation(algebra, 1)
+        b.evans_report(algebra, 1)
+        token = ideals_module._call_bound.set(ideals_module.enumeration_bound())
+        try:  # nested: a public call in progress already holds the bound
+            nested = [engine_frames(family, algebra) for family in (b.primes, b.max_saturated)]
+        finally:
+            ideals_module._call_bound.reset(token)
+        assert nested == [["call"], ["call"]]
+        assert engine_frames(b.saturation, algebra, 1) == ["once"]
+        assert engine_frames(b.is_saturated, algebra, full) == ["once"]
+        assert engine_frames(b.evans_report, algebra, 1) == ["once"]
 
     def test_bound_env_override(self, ex62, monkeypatch):
         monkeypatch.setenv("B1ALG_ENUM_BOUND", "4")
