@@ -58,7 +58,8 @@ class Algebra:
     """Immutable finite B1-algebra.
 
     ``add`` and ``mul`` are tuples of tuples of element indices;
-    ``add[a][b]`` is the index of a + b.  ``zero`` is always 0.
+    ``add[a][b]`` is the index of a + b.  ``zero`` is always 0, and
+    ``order``, the element count, is a plain attribute like ``names``.
     Instances compare and hash structurally, but derived ideal families
     and per-ideal results are memoized per instance in ``_memo``, keyed by
     the computing function, so equal tables built twice each compute their
@@ -79,7 +80,7 @@ class Algebra:
     """
 
     __slots__ = (
-        "names", "add", "mul", "zero", "one", "index",
+        "names", "order", "add", "mul", "zero", "one", "index",
         "_full", "_above", "_powers", "_principal", "_products",
         "_hash", "_memo", "__weakref__",
     )
@@ -97,7 +98,7 @@ class Algebra:
         self.zero = 0
         self.one = one
         self.index = {name: i for i, name in enumerate(self.names)}
-        n = len(self.names)
+        self.order = n = len(self.names)
         self._full = (1 << n) - 1
         above = []
         for row in self.add:
@@ -133,20 +134,16 @@ class Algebra:
         self._memo: dict = {}
 
     @property
-    def order(self) -> int:
-        return len(self.names)
-
-    @property
     def is_trivial(self) -> bool:
         """True for the one-element algebra, where zero and one coincide."""
-        return len(self.names) == 1
+        return self.order == 1
 
     def elements(self) -> range:
-        return range(len(self.names))
+        return range(self.order)
 
     def _require_element(self, a: int) -> None:
         """Refuse an element index outside range(order), naming it."""
-        if not 0 <= a < len(self.names):
+        if not 0 <= a < self.order:
             raise AlgebraError(
                 f"element index {a} is out of range for this order-{self.order} algebra"
             )
@@ -162,9 +159,14 @@ class Algebra:
         self._require_element(a)
         if k < 1:
             raise AlgebraError(f"exponent must be >= 1, got {k}")
-        acc = a
-        for _ in range(k - 1):
-            acc = self.mul[acc][a]
+        # Repeated squaring, valid by associativity: a**k is a times a**(2**i)
+        # for each set bit i of k - 1.
+        mul, acc, k = self.mul, a, k - 1
+        while k:
+            if k & 1:
+                acc = mul[acc][a]
+            a = mul[a][a]
+            k >>= 1
         return acc
 
     def __eq__(self, other) -> bool:

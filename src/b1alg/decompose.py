@@ -18,15 +18,14 @@ from .algebra import Algebra, AlgebraError, check_axioms
 from .ideals import (
     _bounded,
     _canonical,
+    _generated,
     _join,
+    _members,
     _pairs_in,
     _per_mask_record,
-    annihilator,
-    bits,
     bourne_congruence,
     enumerate_ideals,
     enumerate_saturated_ideals,
-    generated_ideal,
     ideal_violation,
     is_ideal,
     is_saturated,
@@ -134,7 +133,8 @@ def weak_decompose(algebra: Algebra, mask: int) -> DecompositionResult:
     _require_saturated_proper(algebra, mask)
     rad = radical(algebra, mask)
     if rad != mask:
-        culprit = next(bits(rad & ~mask))
+        extra = rad & ~mask
+        culprit = (extra & -extra).bit_length() - 1
         raise AlgebraError(
             "weak_decompose requires a radical ideal; a power of "
             f"{algebra.names[culprit]!r} lies inside"
@@ -148,12 +148,12 @@ def weak_decompose(algebra: Algebra, mask: int) -> DecompositionResult:
     stack = [mask]
     while stack:
         j = stack.pop()
-        # Every node is proper, so having no witness pair means prime.
-        witness = _prime_witness(algebra, j)
-        if witness is None:
+        # Every node is proper, so a node that is not prime has a witness pair.
+        if is_prime(algebra, j):
             if j not in components:
                 components.append(j)
             continue
+        witness = _prime_witness(algebra, j)
         trace.append((j, witness))
         for w in reversed(witness):
             arm = radical(algebra, saturation(algebra, _join(algebra, j, algebra._principal[w])))
@@ -243,9 +243,7 @@ def laskerian_check(algebra: Algebra) -> LaskerianReport:
         if m not in reachable:
             witness = m
             break
-    table = tuple(
-        (m, reachable[m]) for m in proper_saturated if m in reachable
-    )
+    table = tuple([(m, reachable[m]) for m in proper_saturated if m in reachable])
     return LaskerianReport(
         algebra=algebra,
         laskerian=witness is None,
@@ -381,8 +379,10 @@ def _audit_radical_saturation_intersection(algebra: Algebra) -> str | None:
 
 
 def _audit_annihilators_saturated(algebra: Algebra) -> str | None:
-    for s in algebra.elements():
-        if not is_saturated(algebra, annihilator(algebra, s)):
+    n, full = algebra.order, algebra._full
+    killed = algebra._products[0]  # row s is Ann(s)
+    for s in range(n):
+        if not is_saturated(algebra, killed >> s * n & full):
             return f"Ann({algebra.names[s]}) is not saturated"
     return None
 
@@ -411,9 +411,8 @@ def _audit_bourne_zero_class(algebra: Algebra) -> str | None:
 
 
 def _audit_generated_roundtrip(algebra: Algebra) -> str | None:
-    everything = algebra.elements()
     for i in enumerate_ideals(algebra):
-        if generated_ideal(algebra, [e for e in everything if i >> e & 1]) != i:
+        if _generated(algebra, _members(i)) != i:
             return f"regenerating {_labels(algebra, i)} changed it"
     return None
 
@@ -429,7 +428,7 @@ def _audit_maximal_saturated_are_prime(algebra: Algebra) -> str | None:
 def _audit_minimal_primes_are_zero_divisors(algebra: Algebra) -> str | None:
     divisors = zero_divisors(algebra)
     for p in set(min_primes(algebra)) | set(min_saturated_primes(algebra)):
-        for a in bits(p & ~1):
+        for a in _members(p & ~1):
             if not divisors >> a & 1:
                 return f"{algebra.names[a]} in {_labels(algebra, p)} is no zero divisor"
     return None
@@ -442,7 +441,9 @@ def _audit_minimal_primes_equal_minimal_saturated(algebra: Algebra) -> str | Non
 
 
 def _audit_associated_primes_are_annihilators(algebra: Algebra) -> str | None:
-    annihilators = {annihilator(algebra, u) for u in range(1, algebra.order)}
+    n, full = algebra.order, algebra._full
+    killed = algebra._products[0]  # row u is Ann(u)
+    annihilators = {killed >> u * n & full for u in range(1, n)}
     for x, p in associated_primes(algebra):
         if not is_prime(algebra, p):
             return f"associated {_labels(algebra, p)} is not prime"
@@ -601,8 +602,5 @@ def audit(algebra: Algebra) -> AuditResult:
     checks = []
     for name, check in _AUDIT_CHECKS:
         failure = check(algebra)
-        if failure is None:
-            checks.append(AuditCheck(name, True, "ok"))
-        else:
-            checks.append(AuditCheck(name, False, failure))
+        checks.append(AuditCheck(name, failure is None, failure or "ok"))
     return AuditResult(algebra=algebra, checks=tuple(checks))

@@ -19,13 +19,16 @@ Sums, products and intersections refuse a mask with a bit at or past the
 order, as the Bourne congruence does.
 
 ``_per_mask`` computes each per-ideal result once per instance and mask:
-saturations, the saturated test, radicals and the ideal test here, prime
-witnesses, primarity and divisor sets in ``spectrum``, and, through
+saturations, the saturated test, radicals and the ideal test here, the
+prime test, primarity and divisor sets in ``spectrum``, and, through
 ``_per_mask_record``, the Evans reports and radical decompositions in
 ``decompose``.  Every caller, the one-pass filters included, goes through
 the memoized function.  It makes no bound check, so these still answer
-past the bound.  The hot loops walk mask bits inline and build lists
-rather than resume generators, so they enter no frame per item.
+past the bound.  A walk over a mask's bits that runs once per call takes
+the list ``_members`` returns; the few that run once per item walk the
+bits inline, so that no loop enters a frame per item.  Public functions
+range-check the element indices they are given; the engine's own in-range
+calls read ``_generated`` and the rows of ``_products[0]`` instead.
 
 The operations mirror the classical ones: generated ideals, the saturation
 closure I-bar = {a : a + i = i for some i in I}, radicals, annihilators,
@@ -76,7 +79,7 @@ _call_bound = contextvars.ContextVar("b1alg_enumeration_bound", default=0)
 
 
 def _bounded(fn, memoize: bool = False):
-    """Run fn(algebra, ...) with the enumeration bound read once for the
+    """Run fn(algebra) with the enumeration bound read once for the
     whole call, refusing an algebra whose known ideals exceed it.
 
     The outermost call reads ``enumeration_bound()`` and holds it until it
@@ -90,7 +93,7 @@ def _bounded(fn, memoize: bool = False):
     """
 
     @functools.wraps(fn)
-    def call(algebra: Algebra, *args):
+    def call(algebra: Algebra):
         memo = algebra._memo
         bound = _call_bound.get()
         token = None
@@ -100,8 +103,8 @@ def _bounded(fn, memoize: bool = False):
         try:
             if len(memo.get(_IDEALS, ())) > bound:
                 raise _over_bound(algebra, bound)
-            if not memoize or args:  # a family takes the algebra alone
-                return fn(algebra, *args)
+            if not memoize:
+                return fn(algebra)
             try:
                 return memo[fn]
             except KeyError:
@@ -121,12 +124,19 @@ def _over_bound(algebra: Algebra, bound: int) -> EnumerationBoundError:
     )
 
 
-def bits(mask: int):
-    """Yield the set bit positions of mask in ascending order."""
+def _members(mask: int) -> list[int]:
+    """The set bit positions of mask in ascending order."""
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return out
+
+
+def bits(mask: int):
+    """An iterator over the set bit positions of mask in ascending order."""
+    return iter(_members(mask))
 
 
 def _stray_bit(algebra: Algebra, mask: int) -> int:
@@ -241,12 +251,7 @@ def ideal_violation(algebra: Algebra, mask: int) -> tuple[str, tuple[int, ...]] 
         return ("contains an out-of-range element", (_stray_bit(algebra, mask),))
     if not mask & 1:
         return ("does not contain zero", (0,))
-    members = []
-    rest = mask
-    while rest:
-        low = rest & -rest
-        members.append(low.bit_length() - 1)
-        rest ^= low
+    members = _members(mask)
     # i + i = i and i + j = j + i, so the first failing pair (i, j) has i < j.
     for k, i in enumerate(members):
         row = algebra.add[i]
@@ -266,39 +271,36 @@ def ideal_violation(algebra: Algebra, mask: int) -> tuple[str, tuple[int, ...]] 
 
 def _additive_closure(algebra: Algebra, mask: int) -> int:
     add = algebra.add
-    changed = True
-    while changed:
-        changed = False
-        members = []
-        rest = mask
-        while rest:
-            low = rest & -rest
-            members.append(low.bit_length() - 1)
-            rest ^= low
+    while True:
+        members, grown = _members(mask), mask
         for i in members:
             row = add[i]
             for j in members:
-                b = 1 << row[j]
-                if not mask & b:
-                    mask |= b
-                    changed = True
-    return mask
+                grown |= 1 << row[j]
+        if grown == mask:
+            return mask
+        mask = grown
 
 
 def generated_ideal(algebra: Algebra, elements) -> int:
-    """Smallest ideal containing the given elements.
+    """Smallest ideal containing the given elements."""
+    elements = list(elements)
+    for s in elements:
+        algebra._require_element(s)
+    return _generated(algebra, elements)
+
+
+def _generated(algebra: Algebra, elements: list[int]) -> int:
+    """``generated_ideal`` of elements already in range.
 
     Multiples a*s are collected first; closing that set under addition is
     enough, since distributivity keeps sums of multiples stable under
     further multiplication.
     """
-    mul = algebra.mul
     mask = 1
-    everything = algebra.elements()
     for s in elements:
-        algebra._require_element(s)
-        for a in everything:
-            mask |= 1 << mul[a][s]
+        for row in algebra.mul:  # row a holds a*s at s
+            mask |= 1 << row[s]
     return _additive_closure(algebra, mask)
 
 
@@ -354,9 +356,10 @@ def ideal_product(algebra: Algebra, left: int, right: int) -> int:
         raise _out_of_range(algebra, left | right)
     mul = algebra.mul
     mask = 1
-    for i in bits(left):
+    others = _members(right)
+    for i in _members(left):
         row = mul[i]
-        for j in bits(right):
+        for j in others:
             mask |= 1 << row[j]
     return _additive_closure(algebra, mask)
 
@@ -487,11 +490,12 @@ def congruence_violation(
 ) -> tuple[str, tuple[int, ...]] | None:
     """First compatibility failure of the partition, or None if valid."""
     add, mul = algebra.add, algebra.mul
-    for a in algebra.elements():
-        for b in algebra.elements():
+    everything = range(algebra.order)
+    for a in everything:
+        for b in everything:
             if class_of[a] != class_of[b]:
                 continue
-            for c in algebra.elements():
+            for c in everything:
                 if class_of[add[a][c]] != class_of[add[b][c]]:
                     return ("addition not compatible", (a, b, c))
                 if class_of[mul[a][c]] != class_of[mul[b][c]]:
@@ -554,17 +558,10 @@ def quotient(algebra: Algebra, congruence: Congruence) -> QuotientMap:
             f"congruence re-check failed: {bad[0]} at {bad[1]} (engine bug)"
         )
     class_of = congruence.class_of
-    k = len(congruence.classes)
-    reps = [next(bits(c)) for c in congruence.classes]
+    reps = [(c & -c).bit_length() - 1 for c in congruence.classes]
     names = tuple(f"[{algebra.names[r]}]" for r in reps)
-    add = tuple(
-        tuple(class_of[algebra.add[reps[i]][reps[j]]] for j in range(k))
-        for i in range(k)
-    )
-    mul = tuple(
-        tuple(class_of[algebra.mul[reps[i]][reps[j]]] for j in range(k))
-        for i in range(k)
-    )
+    add = tuple(tuple(class_of[algebra.add[r][s]] for s in reps) for r in reps)
+    mul = tuple(tuple(class_of[algebra.mul[r][s]] for s in reps) for r in reps)
     try:
         target = _certified(names, add, mul, class_of[algebra.one])
     except AxiomError as exc:  # pragma: no cover - guarded by the re-check
@@ -577,7 +574,7 @@ def preimage_ideal(qmap: QuotientMap, mask: int) -> int:
     if not is_ideal(qmap.target, mask):
         raise AlgebraError("preimage_ideal expects an ideal of the target")
     out = 0
-    for a in qmap.source.elements():
-        if mask >> qmap.projection[a] & 1:
+    for a, v in enumerate(qmap.projection):
+        if mask >> v & 1:
             out |= 1 << a
     return out

@@ -4,12 +4,14 @@ Primality, primarity and divisor sets are read off the pair mask
 P(I) = {(u, v) : u*v in I} (``ideals._pairs_in``), whose row u is the
 conductor C_u(I): each predicate ORs the pair-product masks of ``Algebra``
 over I once and then reads the rows of the elements outside I, with no
-per-element conductor call.  Prime witnesses, primarity and divisor sets
-are memoized per algebra and mask (``ideals._per_mask``), and every
-family (primes, saturated primes, primaries, the minimal and maximal
-spectra, associated primes and the standard verdict) once per algebra
-(``ideals._per_algebra``).  Lists come back in the canonical enumeration
-order (cardinality, then mask value), so reports are diffable.
+per-element conductor call.  The prime and primary tests and divisor sets
+are memoized per algebra and mask (``ideals._per_mask``); the prime test
+is the prime question's one memo, and ``_prime_witness`` computes the
+failing pair afresh for the weak decomposition, its one other caller.
+Every family (primes, saturated primes, primaries, the minimal and maximal
+spectra, associated primes and the standard verdict) is memoized once per
+algebra (``ideals._per_algebra``).  Lists come back in the canonical
+enumeration order (cardinality, then mask value), so reports are diffable.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .ideals import (
     _pairs_in,
     _per_algebra,
     _per_mask,
-    annihilator,
     enumerate_ideals,
     enumerate_saturated_ideals,
     is_saturated,
@@ -33,7 +34,6 @@ from .ideals import (
 )
 
 
-@_per_mask
 def _prime_witness(algebra: Algebra, mask: int) -> tuple[int, int] | None:
     """First (u, v) in element-index order with u, v outside and u*v inside.
 
@@ -53,6 +53,7 @@ def _prime_witness(algebra: Algebra, mask: int) -> tuple[int, int] | None:
     return None
 
 
+@_per_mask
 def is_prime(algebra: Algebra, mask: int) -> bool:
     """Proper, and u*v in I forces u in I or v in I."""
     return mask != algebra._full and _prime_witness(algebra, mask) is None
@@ -97,10 +98,9 @@ def _primaries(algebra: Algebra) -> tuple[int, ...]:
 
 
 def _minimal(family) -> tuple[int, ...]:
-    fam = list(family)
     out = []
-    for m in fam:
-        for o in fam:
+    for m in family:
+        for o in family:
             if o != m and o & m == o:
                 break
         else:
@@ -109,10 +109,9 @@ def _minimal(family) -> tuple[int, ...]:
 
 
 def _maximal(family) -> tuple[int, ...]:
-    fam = list(family)
     out = []
-    for m in fam:
-        for o in fam:
+    for m in family:
+        for o in family:
             if o != m and o & m == m:
                 break
         else:
@@ -186,9 +185,11 @@ def associated_primes(algebra: Algebra) -> tuple[tuple[int, int], ...]:
     primes are always present.
     """
     candidates = primes(algebra)
+    n, full = algebra.order, algebra._full
+    killed = algebra._products[0]  # row x is Ann(x)
     found: dict[int, int] = {}
-    for x in range(1, algebra.order):
-        t = _member_sum(algebra, annihilator(algebra, x))
+    for x in range(1, n):
+        t = _member_sum(algebra, killed >> x * n & full)
         shifted = algebra.add[t]  # y -> y + t
         unions = []
         for p in candidates:
@@ -200,7 +201,7 @@ def associated_primes(algebra: Algebra) -> tuple[tuple[int, int], ...]:
                 unions.append(p)
         for p in _minimal(unions):
             found.setdefault(p, x)
-    return tuple((found[p], p) for p in _canonical(found))
+    return tuple([(found[p], p) for p in _canonical(found)])
 
 
 @_per_algebra

@@ -10,8 +10,10 @@ pair-product masks, Bourne classes via the pairwise single-witness
 relation instead of the join of the ideal, associated primes via the
 quotient algebras the library no longer builds, the axioms via a scan of
 every triple with no fast pass, the laskerian verdict via the meet of the
-saturated primaries above each ideal instead of a meet closure, and the
-standard cover via every subset of the saturated primes.
+saturated primaries above each ideal instead of a meet closure, the
+standard cover via every subset of the saturated primes, and the Evans
+report via the conductor, prime, saturation and divisor-set oracles
+instead of the pair mask and the memoized predicates.
 """
 
 from __future__ import annotations
@@ -209,6 +211,35 @@ def divisor_set_oracle(algebra: b.Algebra, mask: int) -> int:
                 out |= 1 << x
                 break
     return out
+
+
+def evans_oracle(algebra: b.Algebra, mask: int) -> b.EvansReport:
+    """Evans' condition on a proper saturated ideal I, from the table scans:
+    the conductors C_y(I) of the y outside I with the smallest witness per
+    conductor, the maximal ones in canonical order, each asked whether it
+    is prime and saturated, and their union compared with D(I)."""
+    conductors: dict[int, int] = {}
+    for y in algebra.elements():
+        if not mask >> y & 1:
+            conductors.setdefault(conductor_oracle(algebra, y, mask), y)
+    maximal = _canonical(
+        c for c in conductors if not any(o != c and o & c == c for o in conductors)
+    )
+    all_prime = all(prime_oracle(algebra, c) for c in maximal)
+    all_saturated = all(saturation_oracle(algebra, c) == c for c in maximal)
+    union = 0
+    for c in maximal:
+        union |= c
+    union_ok = union == divisor_set_oracle(algebra, mask)
+    return b.EvansReport(
+        algebra=algebra,
+        ideal=mask,
+        maximal_conductors=tuple((conductors[c], c) for c in maximal),
+        all_prime=all_prime,
+        all_saturated=all_saturated,
+        union_equals_divisor_set=union_ok,
+        passed=all_prime and all_saturated and union_ok,
+    )
 
 
 def bourne_classes_oracle(algebra: b.Algebra, mask: int) -> b.Congruence:

@@ -19,10 +19,11 @@ import b1alg as b
 from b1alg.algebra import check_axioms
 from b1alg.cli import main, parse_algebra_file
 import oracles
-from support import lbl, msk
+from support import idempotent_chain, lbl, msk
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 EXAMPLE_FILE = REPO_ROOT / "algebras" / "example-6-2.b1a"
+CHAIN_FILE = REPO_ROOT / "algebras" / "idempotent-chain-4.b1a"
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +120,28 @@ def test_criterion_2_non_laskerian_counterexample(ex62, capsys):
     _passed(
         "ACCEPTANCE 2 non-laskerian counterexample: PASS "
         "(verdict false, witness {0}, all saturated primaries contain z)"
+    )
+
+
+def test_criterion_2_order_four_non_laskerian_file(capsys):
+    # The engine's verdict under its own definitions of saturated and
+    # primary: the zero ideal of the chain 0 < eps < e < 1 is not a meet of
+    # saturated primaries.
+    shipped = parse_algebra_file(CHAIN_FILE)
+    assert shipped == idempotent_chain()
+    report = b.laskerian_check(shipped)
+    assert report.laskerian is False
+    assert report.witness == msk(shipped, "")
+    assert b.audit(shipped).passed
+
+    assert main(["laskerian", str(CHAIN_FILE), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)["result"]
+    assert (payload["laskerian"], payload["witness"]) == (False, "0")
+    assert main(["audit", str(CHAIN_FILE)]) == 0
+    capsys.readouterr()
+    _passed(
+        "ACCEPTANCE 2 order-4 non-laskerian file: PASS "
+        "(file equals the idempotent chain, verdict false, witness {0}, audit passes)"
     )
 
 

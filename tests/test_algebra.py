@@ -315,6 +315,29 @@ class TestConstructions:
         with pytest.raises(b.AlgebraError):
             ex62.power(x, 0)
 
+    def test_power_matches_the_naive_product(self, base_fleet):
+        for algebra in base_fleet.values():
+            for a in algebra.elements():
+                acc = a
+                for k in range(1, 2 * algebra.order + 1):
+                    assert algebra.power(a, k) == acc, (algebra.names, a, k)
+                    acc = algebra.mul[acc][a]
+
+    def test_huge_exponents_read_the_power_cycle(self, base_fleet):
+        # a, a**2, ... runs into a cycle; a**k is read off that walk, where a
+        # k - 1 step product would never finish.
+        for algebra in base_fleet.values():
+            for a in algebra.elements():
+                walk, seen = [a], {a: 0}
+                while (nxt := algebra.mul[walk[-1]][a]) not in seen:
+                    seen[nxt] = len(walk)
+                    walk.append(nxt)
+                start = seen[nxt]  # walk[i] is a**(i + 1)
+                period = len(walk) - start
+                for k in (10**18, 10**18 + 1, 2**61 - 1):
+                    want = walk[start + (k - 1 - start) % period]
+                    assert algebra.power(a, k) == want, (algebra.names, a, k)
+
     def test_element_indices_are_range_checked(self, ex62):
         for index in (ex62.order, -1):
             for call in (

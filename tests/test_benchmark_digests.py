@@ -5,8 +5,9 @@ digest recorded in perfbench/expected.json as failed.  These tests run the
 same ops untimed: the fleet op on every algebra the fleet generator can
 draw, and every CLI op of the cli-small and enum-large workloads in both
 report formats.  The CLI workloads also install the tracer of
-perfbench/tracing.py, so every engine name it wraps must exist.  They only
-read perfbench/.
+perfbench/tracing.py, so every engine name it wraps must exist.  A ceiling
+on the engine frames of one fleet pass guards the fleet op's fixed cost,
+which wall time on a shared host cannot.  They only read perfbench/.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from b1alg import cli
+from support import engine_frames
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -28,6 +30,13 @@ import inputs  # noqa: E402  (perfbench/inputs.py)
 import run  # noqa: E402  (perfbench/run.py)
 import tracing  # noqa: E402  (perfbench/tracing.py)
 import worker  # noqa: E402  (perfbench/worker.py)
+
+
+# b1alg frames that one fleet pass enters (worker.analyse over the seed-111
+# fleet), measured on Python 3.11.  The count is the same on every host;
+# Python >= 3.12 inlines comprehensions, so counts there only fall.  Lower
+# the ceiling when a change cuts frames.
+FLEET_PASS_FRAME_CEILING = 102_294
 
 
 @pytest.fixture(scope="module")
@@ -79,3 +88,10 @@ def test_cli_ops_match_the_recorded_digests(workload, recorded, tmp_path, monkey
             if f"{code} {run.sha256(out.getvalue())}" != recorded["cli"][run.op_key(argv)]:
                 wrong.append(run.op_key(argv))
     assert wrong == []
+
+
+def test_a_fleet_pass_stays_under_the_frame_ceiling():
+    engine, _ = worker._import_engine(["cli", "ideals", "spectrum", "decompose"])
+    texts = inputs.fleet_inputs(111)
+    frames = engine_frames(lambda: [worker.analyse(engine, t) for t in texts])
+    assert len(frames) <= FLEET_PASS_FRAME_CEILING

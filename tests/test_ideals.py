@@ -315,6 +315,7 @@ class TestEnumeration:
         full = b.full_mask(algebra)
         b.spectrum(algebra)
         b.saturation(algebra, 1)
+        b.is_prime(algebra, 1)
         b.evans_report(algebra, 1)
         token = ideals_module._call_bound.set(ideals_module.enumeration_bound())
         try:  # nested: a public call in progress already holds the bound
@@ -324,6 +325,7 @@ class TestEnumeration:
         assert nested == [["call"], ["call"]]
         assert engine_frames(b.saturation, algebra, 1) == ["once"]
         assert engine_frames(b.is_saturated, algebra, full) == ["once"]
+        assert engine_frames(b.is_prime, algebra, 1) == ["once"]
         assert engine_frames(b.evans_report, algebra, 1) == ["once"]
 
     def test_bound_env_override(self, ex62, monkeypatch):
