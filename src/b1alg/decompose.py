@@ -7,7 +7,8 @@ splitting along the saturations of J + Au and J + Av, then recursing on
 their radicals, yields finitely many saturated primes intersecting exactly
 to J.  Taking radicals before recursing is what restores the precondition
 at every node; the intersection identity survives because a power landing
-in both branches lands, after one more squaring, in J itself.
+in both branches lands, after one more squaring, in J itself.  Only the
+public entry points check the precondition; ``_split`` trusts its input.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .ideals import (
     enumerate_ideals,
     enumerate_saturated_ideals,
     ideal_violation,
-    is_ideal,
     is_saturated,
     member_labels,
     radical,
@@ -131,15 +131,18 @@ def weak_decompose(algebra: Algebra, mask: int) -> DecompositionResult:
     returned components always intersect exactly to the input.
     """
     _require_saturated_proper(algebra, mask)
-    rad = radical(algebra, mask)
-    if rad != mask:
-        extra = rad & ~mask
+    extra = radical(algebra, mask) & ~mask
+    if extra:
         culprit = (extra & -extra).bit_length() - 1
         raise AlgebraError(
             "weak_decompose requires a radical ideal; a power of "
             f"{algebra.names[culprit]!r} lies inside"
         )
+    return _split(algebra, mask)
 
+
+def _split(algebra: Algebra, mask: int) -> DecompositionResult:
+    """``weak_decompose`` of a proper, saturated, radical ideal, unchecked."""
     full = algebra._full
     components: list[int] = []
     trace: list[tuple[int, tuple[int, int]]] = []
@@ -176,13 +179,11 @@ def weak_decompose(algebra: Algebra, mask: int) -> DecompositionResult:
 def radical_decomposition(algebra: Algebra, mask: int) -> DecompositionResult:
     """Decompose the radical of a saturated ideal into saturated primes.
 
-    The radical of a saturated ideal is itself saturated, so this reduces
-    to weak_decompose; the components intersect to r(I).
+    The radical of a proper saturated ideal is itself proper and saturated,
+    so it is split without a second check; the components intersect to r(I).
     """
     _require_saturated_proper(algebra, mask)
-    rad = radical(algebra, mask)
-    inner = weak_decompose(algebra, rad)
-    return inner._replace(input=mask)
+    return _split(algebra, radical(algebra, mask))._replace(input=mask)
 
 
 def minimalize(result: DecompositionResult) -> DecompositionResult:
@@ -342,7 +343,7 @@ def _audit_saturation_closure(algebra: Algebra) -> str | None:
             return f"not extensive at {_labels(algebra, i)}"
         if saturation(algebra, s) != s:
             return f"not idempotent at {_labels(algebra, i)}"
-        if not is_ideal(algebra, s):
+        if ideal_violation(algebra, s) is not None:
             return f"saturation of {_labels(algebra, i)} is not an ideal"
         for j in ideals:
             if i & ~j == 0 and s & ~sat[j]:
@@ -353,7 +354,7 @@ def _audit_saturation_closure(algebra: Algebra) -> str | None:
 def _audit_radical_closure(algebra: Algebra) -> str | None:
     for i in enumerate_ideals(algebra):
         r = radical(algebra, i)
-        if i & ~r or radical(algebra, r) != r or not is_ideal(algebra, r):
+        if i & ~r or radical(algebra, r) != r or ideal_violation(algebra, r) is not None:
             return f"radical misbehaves at {_labels(algebra, i)}"
     return None
 
@@ -489,18 +490,14 @@ def _audit_primary_intersections_stay_primary(algebra: Algebra) -> str | None:
 
 
 def _audit_weak_decomposition_exact(algebra: Algebra) -> str | None:
-    full = algebra._full
     for j in enumerate_saturated_ideals(algebra):
-        if j == full or radical(algebra, j) != j:
+        if j == algebra._full or radical(algebra, j) != j:
             continue
-        result = weak_decompose(algebra, j)
+        result = _split(algebra, j)
         for c in result.components:
             if not is_prime(algebra, c) or not is_saturated(algebra, c):
                 return f"component {_labels(algebra, c)} of {_labels(algebra, j)}"
-        if result.intersection() != j:
-            return f"intersection drifted for {_labels(algebra, j)}"
-        slim = minimalize(result)
-        if slim.intersection() != j:
+        if minimalize(result).intersection() != j:
             return f"minimalize broke {_labels(algebra, j)}"
         for node, (u, v) in result.split_trace:
             if node >> u & 1 or node >> v & 1 or not node >> algebra.mul[u][v] & 1:

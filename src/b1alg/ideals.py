@@ -15,8 +15,9 @@ Saturations, radicals, joins with principal ideals, the ideal test,
 annihilators and conductors read the masks each ``Algebra`` builds from its
 tables instead of scanning the tables on every call; ``_pairs_in`` gives
 every conductor of an ideal at once, and ``conductor`` is one row of it.
-Sums, products and intersections refuse a mask with a bit at or past the
-order, as the Bourne congruence does.
+Sums, products, intersections and ``member_labels`` refuse a mask with a
+bit at or past the order, as the Bourne congruence and the prime, primary
+and divisor-set tests do; saturations, radicals and conductors ignore it.
 
 ``_per_mask`` computes each per-ideal result once per instance and mask:
 saturations, the saturated test, radicals and the ideal test here, the
@@ -232,6 +233,8 @@ def full_mask(algebra: Algebra) -> int:
 
 def member_labels(algebra: Algebra, mask: int) -> tuple[str, ...]:
     """Labels of the mask's members in element-index order (zero first)."""
+    if mask & ~algebra._full:
+        raise _out_of_range(algebra, mask)
     names, out = algebra.names, []
     while mask:
         low = mask & -mask

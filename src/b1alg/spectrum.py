@@ -24,6 +24,7 @@ from .ideals import (
     _bounded,
     _canonical,
     _member_sum,
+    _out_of_range,
     _pairs_in,
     _per_algebra,
     _per_mask,
@@ -56,6 +57,8 @@ def _prime_witness(algebra: Algebra, mask: int) -> tuple[int, int] | None:
 @_per_mask
 def is_prime(algebra: Algebra, mask: int) -> bool:
     """Proper, and u*v in I forces u in I or v in I."""
+    if mask & ~algebra._full:
+        raise _out_of_range(algebra, mask)
     return mask != algebra._full and _prime_witness(algebra, mask) is None
 
 
@@ -68,6 +71,8 @@ def is_primary(algebra: Algebra, mask: int) -> bool:
     r(Q).
     """
     n, full = algebra.order, algebra._full
+    if mask & ~full:
+        raise _out_of_range(algebra, mask)
     if mask == full:
         return False
     pairs = _pairs_in(algebra, mask)  # row x is the conductor C_x(Q)
@@ -156,6 +161,8 @@ def divisor_set(algebra: Algebra, mask: int) -> int:
     Contains I whenever I is proper, and D({0}) is the zero divisors plus
     zero for any nontrivial algebra.
     """
+    if mask & ~algebra._full:
+        raise _out_of_range(algebra, mask)
     n, outside = algebra.order, algebra._full & ~mask
     pairs = _pairs_in(algebra, mask)  # row x is the conductor C_x(I)
     out = 0

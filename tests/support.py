@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import random
+import re
 import sys
 from pathlib import Path
+
+import pytest
 
 import b1alg as b
 
@@ -30,6 +33,30 @@ def engine_frames(call, *args) -> list[str]:
     finally:
         sys.setprofile(None)
     return names
+
+
+def answer(call, *args):
+    """call(*args), or the text of the AlgebraError it raises."""
+    try:
+        return call(*args)
+    except b.AlgebraError as exc:
+        return str(exc)
+
+
+def out_of_range_refusal(algebra: b.Algebra, mask: int) -> str:
+    """The refusal text of a mask with a bit at or past the order, which
+    names the lowest such bit."""
+    bit = next(i for i in range(algebra.order, mask.bit_length()) if mask >> i & 1)
+    return f"the set contains an out-of-range element (witness: bit {bit})"
+
+
+def refuses_out_of_range_masks(call, ex62: b.Algebra) -> None:
+    """call(ex62, mask) refuses a mask with a bit at or past the order, or a
+    negative one, naming the lowest stray bit, as the ideal operations do."""
+    for mask, stray in ((b.full_mask(ex62) | 1 << 6, 6), (-1, 6), (1 | 1 << 9, 9)):
+        refusal = f"the set contains an out-of-range element (witness: bit {stray})"
+        with pytest.raises(b.AlgebraError, match=re.escape(refusal)):
+            call(ex62, mask)
 
 
 def msk(algebra: b.Algebra, labels: str) -> int:

@@ -12,7 +12,7 @@ import pytest
 import b1alg as b
 import b1alg.ideals as ideals_module
 import oracles
-from support import engine_frames, lbl, msk, null_algebra
+from support import engine_frames, lbl, msk, null_algebra, refuses_out_of_range_masks
 
 
 def out_of_range(bit: int) -> str:
@@ -150,6 +150,9 @@ class TestIdealArithmetic:
         for left, right, stray in ((1 << 9, 1 << 9, 9), (1, 1 << 6 | 1, 6)):
             with pytest.raises(b.AlgebraError, match=out_of_range(stray)):
                 b.ideal_intersect(ex62, left, right)
+
+    def test_labels_refuse_an_out_of_range_mask(self, ex62):
+        refuses_out_of_range_masks(b.member_labels, ex62)
 
 
 class TestAnnihilatorsAndConductors:

@@ -76,6 +76,31 @@ def test_audit_checks_take_only_the_algebra():
     assert {name: args for name, args in checks.items() if args != ["algebra"]} == {}
 
 
+def test_decomposition_precondition_is_checked_once():
+    # The public entry points check a decomposition's input; the audit and
+    # the radical decomposition hold masks that are ideals by construction,
+    # so they call the split and the memoized tests without a re-check.
+    tree = ast.parse((PACKAGE_DIR / "decompose.py").read_text(encoding="utf-8"))
+    calls = {
+        node.name: {
+            sub.func.id
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+        }
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    entry_points = {"weak_decompose", "radical_decomposition", "evans_report"}
+    checking = {name for name, called in calls.items() if "_require_saturated_proper" in called}
+    assert checking == entry_points
+    # an entry point that called another would check the same input twice
+    assert {name for name in entry_points if calls[name] & entry_points} == set()
+    checked_routes = {"weak_decompose", "is_ideal"}
+    audit_checks = [name for name in calls if name.startswith("_audit_")]
+    assert len(audit_checks) == 21
+    assert [name for name in audit_checks if calls[name] & checked_routes] == []
+
+
 def test_no_exponential_subset_loops_in_the_package():
     # Subset scans over range(1 << n) or range(2 ** n) belong to the test
     # oracles; the engine enumerates ideals in time that grows with their number.

@@ -7,7 +7,15 @@ import pytest
 
 import b1alg as b
 import oracles
-from support import idempotent_chain, lbl, msk, null_algebra
+from support import (
+    answer,
+    idempotent_chain,
+    lbl,
+    msk,
+    null_algebra,
+    out_of_range_refusal,
+    refuses_out_of_range_masks,
+)
 
 
 class TestPrimality:
@@ -15,6 +23,9 @@ class TestPrimality:
         assert b.is_prime(ex62, msk(ex62, "z,x"))
         assert not b.is_prime(ex62, msk(ex62, "z"))
         assert not b.is_prime(ex62, b.full_mask(ex62))
+
+    def test_refuses_an_out_of_range_mask(self, ex62):
+        refuses_out_of_range_masks(b.is_prime, ex62)
 
     def test_prime_lists(self, ex62):
         assert [lbl(ex62, m) for m in b.primes(ex62)] == [
@@ -43,6 +54,9 @@ class TestPrimarity:
         assert b.is_primary(ex62, msk(ex62, "x,y,u"))
         assert not b.is_primary(ex62, msk(ex62, "z"))
 
+    def test_refuses_an_out_of_range_mask(self, ex62):
+        refuses_out_of_range_masks(b.is_primary, ex62)
+
     def test_primes_are_primary(self, ex62, chain4, small_random_fleet):
         for algebra in [ex62, chain4, *small_random_fleet]:
             for m in b.enumerate_ideals(algebra):
@@ -68,6 +82,9 @@ class TestZeroDivisors:
         assert b.zero_divisors(ex62) == msk(ex62, "z,x,y,u") & ~1
         assert b.divisor_set(ex62, 1) == msk(ex62, "z,x,y,u")
         assert b.zero_divisors(b1) == 0
+
+    def test_divisor_set_refuses_an_out_of_range_mask(self, ex62):
+        refuses_out_of_range_masks(b.divisor_set, ex62)
 
     def test_divisor_set_of_zero_ideal(self, ex62, chain4, small_random_fleet):
         for algebra in [ex62, chain4, *small_random_fleet]:
@@ -236,6 +253,11 @@ class TestPairProductPredicates:
             for m in self._masks(algebra, rng):
                 witness = oracles.prime_witness_oracle(algebra, m)
                 assert prime_witness(algebra, m) == witness
+                if m >> algebra.order:  # a stray bit is refused, not classified
+                    refusal = out_of_range_refusal(algebra, m)
+                    for test in (b.is_prime, b.is_primary, b.divisor_set):
+                        assert answer(test, algebra, m) == refusal
+                    continue
                 assert b.is_prime(algebra, m) == oracles.prime_oracle(algebra, m)
                 assert b.is_primary(algebra, m) == oracles.primary_oracle(algebra, m)
                 assert b.divisor_set(algebra, m) == oracles.divisor_set_oracle(algebra, m)
