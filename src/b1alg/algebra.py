@@ -48,7 +48,7 @@ class AxiomError(AlgebraError):
         self.names = names
         first = report.violations[0]
         extra = len(report.violations) - 1
-        msg = f"axiom {first.axiom} violated at {first.witness}"
+        msg = f"axiom {first.axiom} violated at ({', '.join([names[i] for i in first.witness])})"
         if extra:
             msg += f" (and {extra} further violation{'s' if extra > 1 else ''})"
         super().__init__(msg)

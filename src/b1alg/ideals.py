@@ -45,7 +45,7 @@ import functools
 import os
 from collections import namedtuple
 
-from .algebra import Algebra, AlgebraError, AxiomError, _certified
+from .algebra import Algebra, AlgebraError, _certified
 
 DEFAULT_ENUMERATION_BOUND = 2**19  # the most ideals of any algebra of order <= 20
 ENUMERATION_BOUND_ENV = "B1ALG_ENUM_BOUND"
@@ -550,25 +550,27 @@ def bourne_congruence(algebra: Algebra, mask: int) -> Congruence:
 def quotient(algebra: Algebra, congruence: Congruence) -> QuotientMap:
     """Quotient algebra on the classes, with the canonical projection.
 
-    Compatibility is re-verified before the induced tables are trusted;
-    a failure here is an engine bug, not a user error.
+    The tables are read off ``class_of`` alone.  ``Congruence`` is public,
+    so a ``class_of`` that misses an element, does not number each class by
+    its smallest member, or is not compatible with both operations is
+    refused with its witness.
     """
-    if congruence.class_of[0] != 0:
-        raise AlgebraError("congruence classes must number the class of zero first")
-    bad = congruence_violation(algebra, congruence.class_of)
+    class_of, names = congruence.class_of, algebra.names
+    if len(class_of) != algebra.order:
+        raise AlgebraError(f"the congruence numbers {len(class_of)} of {algebra.order} elements")
+    reps: list[int] = []  # the smallest member of each class
+    for a, k in enumerate(class_of):
+        if k == len(reps):
+            reps.append(a)
+        elif not 0 <= k < len(reps):
+            raise AlgebraError(f"class {k!r} of {names[a]} is not numbered by its smallest member")
+    bad = congruence_violation(algebra, class_of)
     if bad is not None:
-        raise RuntimeError(
-            f"congruence re-check failed: {bad[0]} at {bad[1]} (engine bug)"
-        )
-    class_of = congruence.class_of
-    reps = [(c & -c).bit_length() - 1 for c in congruence.classes]
-    names = tuple(f"[{algebra.names[r]}]" for r in reps)
+        witness = ", ".join([names[i] for i in bad[1]])
+        raise AlgebraError(f"not a congruence: {bad[0]} at ({witness})")
     add = tuple(tuple(class_of[algebra.add[r][s]] for s in reps) for r in reps)
     mul = tuple(tuple(class_of[algebra.mul[r][s]] for s in reps) for r in reps)
-    try:
-        target = _certified(names, add, mul, class_of[algebra.one])
-    except AxiomError as exc:  # pragma: no cover - guarded by the re-check
-        raise RuntimeError(f"quotient tables failed validation: {exc}") from exc
+    target = _certified(tuple([f"[{names[r]}]" for r in reps]), add, mul, class_of[algebra.one])
     return QuotientMap(algebra, target, class_of)
 
 

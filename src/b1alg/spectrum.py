@@ -10,14 +10,15 @@ is the prime question's one memo, and ``_prime_witness`` computes the
 failing pair afresh for the weak decomposition, its one other caller.
 Every family (primes, saturated primes, primaries, the minimal and maximal
 spectra, associated primes and the standard verdict) is memoized once per
-algebra (``ideals._per_algebra``).  Lists come back in the canonical
-enumeration order (cardinality, then mask value), so reports are diffable.
+algebra (``ideals._per_algebra``); the standard cover and the associated
+primes are read off the saturated primes, with no search.  Lists come
+back in the canonical enumeration order (cardinality, then mask value), so
+reports are diffable.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import combinations
 
 from .algebra import Algebra
 from .ideals import (
@@ -181,32 +182,28 @@ def associated_primes(algebra: Algebra) -> tuple[tuple[int, int], ...]:
     """Pairs (witness x, prime) where the prime pulls back from a minimal
     prime of the quotient by the Bourne congruence of Ann(x).
 
-    The quotient is never built: its primes pull back to exactly the
-    primes of the algebra that are unions of congruence classes, and the
-    pullback keeps inclusion, so the minimal ones among those are the
-    answer.  The classes are the fibres of y -> y + t, with t the largest
-    element of Ann(x), and y + t lies in the class of y, so a prime p is a
-    union of classes exactly when {y : y + t in p} = p, and no
-    congruence record is built.  One witness is kept per distinct prime,
-    the smallest element index; x = 1 always contributes, so the minimal
-    primes are always present.
+    The quotient is never built: its primes pull back, keeping inclusion
+    and saturation, to the primes that are unions of the fibres of
+    y -> y + t, with t the join of Ann(x).  A saturated prime is a down-set,
+    so it is such a union exactly when it holds t: the fibre of 0 holds t,
+    and z <= z + t = y + t.  Minimal primes are saturated: for x in a
+    minimal prime P some s outside P and k >= 1 have s*x^k = 0, so each
+    a <= x has s*a^k = 0 and lies in P.  So x gives the minimal saturated
+    primes that hold t.  One witness is kept per distinct prime, the
+    smallest element index; x = 1 always contributes, so the minimal primes
+    are always present.
     """
-    candidates = primes(algebra)
+    candidates = saturated_primes(algebra)
     n, full = algebra.order, algebra._full
     killed = algebra._products[0]  # row x is Ann(x)
     found: dict[int, int] = {}
     for x in range(1, n):
         t = _member_sum(algebra, killed >> x * n & full)
-        shifted = algebra.add[t]  # y -> y + t
-        unions = []
+        holding = []
         for p in candidates:
-            pulled = 0
-            for y, v in enumerate(shifted):
-                if p >> v & 1:
-                    pulled |= 1 << y
-            if pulled == p:
-                unions.append(p)
-        for p in _minimal(unions):
+            if p >> t & 1:
+                holding.append(p)
+        for p in _minimal(holding):
             found.setdefault(p, x)
     return tuple([(found[p], p) for p in _canonical(found)])
 
@@ -215,25 +212,23 @@ def associated_primes(algebra: Algebra) -> tuple[tuple[int, int], ...]:
 def is_standard(algebra: Algebra) -> tuple[bool, tuple[int, ...]]:
     """Whether the zero divisors plus zero are a union of saturated primes.
 
-    Returns the verdict and a minimum-size witnessing cover (searched over
-    the saturated primes contained in the target, smallest combinations
-    first, in canonical order).
+    Returns the verdict and the unique minimum cover: the maximal saturated
+    primes inside the target D({0}), in canonical order.  If an ideal M lay
+    in a union of saturated ideals Q_1..Q_k but in none of them, some a_i
+    in M outside each Q_i would sum to s in M, so s lies in some Q_j, and
+    a_j <= s puts a_j in the down-set Q_j.  So every cover holds each
+    maximal candidate, and they cover whenever any cover exists.
     """
     target = divisor_set(algebra, 1)
-    candidates = [p for p in saturated_primes(algebra) if not p & ~target]
+    candidates = []
     union = 0
-    for p in candidates:
-        union |= p
+    for p in saturated_primes(algebra):
+        if not p & ~target:
+            candidates.append(p)
+            union |= p
     if union != target:
         return False, ()
-    for k in range(len(candidates) + 1):
-        for combo in combinations(candidates, k):
-            m = 0
-            for p in combo:
-                m |= p
-            if m == target:
-                return True, combo
-    return False, ()  # pragma: no cover - the full candidate union covers
+    return True, _maximal(candidates)
 
 
 class SpectrumResult(namedtuple("SpectrumResult", (

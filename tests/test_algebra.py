@@ -61,6 +61,13 @@ class TestBuildAlgebra:
                 ["0", "1"], [["0", "1"], ["1"]], [["0", "0"], ["0", "1"]], "0", "1"
             )
 
+    def test_unknown_zero_or_one_label(self):
+        add, mul = [["0", "1"], ["1", "1"]], [["0", "0"], ["0", "1"]]
+        with pytest.raises(b.AlgebraError, match="^unknown zero label 'q'$"):
+            b.build_algebra(["0", "1"], add, mul, "q", "1")
+        with pytest.raises(b.AlgebraError, match="^unknown one label 'q'$"):
+            b.build_algebra(["0", "1"], add, mul, "0", "q")
+
     def test_unknown_label(self):
         with pytest.raises(b.AlgebraError, match="unknown label 'q'"):
             b.build_algebra(

@@ -301,6 +301,42 @@ class TestCommands:
         assert main(["ideals", str(path)]) == 2
         assert "enumeration bound 1000" in capsys.readouterr().err
 
+    def test_axiom_error_names_labels(self, tmp_path, capsys):
+        # Every command but validate reports tables that fail the axioms
+        # through main's invalid-algebra branch, naming the witness labels.
+        bad = tmp_path / "bad.b1a"
+        bad.write_text(EX62_FILE.replace("0 0 x 0 x x", "0 0 x u x x"), encoding="utf-8")
+        assert main(["spectrum", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: invalid algebra: axiom mul-commutative violated at (x, y) "
+            "(and 17 further violations)\n"
+        )
+
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        [
+            (EX62_FILE.replace("zero 0\n", "zero 0 z\n"),
+             "line 3: zero directive needs exactly one label"),
+            (EX62_FILE.replace("add\n", "add 0\n"), "line 5: add directive takes no arguments"),
+            (EX62_FILE.split("mul\n")[0] + "mul\n0 0 0 0 0 0\n",
+             "line 12: mul table ends after 1 of 6 rows"),
+            (EX62_FILE.replace("zero 0\n", "zero q\n"), "line 3: unknown label 'q'"),
+            (EX62_FILE.replace("one 1\n", "one q\n"), "line 4: unknown label 'q'"),
+        ],
+    )
+    def test_input_errors_exit_2_with_their_message(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.b1a"
+        path.write_text(text, encoding="utf-8")
+        assert main(["ideals", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_zero_enumeration_bound_exits_2(self, ex62_path, capsys, monkeypatch):
+        monkeypatch.setenv("B1ALG_ENUM_BOUND", "0")
+        assert main(["ideals", ex62_path]) == 2
+        assert capsys.readouterr().err == "error: B1ALG_ENUM_BOUND must be positive, got 0\n"
+
     def test_trivial_algebra_audits_clean(self, tmp_path, capsys):
         path = tmp_path / "trivial.b1a"
         path.write_text(serialize_algebra(b.builtin("trivial")), encoding="utf-8")

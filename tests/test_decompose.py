@@ -398,6 +398,101 @@ class TestAudit:
         assert not check.passed
         assert check.detail == f"{want} is not primary for the same prime"
 
+    def test_radical_saturation_failure_names_the_first_failing_pair(self, monkeypatch):
+        # A wrong radical of one ideal breaks r(sat(i & j)) = r(sat i & sat j)
+        # = r(sat i) & r(sat j); the detail names the first failing (i, j) of
+        # the nested scan over every pair, or the check passes if none fails.
+        decompose = importlib.import_module("b1alg.decompose")
+        real = decompose.radical
+        algebra = null_algebra(3)
+        ideals = b.enumerate_ideals(algebra)
+
+        def sat(m):
+            return oracles.saturation_oracle(algebra, m)
+
+        failures = 0
+        for corrupted in ideals:
+            wrong = oracles.radical_oracle(algebra, corrupted) ^ msk(algebra, "t")
+
+            def rad(m):
+                return wrong if m == corrupted else oracles.radical_oracle(algebra, m)
+
+            def fake(alg, mask):
+                return wrong if mask == corrupted else real(alg, mask)
+
+            first = next(
+                (
+                    (i, j) for i in ideals for j in ideals
+                    if not rad(sat(i & j)) == rad(sat(i) & sat(j)) == rad(sat(i)) & rad(sat(j))
+                ),
+                None,
+            )
+            monkeypatch.setattr(decompose, "radical", fake)
+            detail = decompose._audit_radical_saturation_intersection(null_algebra(3))
+            monkeypatch.setattr(decompose, "radical", real)
+            if first is None:
+                assert detail is None
+            else:
+                failures += 1
+                i, j = (lbl(algebra, m) for m in first)
+                assert detail == f"identity fails at ({{{i}}}, {{{j}}})"
+        assert failures
+
+    def test_saturation_monotone_failure_names_the_first_failing_pair(self, monkeypatch):
+        # Growing the saturation of one unsaturated ideal to a larger
+        # saturated ideal keeps it extensive, idempotent and an ideal, so
+        # only the monotone branch fails, at the nested scan's first pair.
+        decompose = importlib.import_module("b1alg.decompose")
+        real = decompose.saturation
+        for make in (
+            lambda: b.builtin("example-6-2"),
+            lambda: b.direct_product(b.builtin("example-6-2"), b.chain_algebra(2)),
+        ):
+            algebra = make()
+            ideals = b.enumerate_ideals(algebra)
+            saturated = [m for m in ideals if oracles.saturation_oracle(algebra, m) == m]
+            cases = [
+                (i, s) for i in ideals if i not in saturated for s in saturated
+                if s != b.full_mask(algebra) and oracles.saturation_oracle(algebra, i) & ~s == 0
+                and s != oracles.saturation_oracle(algebra, i)
+            ]
+            assert cases
+            for corrupted, grown in cases:
+
+                def sat(m):
+                    return grown if m == corrupted else oracles.saturation_oracle(algebra, m)
+
+                def fake(alg, mask):
+                    return grown if mask == corrupted else real(alg, mask)
+
+                first = next(
+                    (i, j) for i in ideals for j in ideals if i & ~j == 0 and sat(i) & ~sat(j)
+                )
+                monkeypatch.setattr(decompose, "saturation", fake)
+                check = next(
+                    c for c in b.audit(make()).checks if c.name == "saturation-closure"
+                )
+                monkeypatch.setattr(decompose, "saturation", real)
+                i, j = (lbl(algebra, m) for m in first)
+                assert check.detail == f"not monotone at {{{i}}} <= {{{j}}}"
+
+    def test_standard_fails_on_a_corrupted_divisor_set(self):
+        # With 1 added to the memoized D({0}), no saturated prime (all are
+        # proper) covers it, so no union of them equals it.
+        spectrum = importlib.import_module("b1alg.spectrum")
+        for make in (lambda: b.builtin("example-6-2"), lambda: null_algebra(3), idempotent_chain):
+            algebra = make()
+            wrong = oracles.divisor_set_oracle(algebra, 1) | 1 << algebra.one
+            algebra._memo[spectrum.divisor_set.__wrapped__] = {1: wrong}
+            primes = b.saturated_primes(algebra)
+            unions = {0}
+            for p in primes:
+                unions |= {u | p for u in unions}
+            assert wrong not in unions
+            assert b.is_standard(algebra) == (False, ())
+            check = next(c for c in b.audit(algebra).checks if c.name == "standard")
+            assert check.detail == "zero divisors are not a union of saturated primes"
+
     def test_check_names_are_stable(self, b1):
         names = [c.name for c in b.audit(b1).checks]
         assert names == [

@@ -418,6 +418,27 @@ class TestBourneAndQuotients:
         assert bad is not None
         assert bad[0] in ("addition not compatible", "multiplication not compatible")
 
+    def test_quotient_refuses_an_incompatible_partition(self, ex62):
+        # Congruence is public, so a partition that is no congruence is bad
+        # input: z ~ x, but z*x = 0 and x*x = x fall in different classes.
+        bad = b.Congruence(ex62, (0, 1, 1, 1, 1, 1), (1, 62))
+        with pytest.raises(
+            b.AlgebraError,
+            match=re.escape("not a congruence: multiplication not compatible at (z, x, x)"),
+        ):
+            b.quotient(ex62, bad)
+
+    def test_quotient_refuses_a_class_of_the_wrong_length(self, ex62):
+        with pytest.raises(b.AlgebraError, match="^the congruence numbers 2 of 6 elements$"):
+            b.quotient(ex62, b.Congruence(ex62, (0, 0), (3,)))
+
+    def test_quotient_refuses_classes_not_numbered_by_smallest_member(self, ex62):
+        for class_of, witness in (((1, 0, 0, 0, 0, 0), "1 of 0"), ((0, 2, 1, 1, 1, 1), "2 of z")):
+            with pytest.raises(
+                b.AlgebraError, match=f"^class {witness} is not numbered by its smallest member$"
+            ):
+                b.quotient(ex62, b.Congruence(ex62, class_of, ()))
+
     def test_quotient_by_big_ideal_is_boolean(self, ex62, b1):
         qmap = b.quotient(ex62, b.bourne_congruence(ex62, msk(ex62, "z,x,y,u")))
         assert qmap.target.order == 2

@@ -102,8 +102,11 @@ def test_decomposition_precondition_is_checked_once():
 
 
 def test_no_exponential_subset_loops_in_the_package():
-    # Subset scans over range(1 << n) or range(2 ** n) belong to the test
-    # oracles; the engine enumerates ideals in time that grows with their number.
+    # Subset scans over range(1 << n) or range(2 ** n), and searches through
+    # itertools' combinations, permutations or products, belong to the test
+    # oracles (standard_oracle, associated_oracle); the engine enumerates
+    # ideals in time that grows with their number, and reads the standard
+    # cover and the associated primes off the saturated primes.
     def exponential(node):
         return isinstance(node, ast.BinOp) and (
             isinstance(node.op, ast.LShift)
@@ -112,13 +115,25 @@ def test_no_exponential_subset_loops_in_the_package():
             and node.left.value == 2
         )
 
+    searches = {"combinations", "permutations", "product"}
+
+    def subset_search(node):
+        if isinstance(node, ast.ImportFrom) and node.module == "itertools":
+            return any(alias.name in searches for alias in node.names)
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr in searches
+            and getattr(node.value, "id", None) == "itertools"
+        )
+
     found = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [
             f"{path.name}:{node.lineno}"
             for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
+            if subset_search(node)
+            or isinstance(node, ast.Call)
             and getattr(node.func, "id", None) == "range"
             and any(exponential(arg) for arg in node.args)
         ]
