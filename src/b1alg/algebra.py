@@ -59,7 +59,9 @@ class Algebra:
 
     ``add`` and ``mul`` are tuples of tuples of element indices;
     ``add[a][b]`` is the index of a + b.  ``zero`` is always 0, and
-    ``order``, the element count, is a plain attribute like ``names``.
+    ``order``, the element count, and ``is_trivial``, true for the
+    one-element algebra, where zero and one coincide, are plain attributes
+    like ``names``.
     Instances compare and hash structurally, but derived ideal families
     and per-ideal results are memoized per instance in ``_memo``, keyed by
     the computing function, so equal tables built twice each compute their
@@ -80,7 +82,7 @@ class Algebra:
     """
 
     __slots__ = (
-        "names", "order", "add", "mul", "zero", "one", "index",
+        "names", "order", "is_trivial", "add", "mul", "zero", "one", "index",
         "_full", "_above", "_powers", "_principal", "_products",
         "_hash", "_memo", "__weakref__",
     )
@@ -99,6 +101,7 @@ class Algebra:
         self.one = one
         self.index = {name: i for i, name in enumerate(self.names)}
         self.order = n = len(self.names)
+        self.is_trivial = n == 1
         self._full = (1 << n) - 1
         above = []
         for row in self.add:
@@ -132,11 +135,6 @@ class Algebra:
         self._products = tuple(products)
         self._hash = hash((self.names, self.add, self.mul, one))
         self._memo: dict = {}
-
-    @property
-    def is_trivial(self) -> bool:
-        """True for the one-element algebra, where zero and one coincide."""
-        return self.order == 1
 
     def elements(self) -> range:
         return range(self.order)

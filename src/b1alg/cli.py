@@ -345,8 +345,7 @@ def cmd_evans(algebra: Algebra, args) -> tuple[dict, int]:
     if args.ideal is not None:
         masks = [_parse_ideal_flag(algebra, args.ideal)]
     else:
-        full = algebra._full
-        masks = [m for m in enumerate_saturated_ideals(algebra) if m != full]
+        masks = enumerate_saturated_ideals(algebra)[:-1]
     reports = [evans_report(algebra, m) for m in masks]
     passed = all(r.passed for r in reports)
     payload = {

@@ -22,6 +22,7 @@ from .ideals import (
     _generated,
     _join,
     _members,
+    _not_an_ideal,
     _pairs_in,
     _per_mask_record,
     bourne_congruence,
@@ -108,12 +109,8 @@ class AuditResult(namedtuple("AuditResult", "algebra checks")):
 def _require_saturated_proper(algebra: Algebra, mask: int) -> None:
     """Refuse a mask that is not a proper saturated ideal, naming a witness."""
     bad = ideal_violation(algebra, mask)
-    if bad is not None:
-        what, witness = bad
-        names = ", ".join(
-            algebra.names[w] if w < algebra.order else f"bit {w}" for w in witness
-        )
-        raise AlgebraError(f"the set {what} (witness: {names})")
+    if bad:
+        raise _not_an_ideal(algebra, bad)
     if mask == algebra._full:
         raise AlgebraError("the ideal must be proper")
     if not is_saturated(algebra, mask):
@@ -189,23 +186,20 @@ def radical_decomposition(algebra: Algebra, mask: int) -> DecompositionResult:
 def minimalize(result: DecompositionResult) -> DecompositionResult:
     """Drop components containing the intersection of the others.
 
-    The intersection is preserved; removal scans in canonical order until
-    no component is redundant.
+    The intersection is preserved.  One pass in canonical order suffices:
+    deleting a component can only enlarge the meet of the others, so a
+    component kept because that meet escapes it stays irredundant.
     """
     comps = list(result.components)
-    full = result.algebra._full
-    changed = True
-    while changed and len(comps) > 1:
-        changed = False
-        for idx, c in enumerate(comps):
-            rest = full
-            for j, o in enumerate(comps):
-                if j != idx:
-                    rest &= o
-            if rest & ~c == 0:
-                del comps[idx]
-                changed = True
-                break
+    k = 0
+    while k < len(comps) > 1:
+        rest = result.algebra._full
+        for o in comps[:k] + comps[k + 1:]:
+            rest &= o
+        if rest & ~comps[k]:
+            k += 1
+        else:
+            del comps[k]
     return result._replace(components=tuple(comps), irredundant=True)
 
 
@@ -220,9 +214,7 @@ def laskerian_check(algebra: Algebra) -> LaskerianReport:
     families (saturated and not) are reported; only the saturated one
     decides the verdict.
     """
-    full = algebra._full
-    saturated = enumerate_saturated_ideals(algebra)
-    proper_saturated = [m for m in saturated if m != full]
+    proper_saturated = enumerate_saturated_ideals(algebra)[:-1]
     primaries = _primaries(algebra)
     sat_primaries = tuple([q for q in primaries if is_saturated(algebra, q)])
 
@@ -490,8 +482,8 @@ def _audit_primary_intersections_stay_primary(algebra: Algebra) -> str | None:
 
 
 def _audit_weak_decomposition_exact(algebra: Algebra) -> str | None:
-    for j in enumerate_saturated_ideals(algebra):
-        if j == algebra._full or radical(algebra, j) != j:
+    for j in enumerate_saturated_ideals(algebra)[:-1]:
+        if radical(algebra, j) != j:
             continue
         result = _split(algebra, j)
         for c in result.components:
@@ -521,9 +513,8 @@ def _audit_radical_decomposition_matches_minimal_primes(algebra: Algebra) -> str
 
 def _evans_failure(algebra: Algebra) -> int | None:
     """The first proper saturated ideal failing Evans' condition, if any."""
-    full = algebra._full
-    for i in enumerate_saturated_ideals(algebra):
-        if i != full and not evans_report(algebra, i).passed:
+    for i in enumerate_saturated_ideals(algebra)[:-1]:
+        if not evans_report(algebra, i).passed:
             return i
     return None
 
@@ -543,10 +534,7 @@ def _audit_laskerian_implies_evans(algebra: Algebra) -> str | None:
 
 
 def _audit_divisor_sets(algebra: Algebra) -> str | None:
-    full = algebra._full
-    for i in enumerate_ideals(algebra):
-        if i == full:
-            continue
+    for i in enumerate_ideals(algebra)[:-1]:
         if i & ~divisor_set(algebra, i):
             return f"D({_labels(algebra, i)}) does not contain the ideal"
     if not algebra.is_trivial:

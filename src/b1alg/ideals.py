@@ -15,9 +15,10 @@ Saturations, radicals, joins with principal ideals, the ideal test,
 annihilators and conductors read the masks each ``Algebra`` builds from its
 tables instead of scanning the tables on every call; ``_pairs_in`` gives
 every conductor of an ideal at once, and ``conductor`` is one row of it.
-Sums, products, intersections and ``member_labels`` refuse a mask with a
-bit at or past the order, as the Bourne congruence and the prime, primary
-and divisor-set tests do; saturations, radicals and conductors ignore it.
+Sums, products, intersections and ``preimage_ideal`` refuse a non-ideal
+with the witness ``ideal_violation`` names; ``member_labels``, the Bourne
+congruence and the prime, primary and divisor-set tests refuse a mask with
+a bit at or past the order; saturations, radicals and conductors ignore it.
 
 ``_per_mask`` computes each per-ideal result once per instance and mask:
 saturations, the saturated test, radicals and the ideal test here, the
@@ -35,7 +36,9 @@ The operations mirror the classical ones: generated ideals, the saturation
 closure I-bar = {a : a + i = i for some i in I}, radicals, annihilators,
 conductors, ideal sums / intersections / products, the single-witness
 Bourne congruence (a ~ b iff a + w = b + w for some w in I, read off the
-join of I as one witness) and its quotient algebra.
+join of I as one witness) and its quotient algebra.  In characteristic one
+the sum of two ideals is {i + j}, so ``_join`` builds every ideal here as
+a join of principal ideals, or of the ideals iJ for a product.
 """
 
 from __future__ import annotations
@@ -140,18 +143,17 @@ def bits(mask: int):
     return iter(_members(mask))
 
 
-def _stray_bit(algebra: Algebra, mask: int) -> int:
-    """The lowest bit of mask at or past the order."""
-    high = mask >> algebra.order
-    return (high & -high).bit_length() - 1 + algebra.order
+def _not_an_ideal(algebra: Algebra, violation: tuple[str, tuple[int, ...]]) -> AlgebraError:
+    """The refusal of a mask that ``ideal_violation`` rejects, naming its witness."""
+    what, witness = violation
+    names = ", ".join([algebra.names[w] if w < algebra.order else f"bit {w}" for w in witness])
+    return AlgebraError(f"the set {what} (witness: {names})")
 
 
 def _out_of_range(algebra: Algebra, mask: int) -> AlgebraError:
-    """The refusal of a mask with a bit at or past the order, naming the lowest."""
-    return AlgebraError(
-        "the set contains an out-of-range element "
-        f"(witness: bit {_stray_bit(algebra, mask)})"
-    )
+    """The refusal of a mask with a bit at or past the order, naming the
+    lowest: the first condition ``ideal_violation`` tests."""
+    return _not_an_ideal(algebra, ideal_violation(algebra, mask))
 
 
 def mask_of(elements) -> int:
@@ -251,7 +253,9 @@ def is_ideal(algebra: Algebra, mask: int) -> bool:
 def ideal_violation(algebra: Algebra, mask: int) -> tuple[str, tuple[int, ...]] | None:
     """First failed ideal condition as (description, witness), else None."""
     if mask & ~algebra._full:
-        return ("contains an out-of-range element", (_stray_bit(algebra, mask),))
+        high = mask >> algebra.order
+        stray = (high & -high).bit_length() - 1 + algebra.order  # the lowest such bit
+        return ("contains an out-of-range element", (stray,))
     if not mask & 1:
         return ("does not contain zero", (0,))
     members = _members(mask)
@@ -272,19 +276,6 @@ def ideal_violation(algebra: Algebra, mask: int) -> tuple[str, tuple[int, ...]] 
     return None
 
 
-def _additive_closure(algebra: Algebra, mask: int) -> int:
-    add = algebra.add
-    while True:
-        members, grown = _members(mask), mask
-        for i in members:
-            row = add[i]
-            for j in members:
-                grown |= 1 << row[j]
-        if grown == mask:
-            return mask
-        mask = grown
-
-
 def generated_ideal(algebra: Algebra, elements) -> int:
     """Smallest ideal containing the given elements."""
     elements = list(elements)
@@ -294,17 +285,13 @@ def generated_ideal(algebra: Algebra, elements) -> int:
 
 
 def _generated(algebra: Algebra, elements: list[int]) -> int:
-    """``generated_ideal`` of elements already in range.
-
-    Multiples a*s are collected first; closing that set under addition is
-    enough, since distributivity keeps sums of multiples stable under
-    further multiplication.
-    """
+    """``generated_ideal`` of elements already in range: the join of their
+    principal ideals A*s, each holding s since 1*s = s."""
     mask = 1
     for s in elements:
-        for row in algebra.mul:  # row a holds a*s at s
-            mask |= 1 << row[s]
-    return _additive_closure(algebra, mask)
+        if not mask >> s & 1:
+            mask = _join(algebra, mask, algebra._principal[s])
+    return mask
 
 
 @_per_mask
@@ -340,31 +327,35 @@ def radical(algebra: Algebra, mask: int) -> int:
 
 
 def ideal_sum(algebra: Algebra, left: int, right: int) -> int:
-    # The union of two ideals is already closed under external
-    # multiplication, so only the additive closure is missing.
-    union = left | right
-    if union & ~algebra._full:
-        raise _out_of_range(algebra, union)
-    return _additive_closure(algebra, union)
+    bad = ideal_violation(algebra, left) or ideal_violation(algebra, right)
+    if bad:
+        raise _not_an_ideal(algebra, bad)
+    return _join(algebra, left, right)
 
 
 def ideal_intersect(algebra: Algebra, left: int, right: int) -> int:
-    if (left | right) & ~algebra._full:
-        raise _out_of_range(algebra, left | right)
+    bad = ideal_violation(algebra, left) or ideal_violation(algebra, right)
+    if bad:
+        raise _not_an_ideal(algebra, bad)
     return left & right
 
 
 def ideal_product(algebra: Algebra, left: int, right: int) -> int:
-    if (left | right) & ~algebra._full:
-        raise _out_of_range(algebra, left | right)
-    mul = algebra.mul
-    mask = 1
-    others = _members(right)
+    """IJ, the join over i in I of iJ = {i*j : j in J}.
+
+    Each iJ is an ideal, as J is: 0 = i*0, i*j + i*j' = i*(j + j') and
+    a*(i*j) = i*(a*j).
+    """
+    bad = ideal_violation(algebra, left) or ideal_violation(algebra, right)
+    if bad:
+        raise _not_an_ideal(algebra, bad)
+    out, others = 1, _members(right)
     for i in _members(left):
-        row = mul[i]
+        row, part = algebra.mul[i], 0
         for j in others:
-            mask |= 1 << row[j]
-    return _additive_closure(algebra, mask)
+            part |= 1 << row[j]
+        out = _join(algebra, out, part)
+    return out
 
 
 def annihilator(algebra: Algebra, s: int) -> int:
@@ -403,7 +394,8 @@ def _pairs_in(algebra: Algebra, mask: int) -> int:
 
 
 def _join(algebra: Algebra, ideal: int, other: int) -> int:
-    """I + J = {i + j}; only sums of i outside J and j outside I are new."""
+    """I + J = {i + j}, exact when I and J are ideals; only sums of i
+    outside J and j outside I are new."""
     add = algebra.add
     joined = ideal | other
     fresh = []
@@ -428,6 +420,8 @@ def _join(algebra: Algebra, ideal: int, other: int) -> int:
 def enumerate_ideals(algebra: Algebra) -> tuple[int, ...]:
     """All ideals, sorted by cardinality then by mask value.
 
+    The whole algebra is the only ideal with ``order`` members, so it comes
+    last: the proper ideals, or saturated ideals, are all but the last.
     Found once per algebra as joins of principal ideals, in time that grows
     with their number; the scan stops as soon as it finds more ideals than
     the bound in force.
@@ -576,8 +570,9 @@ def quotient(algebra: Algebra, congruence: Congruence) -> QuotientMap:
 
 def preimage_ideal(qmap: QuotientMap, mask: int) -> int:
     """Pull an ideal of the quotient back along the projection."""
-    if not is_ideal(qmap.target, mask):
-        raise AlgebraError("preimage_ideal expects an ideal of the target")
+    bad = ideal_violation(qmap.target, mask)
+    if bad:
+        raise _not_an_ideal(qmap.target, bad)
     out = 0
     for a, v in enumerate(qmap.projection):
         if mask >> v & 1:

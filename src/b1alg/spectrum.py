@@ -138,9 +138,7 @@ def min_saturated_primes(algebra: Algebra) -> tuple[int, ...]:
 @_per_algebra
 def max_saturated(algebra: Algebra) -> tuple[int, ...]:
     """Maximal elements among the proper saturated ideals."""
-    full = algebra._full
-    proper = [m for m in enumerate_saturated_ideals(algebra) if m != full]
-    return _maximal(proper)
+    return _maximal(enumerate_saturated_ideals(algebra)[:-1])
 
 
 def zero_divisors(algebra: Algebra) -> int:

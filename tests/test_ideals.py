@@ -132,6 +132,19 @@ class TestIdealArithmetic:
                     p = b.ideal_product(algebra, i, j)
                     assert b.is_ideal(algebra, p)
                     assert p & ~(i & j) == 0
+                    products = {algebra.mul[x][y] for x in b.bits(i) for y in b.bits(j)}
+                    assert p == oracles.generated_oracle(algebra, products)
+
+    def test_operations_refuse_a_non_ideal_with_its_witness(self, ex62):
+        # {0, u} holds its sums but not x*u = x; a join of it would be no ideal.
+        refusal = re.escape(
+            "the set is not closed under multiplication by the algebra (witness: x, u)"
+        )
+        not_ideal, ideal = msk(ex62, "u"), msk(ex62, "z")
+        for operation in (b.ideal_sum, b.ideal_product, b.ideal_intersect):
+            for left, right in ((not_ideal, ideal), (ideal, not_ideal)):
+                with pytest.raises(b.AlgebraError, match=refusal):
+                    operation(ex62, left, right)
 
     # A bit at or past the order is refused, naming the lowest such bit as
     # bourne_congruence does, never with a bare IndexError or a mask that
@@ -467,7 +480,8 @@ class TestBourneAndQuotients:
     def test_preimage_requires_ideal(self, ex62):
         qmap = b.quotient(ex62, b.bourne_congruence(ex62, 1))
         not_ideal = 1 << qmap.target.order - 1  # missing zero
-        with pytest.raises(b.AlgebraError):
+        refusal = re.escape("the set does not contain zero (witness: [0])")
+        with pytest.raises(b.AlgebraError, match=refusal):
             b.preimage_ideal(qmap, not_ideal)
 
     def test_projection_is_homomorphism(self, ex62, chain4):

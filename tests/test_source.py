@@ -146,7 +146,7 @@ def test_element_wise_operations_read_the_mask_tables():
     # read the pair-product masks, so a per-element conductor call there
     # would be n calls where a few mask operations do.
     wanted = {
-        "ideals.py": {"saturation", "radical", "annihilator", "conductor"},
+        "ideals.py": {"saturation", "radical", "annihilator", "conductor", "_generated"},
         "spectrum.py": {"_prime_witness", "is_primary", "divisor_set", "zero_divisors"},
         "decompose.py": {"evans_report"},
     }
