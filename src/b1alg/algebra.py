@@ -7,9 +7,10 @@ Element 0 is always the additive identity; the position of the
 multiplicative identity is stored explicitly.
 
 Everything downstream (ideals, spectra, decompositions) assumes the axioms
-hold, so construction goes through an exhaustive checker that either returns
-an immutable algebra or reports every violated axiom with a concrete
-witness.
+hold, so the ``Algebra`` constructor is the one gate: it runs the exhaustive
+checker and either returns an immutable algebra or refuses the tables, with
+an ``AlgebraError`` for ill-shaped ones and an ``AxiomError`` reporting every
+violated axiom with a concrete witness.
 """
 
 from __future__ import annotations
@@ -57,6 +58,10 @@ class AxiomError(AlgebraError):
 class Algebra:
     """Immutable finite B1-algebra.
 
+    The constructor is the one axiom gate: it refuses labels that do not
+    match the table rows one to one, and tables on which ``check_axioms``
+    raises or reports a violation, so nothing downstream checks again.
+
     ``add`` and ``mul`` are tuples of tuples of element indices;
     ``add[a][b]`` is the index of a + b.  ``zero`` is always 0, and
     ``order``, the element count, and ``is_trivial``, true for the
@@ -97,10 +102,17 @@ class Algebra:
         self.names = tuple(names)
         self.add = tuple(map(tuple, add))
         self.mul = tuple(map(tuple, mul))
+        self.order = n = len(self.names)
+        self.index = dict(zip(self.names, range(n)))
+        if len(self.index) != n:
+            raise AlgebraError(_label_problem(self.names))  # a duplicate label
+        if len(self.add) != n:
+            raise AlgebraError(f"{n} labels for an add table of {len(self.add)} rows")
+        report = check_axioms(self.add, self.mul, one)
+        if not report.valid:
+            raise AxiomError(report, self.names)
         self.zero = 0
         self.one = one
-        self.index = {name: i for i, name in enumerate(self.names)}
-        self.order = n = len(self.names)
         self.is_trivial = n == 1
         self._full = (1 << n) - 1
         above = []
@@ -193,7 +205,8 @@ def check_axioms(
 
     Returns the complete list of violations; every witness is a tuple of
     element indices in the order the axiom quantifies them.  Zero is
-    position 0 by convention.
+    position 0 by convention.  Tables that are not n by n over range(n),
+    or a ``one`` outside it, raise an AlgebraError naming the defect.
 
     The unary axioms and commutativity are always scanned in full.  When
     they hold, ``_ternary_laws_hold`` tests each remaining equation once;
@@ -202,6 +215,10 @@ def check_axioms(
     """
     n = len(add)
     rng = range(n)
+    # The shape, in C-level calls only: this runs on every construction.
+    rows = set(map(len, add)) | set(map(len, mul))
+    if len(mul) != n or rows != {n} or one not in rng or set().union(*add, *mul) - set(rng):
+        raise AlgebraError(_shape_problem(add, mul, one))
     out: list[Violation] = []
 
     for a in rng:
@@ -246,6 +263,22 @@ def check_axioms(
         out.append(Violation("zero-is-not-one", (0,)))
 
     return AxiomReport(valid=not out, violations=tuple(out))
+
+
+def _shape_problem(add, mul, one) -> str:
+    """The first defect of tables that are not n by n over range(n), with n
+    the add table's row count, or of a ``one`` outside range(n)."""
+    n = len(add)
+    if len(mul) != n:
+        return f"the add table has {n} rows but the mul table has {len(mul)}"
+    for what, table in (("add", add), ("mul", mul)):
+        for i, row in enumerate(table, 1):
+            if len(row) != n:
+                return f"{what} table row {i} has {len(row)} entries, expected {n}"
+            for entry in row:
+                if entry not in range(n):
+                    return f"{what} table row {i} holds {entry!r}, not an element index below {n}"
+    return f"one {one!r} is not an element index below {n}"
 
 
 def _ternary_laws_hold(
@@ -304,12 +337,11 @@ def build_algebra(
     rely on it).  Dimension or label problems raise AlgebraError; axiom
     failures raise AxiomError carrying the complete violation report.
     """
-    names = tuple(str(n) for n in names)
+    names = tuple(map(str, names))
     problem = _label_problem(names)
     if problem is not None:
         raise AlgebraError(problem)
-    n = len(names)
-    index = {name: i for i, name in enumerate(names)}
+    index = dict(zip(names, range(len(names))))
     if zero not in index:
         raise AlgebraError(f"unknown zero label {zero!r}")
     if one not in index:
@@ -318,38 +350,16 @@ def build_algebra(
         raise AlgebraError(f"zero element {zero!r} must be listed first")
 
     def to_indices(table, what: str):
-        if len(table) != n:
-            raise AlgebraError(f"{what} table has {len(table)} rows, expected {n}")
+        # The Algebra constructor checks the shape.
         rows = []
-        for i, row in enumerate(table):
-            if len(row) != n:
-                raise AlgebraError(
-                    f"{what} table row {i + 1} ({names[i]!r}) has "
-                    f"{len(row)} entries, expected {n}"
-                )
+        for i, row in enumerate(table, 1):
             try:
-                rows.append(tuple(index[str(entry)] for entry in row))
+                rows.append(tuple(map(index.__getitem__, map(str, row))))
             except KeyError as exc:
-                raise AlgebraError(
-                    f"{what} table row {i + 1}: unknown label {exc.args[0]!r}"
-                ) from None
-        return tuple(rows)
+                raise AlgebraError(f"{what} table row {i}: unknown label {exc.args[0]!r}") from None
+        return rows
 
-    return _certified(names, to_indices(add, "add"), to_indices(mul, "mul"), index[one])
-
-
-def _certified(
-    names: tuple[str, ...],
-    add: tuple[tuple[int, ...], ...],
-    mul: tuple[tuple[int, ...], ...],
-    one: int,
-) -> Algebra:
-    # The one axiom gate: user tables and the internal constructors alike
-    # pass the checker, so no invalid algebra is ever built.
-    report = check_axioms(add, mul, one)
-    if not report.valid:
-        raise AxiomError(report, names)
-    return Algebra(names, add, mul, one)
+    return Algebra(names, to_indices(add, "add"), to_indices(mul, "mul"), index[one])
 
 
 def direct_product(a: Algebra, b: Algebra) -> Algebra:
@@ -364,7 +374,7 @@ def direct_product(a: Algebra, b: Algebra) -> Algebra:
             for j in range(nb)
         )
 
-    return _certified(names, table(a.add, b.add), table(a.mul, b.mul), a.one * nb + b.one)
+    return Algebra(names, table(a.add, b.add), table(a.mul, b.mul), a.one * nb + b.one)
 
 
 def chain_algebra(n: int) -> Algebra:
@@ -378,22 +388,14 @@ def chain_algebra(n: int) -> Algebra:
     names = ("0",) + tuple(f"c{i}" for i in range(1, n - 1)) + ("1",)
     add = tuple(tuple(max(i, j) for j in range(n)) for i in range(n))
     mul = tuple(tuple(min(i, j) for j in range(n)) for i in range(n))
-    return _certified(names, add, mul, n - 1)
-
-
-def _b1() -> Algebra:
-    return chain_algebra(2)
-
-
-def _trivial() -> Algebra:
-    return _certified(("0",), ((0,),), ((0,),), 0)
+    return Algebra(names, add, mul, n - 1)
 
 
 # The six-element builtin "example-6-2": ordering (0, z, x, y, u, 1) with
 # z + x = x, z + y = y, x + y = u, u + 1 = 1, z**2 = 0, x and y orthogonal
 # idempotents (xy = 0), u = x + y.  All remaining entries are forced by
-# associativity and distributivity; _certified re-verifies that completion
-# on every construction.  Its zero ideal is not an intersection of
+# associativity and distributivity; the Algebra constructor re-verifies that
+# completion on every construction.  Its zero ideal is not an intersection of
 # saturated primary ideals, which makes it the stock counterexample for
 # decomposition questions.
 _EX62_NAMES = ("0", "z", "x", "y", "u", "1")
@@ -415,16 +417,12 @@ _EX62_MUL = (
 )
 
 
-def _example_6_2() -> Algebra:
-    return _certified(_EX62_NAMES, _EX62_ADD, _EX62_MUL, 5)
-
-
 def _bool_algebra(k: int) -> Algebra:
     if k < 1:
         raise AlgebraError(f"bool algebra needs k >= 1, got {k}")
-    out = _b1()
+    out = chain_algebra(2)
     for _ in range(k - 1):
-        out = direct_product(out, _b1())
+        out = direct_product(out, chain_algebra(2))
     return out
 
 
@@ -440,11 +438,11 @@ def builtin(name: str) -> Algebra:
     K in plain decimal digits and at most _BUILTIN_ORDER_BOUND elements.
     """
     if name == "b1":
-        return _b1()
+        return chain_algebra(2)
     if name == "trivial":
-        return _trivial()
+        return Algebra(("0",), ((0,),), ((0,),), 0)
     if name == "example-6-2":
-        return _example_6_2()
+        return Algebra(_EX62_NAMES, _EX62_ADD, _EX62_MUL, 5)
     for prefix, make, max_param in (
         ("chain-", chain_algebra, _BUILTIN_ORDER_BOUND),
         ("bool-", _bool_algebra, _BUILTIN_ORDER_BOUND.bit_length() - 1),

@@ -32,7 +32,6 @@ from .algebra import (
     AlgebraError,
     AxiomError,
     BUILTIN_NAMES,
-    _certified,
     _label_problem,
     builtin,
 )
@@ -68,7 +67,8 @@ def parse_algebra_text(text: str) -> Algebra:
     """Parse .b1a source into a validated algebra.
 
     Labels and entries are checked and mapped to indices in one pass here,
-    so ``_certified`` is left with the axiom check only.
+    with the line of each defect, so the ``Algebra`` constructor is left
+    with the axiom check only.
     """
     # (line number, tokens) with comments and blanks dropped
     rows: list[tuple[int, list[str]]] = []
@@ -152,7 +152,7 @@ def parse_algebra_text(text: str) -> Algebra:
         raise ParseError(
             seen_at["elements"], f"zero element {zero!r} must be listed first"
         )
-    return _certified(names, tables["add"], tables["mul"], index[one])
+    return Algebra(names, tables["add"], tables["mul"], index[one])
 
 
 def parse_algebra_file(path: str | Path) -> Algebra:
@@ -234,12 +234,15 @@ def _emit(command: str, label: str, result: dict, fmt: str, out) -> None:
 
 
 def _parse_ideal_flag(algebra: Algebra, text: str) -> int:
-    """The mask named by an --ideal value; the analyses check it is an ideal."""
+    """The mask named by an --ideal value, which must name an element; zero
+    is implicit.  The analyses check that the mask is an ideal."""
     labels = [t for t in text.split(",") if t]
+    if not labels:
+        zero = algebra.names[0]
+        raise AlgebraError(f"--ideal {text!r} names no element; the zero ideal is spelled {zero!r}")
     unknown = [t for t in labels if t not in algebra.index]
     if unknown:
         raise AlgebraError(f"--ideal contains unknown label {unknown[0]!r}")
-    # zero is implicit; the zero ideal is spelled "0"
     return mask_of(algebra.index[t] for t in labels) | 1
 
 
@@ -305,8 +308,6 @@ def cmd_assoc(algebra: Algebra, args) -> tuple[dict, int]:
 
 
 def cmd_decompose(algebra: Algebra, args) -> tuple[dict, int]:
-    if not args.ideal:
-        raise AlgebraError("decompose requires a non-empty --ideal")
     result = radical_decomposition(algebra, _parse_ideal_flag(algebra, args.ideal))
     if args.minimal:
         result = minimalize(result)

@@ -48,7 +48,7 @@ import functools
 import os
 from collections import namedtuple
 
-from .algebra import Algebra, AlgebraError, _certified
+from .algebra import Algebra, AlgebraError
 
 DEFAULT_ENUMERATION_BOUND = 2**19  # the most ideals of any algebra of order <= 20
 ENUMERATION_BOUND_ENV = "B1ALG_ENUM_BOUND"
@@ -564,7 +564,7 @@ def quotient(algebra: Algebra, congruence: Congruence) -> QuotientMap:
         raise AlgebraError(f"not a congruence: {bad[0]} at ({witness})")
     add = tuple(tuple(class_of[algebra.add[r][s]] for s in reps) for r in reps)
     mul = tuple(tuple(class_of[algebra.mul[r][s]] for s in reps) for r in reps)
-    target = _certified(tuple([f"[{names[r]}]" for r in reps]), add, mul, class_of[algebra.one])
+    target = Algebra(tuple([f"[{names[r]}]" for r in reps]), add, mul, class_of[algebra.one])
     return QuotientMap(algebra, target, class_of)
 
 

@@ -9,11 +9,12 @@ prime witnesses via scans of the tables instead of principal-ideal and
 pair-product masks, Bourne classes via the pairwise single-witness
 relation instead of the join of the ideal, associated primes via the
 quotient algebras the library no longer builds, the axioms via a scan of
-every triple with no fast pass, the laskerian verdict via the meet of the
-saturated primaries above each ideal instead of a meet closure, the
-standard cover via every subset of the saturated primes, and the Evans
-report via the conductor, prime, saturation and divisor-set oracles
-instead of the pair mask and the memoized predicates.
+every triple with no fast pass, the laskerian verdict and the ideals its
+table covers via the meet of the saturated primaries above each ideal
+instead of a meet closure, the standard cover via every subset of the
+saturated primes, and the Evans report via the conductor, prime,
+saturation and divisor-set oracles instead of the pair mask and the
+memoized predicates.
 """
 
 from __future__ import annotations
@@ -291,23 +292,48 @@ def _saturated_ideals(algebra: b.Algebra) -> list[int]:
     ]
 
 
-def laskerian_oracle(algebra: b.Algebra) -> tuple[bool, int | None]:
-    """(verdict, witness): every proper saturated I must equal the meet of
-    the proper saturated primaries containing it; the witness is the first
-    that does not, in the canonical order."""
+def saturated_primaries_oracle(algebra: b.Algebra) -> list[int]:
+    """The saturated primary ideals, in the canonical order."""
+    return [q for q in _saturated_ideals(algebra) if primary_oracle(algebra, q)]
+
+
+def _primary_meets(algebra: b.Algebra) -> list[tuple[int, int]]:
+    """(I, the meet of the saturated primaries containing I) for each
+    proper saturated I, in the canonical order."""
     full = b.full_mask(algebra)
-    saturated = _saturated_ideals(algebra)
-    primaries = [q for q in saturated if primary_oracle(algebra, q)]
-    for m in saturated:
+    primaries = saturated_primaries_oracle(algebra)
+    out = []
+    for m in _saturated_ideals(algebra):
         if m == full:
             continue
         meet = full
         for q in primaries:
             if q & m == m:
                 meet &= q
+        out.append((m, meet))
+    return out
+
+
+def laskerian_oracle(algebra: b.Algebra) -> tuple[bool, int | None]:
+    """(verdict, witness): every proper saturated I must equal the meet of
+    the proper saturated primaries containing it; the witness is the first
+    that does not, in the canonical order."""
+    for m, meet in _primary_meets(algebra):
         if meet != m:
             return False, m
     return True, None
+
+
+def laskerian_table_oracle(algebra: b.Algebra) -> list[int]:
+    """The ideals a laskerian table covers: the proper saturated I that
+    equal the meet of the saturated primaries containing them."""
+    return [m for m, meet in _primary_meets(algebra) if meet == m]
+
+
+def minimal_saturated_primaries_above(algebra: b.Algebra, mask: int) -> list[int]:
+    """The minimal members of the saturated primaries containing I."""
+    above = [q for q in saturated_primaries_oracle(algebra) if q & mask == mask]
+    return [q for q in above if not any(p != q and p & q == p for p in above)]
 
 
 def standard_oracle(algebra: b.Algebra) -> tuple[bool, tuple[int, ...]]:

@@ -138,6 +138,46 @@ def idempotent_chain() -> b.Algebra:
     return b.build_algebra(names, add, mul, "0", "1")
 
 
+def monoid_ideal_algebra() -> b.Algebra:
+    """The 14-element semiring of the ideals of the monoid with zero
+    M = {1, x, x**2, y, y**2, xy}, where x**3 = x**2, y**3 = y**2 and
+    x**2 y = x y**2 = 0.
+
+    + is union and * the setwise product with 0 dropped.  An ideal is
+    labelled by its members joined with '+' (``yy+xy+xx`` is
+    {y**2, xy, x**2}), the empty one by ``0``.  A laskerian table entry
+    of this algebra is not the set of minimal saturated primaries above
+    its ideal: see ``test_decompose.TestMonoidIdealAlgebra``.
+    """
+    # Monomials x**i y**j as (i, j), in label order.
+    monomials = ((0, 0), (1, 0), (0, 1), (0, 2), (1, 1), (2, 0))
+    labels = ("1", "x", "y", "yy", "xy", "xx")
+
+    def times(u, v):
+        i, j = min(u[0] + v[0], 2), min(u[1] + v[1], 2)
+        return None if i and j and i + j > 2 else (i, j)
+
+    def product(s, t):
+        return frozenset({times(u, v) for u in s for v in t} - {None})
+
+    whole = frozenset(monomials)
+    ideals = sorted(
+        (
+            frozenset(m for k, m in enumerate(monomials) if bits >> k & 1)
+            for bits in range(1 << len(monomials))
+        ),
+        key=lambda s: (len(s), sorted(map(monomials.index, s))),
+    )
+    ideals = [s for s in ideals if product(s, whole) <= s]
+    name = {
+        s: "+".join([w for m, w in zip(monomials, labels) if m in s]) or "0" for s in ideals
+    }
+    names = [name[s] for s in ideals]
+    add = [[name[s | t] for t in ideals] for s in ideals]
+    mul = [[name[product(s, t)] for t in ideals] for s in ideals]
+    return b.build_algebra(names, add, mul, "0", name[whole])
+
+
 def _product_pool() -> list[b.Algebra]:
     seeds = [
         b.builtin("b1"),

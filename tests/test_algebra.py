@@ -112,6 +112,43 @@ class TestBuildAlgebra:
         assert any(v.axiom == "add-commutative" and v.witness == (1, 2) for v in report.violations)
 
 
+class TestConstructorGate:
+    # Algebra(...) is the one way to build an algebra, so it runs the whole
+    # check: ill-shaped tables raise an AlgebraError naming the defect, and
+    # tables that fail an axiom an AxiomError, never an IndexError or an
+    # algebra the analyses then trip over.
+    B1_ADD = ((0, 1), (1, 1))
+    B1_MUL = ((0, 0), (0, 1))
+
+    def test_tables_without_a_multiplicative_identity_are_refused(self):
+        with pytest.raises(b.AxiomError, match="mul-identity") as err:
+            b.Algebra(("0", "1"), self.B1_ADD, ((0, 0), (0, 0)), 1)
+        assert err.value.report == check_axioms(self.B1_ADD, ((0, 0), (0, 0)), 1)
+
+    @pytest.mark.parametrize("add, mul, one, problem", [
+        (((0, 1),), B1_MUL, 1, "the add table has 1 rows but the mul table has 2"),
+        (B1_ADD, ((0, 0),), 1, "the add table has 2 rows but the mul table has 1"),
+        (((0, 1), (1,)), B1_MUL, 1, "add table row 2 has 1 entries, expected 2"),
+        (B1_ADD, ((0, 0), (0, 1, 1)), 1, "mul table row 2 has 3 entries, expected 2"),
+        (((0, 1), (1, 2)), B1_MUL, 1, "add table row 2 holds 2, not an element index below 2"),
+        (B1_ADD, ((0, -1), (0, 1)), 1, "mul table row 1 holds -1, not an element index below 2"),
+        (B1_ADD, B1_MUL, 2, "one 2 is not an element index below 2"),
+        ((), (), 0, "one 0 is not an element index below 0"),
+    ])
+    def test_ill_shaped_tables_are_refused_by_name(self, add, mul, one, problem):
+        for build in (check_axioms, lambda *t: b.Algebra(("0", "1")[:len(add)], *t)):
+            with pytest.raises(b.AlgebraError) as err:
+                build(add, mul, one)
+            assert str(err.value) == problem
+            assert not isinstance(err.value, b.AxiomError)
+
+    def test_labels_must_match_the_rows_one_to_one(self):
+        with pytest.raises(b.AlgebraError, match="^3 labels for an add table of 2 rows$"):
+            b.Algebra(("0", "1", "2"), self.B1_ADD, self.B1_MUL, 1)
+        with pytest.raises(b.AlgebraError, match="^duplicate label '0'$"):
+            b.Algebra(("0", "0"), self.B1_ADD, self.B1_MUL, 1)
+
+
 class TestNaturalOrder:
     def test_frozen_examples(self, ex62):
         z, x, y = ex62.index["z"], ex62.index["x"], ex62.index["y"]

@@ -241,6 +241,20 @@ class TestCommands:
         assert main(["decompose", ex62_path, "--ideal", ""]) == 2
         assert "--ideal" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["decompose", "evans"])
+    @pytest.mark.parametrize("value", ["", ","])
+    def test_an_ideal_value_naming_no_element_is_refused(
+        self, ex62_path, capsys, command, value
+    ):
+        # One rule for every spelling: the zero ideal is spelled "0".
+        assert main([command, ex62_path, "--ideal", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --ideal {value!r} names no element; the zero ideal is spelled '0'\n"
+        )
+        assert main([command, ex62_path, "--ideal", "0"]) == 0
+
     def test_laskerian_verdict_and_assert(self, ex62_path, capsys):
         assert main(["laskerian", ex62_path]) == 0
         out = capsys.readouterr().out

@@ -15,6 +15,7 @@ from support import (
     engine_frames,
     idempotent_chain,
     lbl,
+    monoid_ideal_algebra,
     msk,
     null_algebra,
     out_of_range_refusal,
@@ -40,7 +41,7 @@ def fleet_op(algebra: b.Algebra) -> None:
 # so counts there only fall.  Re-measure with
 #     len(support.engine_frames(fleet_op, b.builtin("example-6-2")))
 # and lower the ceiling when a change cuts frames.
-FLEET_OP_FRAME_CEILING = 688
+FLEET_OP_FRAME_CEILING = 686
 
 
 class TestWeakDecompose:
@@ -321,6 +322,61 @@ class TestLaskerian:
         report = b.laskerian_check(b.builtin("trivial"))
         assert report.laskerian
         assert report.witness is None
+
+    def test_table_matches_the_primary_oracles(self, base_fleet, full_random_fleet):
+        for algebra in [*base_fleet.values(), *full_random_fleet, monoid_ideal_algebra()]:
+            report = b.laskerian_check(algebra)
+            full = b.full_mask(algebra)
+            for ideal, parts in report.table:
+                meet = full
+                for q in parts:
+                    assert oracles.saturation_oracle(algebra, q) == q
+                    assert oracles.primary_oracle(algebra, q)
+                    meet &= q
+                assert meet == ideal
+            covered = [ideal for ideal, _ in report.table]
+            assert covered == oracles.laskerian_table_oracle(algebra)
+
+
+class TestMonoidIdealAlgebra:
+    # The semiring of ideals of the monoid {1, x, x**2, y, y**2, xy} with
+    # x**3 = x**2, y**3 = y**2 and x**2 y = x y**2 = 0.  In it a laskerian
+    # table entry is not the set of minimal saturated primaries above its
+    # ideal: the entry keeps the components of the first pair of meets that
+    # reached the ideal.
+
+    @pytest.fixture(scope="class")
+    def monoid_ideals(self):
+        return monoid_ideal_algebra()
+
+    @staticmethod
+    def topped(algebra, label):
+        """The saturated ideal whose largest member is label."""
+        return oracles.saturation_oracle(algebra, 1 << algebra.index[label])
+
+    def test_counts(self, monoid_ideals):
+        assert monoid_ideals.order == 14
+        assert len(oracles.ideals_oracle(monoid_ideals)) == 38
+        assert len(b.enumerate_ideals(monoid_ideals)) == 38
+        assert len(b.enumerate_saturated_ideals(monoid_ideals)) == 14
+        assert len(oracles.saturated_primaries_oracle(monoid_ideals)) == 7
+        assert len(b.laskerian_check(monoid_ideals).saturated_primaries) == 7
+
+    def test_a_table_entry_omits_a_minimal_saturated_primary(self, monoid_ideals):
+        a = monoid_ideals
+        xy = msk(a, "xy")  # the image of (x) meet (y) = (xy) in k[x, y]
+        x_side, y_side = self.topped(a, "x+xy+xx"), self.topped(a, "y+yy+xy")
+        square = self.topped(a, "yy+xy+xx")  # the image of (x, y)**2
+        table = dict(b.laskerian_check(a).table)
+        assert sorted(table[xy]) == sorted([x_side, y_side])
+        minimal = oracles.minimal_saturated_primaries_above(a, xy)
+        assert sorted(minimal) == sorted([x_side, y_side, square])
+        assert oracles.primary_oracle(a, square) and not oracles.prime_oracle(a, square)
+
+    def test_laskerian_and_audited(self, monoid_ideals):
+        assert b.laskerian_check(monoid_ideals).laskerian
+        assert oracles.laskerian_oracle(monoid_ideals) == (True, None)
+        assert b.audit(monoid_ideals).passed
 
 
 class TestEvans:
