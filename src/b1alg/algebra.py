@@ -16,6 +16,7 @@ violated axiom with a concrete witness.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import chain
 
 # Labels travel through files and comma-separated CLI flags.
 _FORBIDDEN_IN_LABEL = ("#", ",")
@@ -58,9 +59,11 @@ class AxiomError(AlgebraError):
 class Algebra:
     """Immutable finite B1-algebra.
 
-    The constructor is the one axiom gate: it refuses labels that do not
-    match the table rows one to one, and tables on which ``check_axioms``
-    raises or reports a violation, so nothing downstream checks again.
+    The constructor is the one gate, so nothing downstream checks again.
+    It raises an ``AlgebraError`` naming the first bad label (not a str,
+    empty, holding whitespace, '#' or ',', or repeated) or table defect (a
+    row count other than the labels', rows not n long, an entry or ``one``
+    not an int in range(n)), and an ``AxiomError`` when an axiom fails.
 
     ``add`` and ``mul`` are tuples of tuples of element indices;
     ``add[a][b]`` is the index of a + b.  ``zero`` is always 0, and
@@ -99,13 +102,17 @@ class Algebra:
         mul: tuple[tuple[int, ...], ...],
         one: int,
     ):
-        self.names = tuple(names)
+        self.names = names = tuple(names)
         self.add = tuple(map(tuple, add))
         self.mul = tuple(map(tuple, mul))
-        self.order = n = len(self.names)
-        self.index = dict(zip(self.names, range(n)))
-        if len(self.index) != n:
-            raise AlgebraError(_label_problem(self.names))  # a duplicate label
+        self.order = n = len(names)
+        # _label_problem's rules in C-level calls; labels split back from their join
+        # exactly when none is empty or holds whitespace.
+        joined = " ".join(map(str, names))
+        if (set(map(type, names)) - {str} or len(set(names)) != n or joined.split() != [*names]
+                or any(map(joined.__contains__, _FORBIDDEN_IN_LABEL))):
+            raise AlgebraError(_label_problem(names))
+        self.index = dict(zip(names, range(n)))
         if len(self.add) != n:
             raise AlgebraError(f"{n} labels for an add table of {len(self.add)} rows")
         report = check_axioms(self.add, self.mul, one)
@@ -152,7 +159,9 @@ class Algebra:
         return range(self.order)
 
     def _require_element(self, a: int) -> None:
-        """Refuse an element index outside range(order), naming it."""
+        """Refuse an element index that is not an int in range(order), naming it."""
+        if type(a) is not int:
+            raise AlgebraError(f"element index {a!r} is not an int")
         if not 0 <= a < self.order:
             raise AlgebraError(
                 f"element index {a} is out of range for this order-{self.order} algebra"
@@ -167,8 +176,8 @@ class Algebra:
     def power(self, a: int, k: int) -> int:
         """a**k for k >= 1 (k = 0 is deliberately unsupported)."""
         self._require_element(a)
-        if k < 1:
-            raise AlgebraError(f"exponent must be >= 1, got {k}")
+        if type(k) is not int or k < 1:
+            raise AlgebraError(f"exponent must be an int >= 1, got {k!r}")
         # Repeated squaring, valid by associativity: a**k is a times a**(2**i)
         # for each set bit i of k - 1.
         mul, acc, k = self.mul, a, k - 1
@@ -206,7 +215,7 @@ def check_axioms(
     Returns the complete list of violations; every witness is a tuple of
     element indices in the order the axiom quantifies them.  Zero is
     position 0 by convention.  Tables that are not n by n over range(n),
-    or a ``one`` outside it, raise an AlgebraError naming the defect.
+    or a ``one`` outside it (ints only: not 1.0), raise an AlgebraError naming it.
 
     The unary axioms and commutativity are always scanned in full.  When
     they hold, ``_ternary_laws_hold`` tests each remaining equation once;
@@ -217,7 +226,8 @@ def check_axioms(
     rng = range(n)
     # The shape, in C-level calls only: this runs on every construction.
     rows = set(map(len, add)) | set(map(len, mul))
-    if len(mul) != n or rows != {n} or one not in rng or set().union(*add, *mul) - set(rng):
+    if (len(mul) != n or rows != {n} or set(map(type, chain((one,), *add, *mul))) != {int}
+            or set().union((one,), *add, *mul) - set(rng)):
         raise AlgebraError(_shape_problem(add, mul, one))
     out: list[Violation] = []
 
@@ -276,7 +286,7 @@ def _shape_problem(add, mul, one) -> str:
             if len(row) != n:
                 return f"{what} table row {i} has {len(row)} entries, expected {n}"
             for entry in row:
-                if entry not in range(n):
+                if type(entry) is not int or entry not in range(n):
                     return f"{what} table row {i} holds {entry!r}, not an element index below {n}"
     return f"one {one!r} is not an element index below {n}"
 
@@ -312,15 +322,17 @@ def _ternary_laws_hold(
 
 def _label_problem(names: tuple[str, ...]) -> str | None:
     """Why these labels cannot name elements, or None if they can."""
-    if len(set(names)) != len(names):
-        dup = next(n for i, n in enumerate(names) if n in names[:i])
-        return f"duplicate label {dup!r}"
     for name in names:
+        if type(name) is not str:
+            return f"bad label {name!r}: labels are str, not {type(name).__name__}"
         if not name or any(map(name.__contains__, _FORBIDDEN_IN_LABEL)) or name.split() != [name]:
             return (
                 f"bad label {name!r}: labels are non-empty and contain no "
                 "whitespace, '#' or ','"
             )
+    if len(set(names)) != len(names):
+        dup = next(n for i, n in enumerate(names) if n in names[:i])
+        return f"duplicate label {dup!r}"
     return None
 
 
@@ -338,15 +350,12 @@ def build_algebra(
     failures raise AxiomError carrying the complete violation report.
     """
     names = tuple(map(str, names))
-    problem = _label_problem(names)
-    if problem is not None:
-        raise AlgebraError(problem)
     index = dict(zip(names, range(len(names))))
     if zero not in index:
         raise AlgebraError(f"unknown zero label {zero!r}")
     if one not in index:
         raise AlgebraError(f"unknown one label {one!r}")
-    if index[zero] != 0:
+    if names[0] != zero:  # the Algebra constructor checks the labels
         raise AlgebraError(f"zero element {zero!r} must be listed first")
 
     def to_indices(table, what: str):

@@ -67,8 +67,8 @@ def parse_algebra_text(text: str) -> Algebra:
     """Parse .b1a source into a validated algebra.
 
     Labels and entries are checked and mapped to indices in one pass here,
-    with the line of each defect, so the ``Algebra`` constructor is left
-    with the axiom check only.
+    so that each defect names its line; the ``Algebra`` constructor then
+    finds only the axioms to refuse.
     """
     # (line number, tokens) with comments and blanks dropped
     rows: list[tuple[int, list[str]]] = []

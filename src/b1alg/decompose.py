@@ -24,6 +24,7 @@ from .ideals import (
     _members,
     _not_an_ideal,
     _pairs_in,
+    _per_algebra,
     _per_mask_record,
     bourne_congruence,
     enumerate_ideals,
@@ -303,43 +304,34 @@ def _audit_axioms(algebra: Algebra) -> str | None:
 
 
 def _audit_natural_order(algebra: Algebra) -> str | None:
-    # up[a] = {b : a <= b}, read from the add rows here rather than from
-    # Algebra._above, so that the check stays independent.
-    up = []
-    for row in algebra.add:
-        mask = 0
-        for b, s in enumerate(row):
-            if s == b:
-                mask |= 1 << b
-        up.append(mask)
-    for a in range(algebra.order):
-        if not up[0] >> a & 1:
-            return f"zero not below {algebra.names[a]}"
-        rest = up[a]
-        while rest:
-            low = rest & -rest
-            b = low.bit_length() - 1
-            if up[b] >> a & 1 and a != b:
-                return f"antisymmetry fails at ({algebra.names[a]}, {algebra.names[b]})"
-            if up[b] & ~up[a]:
-                return "transitivity fails"
-            rest ^= low
+    # a <= b iff a + b = b is a partial order with zero at the bottom, by the
+    # axioms the constructor certified: a + a = a gives a <= a; commutativity
+    # gives antisymmetry (a = b + a = a + b = b); associativity, transitivity
+    # (a + c = a + (b + c) = (a + b) + c = b + c = c); 0 + a = a puts zero lowest.
     return None
+
+
+# The three pair laws name the first failing pair of the nested scan over
+# every ordered pair, yet visit each unordered pair once: their inner loops
+# start at the outer item's position.  radical-saturation-intersection and
+# primary-intersections-stay-primary test a predicate symmetric in the pair,
+# so if (i, j) fails with j before i, then (j, i) fails earlier in the nested
+# scan, whatever radical, saturation or is_primary answer.  In the monotone
+# law of saturation-closure, i <= j puts j at or after i in canonical order.
 
 
 def _audit_saturation_closure(algebra: Algebra) -> str | None:
     ideals = enumerate_ideals(algebra)
-    sat = {i: saturation(algebra, i) for i in ideals}
-    for i in ideals:
-        s = sat[i]
+    sats = [saturation(algebra, i) for i in ideals]
+    for k, (i, s) in enumerate(zip(ideals, sats)):
         if i & ~s:
             return f"not extensive at {_labels(algebra, i)}"
         if saturation(algebra, s) != s:
             return f"not idempotent at {_labels(algebra, i)}"
         if ideal_violation(algebra, s) is not None:
             return f"saturation of {_labels(algebra, i)} is not an ideal"
-        for j in ideals:
-            if i & ~j == 0 and s & ~sat[j]:
+        for j, sj in zip(ideals[k:], sats[k:]):
+            if i & ~j == 0 and s & ~sj:
                 return f"not monotone at {_labels(algebra, i)} <= {_labels(algebra, j)}"
     return None
 
@@ -354,20 +346,20 @@ def _audit_radical_closure(algebra: Algebra) -> str | None:
 
 def _audit_radical_saturation_intersection(algebra: Algebra) -> str | None:
     ideals = enumerate_ideals(algebra)
-    sat = {i: saturation(algebra, i) for i in ideals}
-    rad_sat = {i: radical(algebra, s) for i, s in sat.items()}
+    sats = [saturation(algebra, i) for i in ideals]
+    rad_sats = [radical(algebra, s) for s in sats]
     # r(sat(i & j)) and r(sat i & sat j), memoized by the mask inside
     lhs_of: dict[int, int] = {}
     mid_of: dict[int, int] = {}
-    for i in ideals:
-        si = sat[i]
-        for j in ideals:
-            meet, sat_meet = i & j, si & sat[j]
-            if meet not in lhs_of:
-                lhs_of[meet] = radical(algebra, saturation(algebra, meet))
-            if sat_meet not in mid_of:
-                mid_of[sat_meet] = radical(algebra, sat_meet)
-            if not lhs_of[meet] == mid_of[sat_meet] == rad_sat[i] & rad_sat[j]:
+    for k, (i, si, ri) in enumerate(zip(ideals, sats, rad_sats)):
+        for j, sj, rj in zip(ideals[k:], sats[k:], rad_sats[k:]):
+            lhs = lhs_of.get(i & j)
+            if lhs is None:
+                lhs = lhs_of[i & j] = radical(algebra, saturation(algebra, i & j))
+            mid = mid_of.get(si & sj)
+            if mid is None:
+                mid = mid_of[si & sj] = radical(algebra, si & sj)
+            if not lhs == mid == ri & rj:
                 return f"identity fails at ({_labels(algebra, i)}, {_labels(algebra, j)})"
     return None
 
@@ -461,13 +453,10 @@ def _audit_primary_intersections_stay_primary(algebra: Algebra) -> str | None:
         by_radical.setdefault(radical(algebra, q), []).append(q)
     for p, group in by_radical.items():
         meet_all = algebra._full
-        for q in group:
-            meet_all &= q
-        # Pairs in nested order; a meet is tested the first time it comes
-        # up, so the first failing pair is the one named.
-        passed = set()
-        for a in group:
-            for b in group:
+        passed = set()  # each distinct meet is tested once, when it first comes up
+        for k, a in enumerate(group):
+            meet_all &= a
+            for b in group[k:]:
                 c = a & b
                 if c in passed:
                     continue
@@ -512,6 +501,7 @@ def _audit_radical_decomposition_matches_minimal_primes(algebra: Algebra) -> str
     return None
 
 
+@_per_algebra
 def _evans_failure(algebra: Algebra) -> int | None:
     """The first proper saturated ideal failing Evans' condition, if any."""
     for i in enumerate_saturated_ideals(algebra)[:-1]:

@@ -8,7 +8,7 @@ import pytest
 
 import b1alg as b
 import oracles
-from b1alg.algebra import check_axioms
+from b1alg.algebra import _label_problem, check_axioms
 from support import null_algebra
 
 
@@ -141,6 +141,38 @@ class TestConstructorGate:
                 build(add, mul, one)
             assert str(err.value) == problem
             assert not isinstance(err.value, b.AxiomError)
+
+    @pytest.mark.parametrize("add, mul, one, problem", [
+        (((0, 1.0), (1, 1)), B1_MUL, 1, "add table row 1 holds 1.0, not an element index below 2"),
+        (B1_ADD, ((0, 0), (0, True)), 1, "mul table row 2 holds True, not an element index below 2"),
+        (B1_ADD, ((0, 0), (0, "1")), 1, "mul table row 2 holds '1', not an element index below 2"),
+        (B1_ADD, ((0, [0]), (0, 1)), 1, "mul table row 1 holds [0], not an element index below 2"),
+        (B1_ADD, B1_MUL, 1.0, "one 1.0 is not an element index below 2"),
+    ])
+    def test_non_integer_entries_are_refused_by_name(self, add, mul, one, problem):
+        # 1.0 == 1, so a range test alone lets it through to a TypeError.
+        for build in (check_axioms, lambda *t: b.Algebra(("0", "1"), *t)):
+            with pytest.raises(b.AlgebraError) as err:
+                build(add, mul, one)
+            assert str(err.value) == problem
+
+    @pytest.mark.parametrize("names, problem", [
+        (("0", "a b"), "bad label 'a b': labels are non-empty and contain no whitespace, '#' or ','"),
+        (("0", ""), "bad label '': labels are non-empty and contain no whitespace, '#' or ','"),
+        (("0", "a\tb"), "bad label 'a\\tb': labels are non-empty and contain no whitespace, '#' or ','"),
+        (("0", "a#"), "bad label 'a#': labels are non-empty and contain no whitespace, '#' or ','"),
+        (("0", "a,b"), "bad label 'a,b': labels are non-empty and contain no whitespace, '#' or ','"),
+        ((0, 1), "bad label 0: labels are str, not int"),
+        (("0", ["1"]), "bad label ['1']: labels are str, not list"),
+        (("1", "1"), "duplicate label '1'"),
+    ])
+    def test_bad_labels_are_refused_by_name(self, names, problem):
+        # Each label the file format refuses, so that every algebra built
+        # serializes to text that parses back.
+        assert _label_problem(names) == problem
+        with pytest.raises(b.AlgebraError) as err:
+            b.Algebra(names, self.B1_ADD, self.B1_MUL, 1)
+        assert str(err.value) == problem
 
     def test_labels_must_match_the_rows_one_to_one(self):
         with pytest.raises(b.AlgebraError, match="^3 labels for an add table of 2 rows$"):
@@ -391,6 +423,20 @@ class TestConstructions:
             ):
                 with pytest.raises(b.AlgebraError, match=f"element index {index} is out of"):
                     call()
+
+    def test_element_indices_must_be_ints(self, ex62):
+        # A float index passes the range test, so it is refused by type.
+        for index, call in (
+            (1.0, lambda: b.generated_ideal(ex62, [1.0])),
+            (0.0, lambda: ex62.leq(0.0, 1)),
+            (2.0, lambda: ex62.power(2.0, 3)),
+            (1.0, lambda: b.annihilator(ex62, 1.0)),
+            (2.0, lambda: b.conductor(ex62, 2.0, 1)),
+        ):
+            with pytest.raises(b.AlgebraError, match=f"^element index {index} is not an int$"):
+                call()
+        with pytest.raises(b.AlgebraError, match="^exponent must be an int >= 1, got 3.0$"):
+            ex62.power(2, 3.0)
 
     def test_structural_equality(self, b1, ex62):
         assert b1 != ex62

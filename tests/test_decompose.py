@@ -41,7 +41,7 @@ def fleet_op(algebra: b.Algebra) -> None:
 # so counts there only fall.  Re-measure with
 #     len(support.engine_frames(fleet_op, b.builtin("example-6-2")))
 # and lower the ceiling when a change cuts frames.
-FLEET_OP_FRAME_CEILING = 686
+FLEET_OP_FRAME_CEILING = 681
 
 
 class TestWeakDecompose:
@@ -581,6 +581,143 @@ class TestAudit:
             "divisor-sets",
             "standard",
         ]
+
+
+def _at(labels: str, answer):
+    """Patch fn(algebra, mask) to give answer(algebra) at the mask of the
+    comma-joined labels, and the real answer elsewhere."""
+
+    def patch(real, algebra):
+        target = msk(algebra, labels)
+        return lambda alg, mask: answer(alg) if mask == target else real(alg, mask)
+
+    return patch
+
+
+def _refused_when_asked_again(labels: str):
+    """Patch fn(algebra, mask) to answer False the second time it is asked
+    about the mask of the labels."""
+
+    def patch(real, algebra):
+        target, asked = msk(algebra, labels), []
+
+        def fake(alg, mask):
+            if mask == target:
+                asked.append(mask)
+                if len(asked) > 1:
+                    return False
+            return real(alg, mask)
+
+        return fake
+
+    return patch
+
+
+def _split_with(**fields):
+    """Patch _split to replace fields of its result, each given as a
+    function of the split node."""
+    return lambda real, algebra: lambda alg, node: real(alg, node)._replace(
+        **{name: make(node) for name, make in fields.items()}
+    )
+
+
+def _ex62() -> b.Algebra:
+    return b.builtin("example-6-2")
+
+
+def _chain4() -> b.Algebra:
+    return b.chain_algebra(4)
+
+
+def _null3() -> b.Algebra:
+    return null_algebra(3)
+
+
+def _constant(value):
+    return lambda real, algebra: lambda *args: value
+
+
+# One row per failing branch of an audit check that no other test reaches:
+# the check, a fresh algebra, the name patched in b1alg.decompose, the patch
+# (given the real function and the algebra) and the detail it must yield.
+_FAILING_BRANCHES = [
+    ("saturation-closure", _ex62, "saturation",
+     _at("0,x", lambda a: msk(a, "")), "not extensive at {0,x}"),
+    ("saturation-closure", _ex62, "saturation",
+     _at("0,x", lambda a: msk(a, "x,y,u")), "not idempotent at {0,x}"),
+    ("saturation-closure", _ex62, "saturation",
+     _at("0,x", lambda a: msk(a, "z,x,y")), "saturation of {0,x} is not an ideal"),
+    ("radical-closure", _ex62, "radical",
+     _at("0,x", lambda a: msk(a, "")), "radical misbehaves at {0,x}"),
+    ("annihilators-saturated", _ex62, "is_saturated",
+     _at("z,x,y,u,1", lambda a: False), "Ann(0) is not saturated"),
+    ("conductors-saturated", _ex62, "is_saturated",
+     _at("z,x,y,u,1", lambda a: False), "C_0({0}) not saturated"),
+    ("bourne-zero-class", _ex62, "bourne_congruence",
+     _at("0,x", lambda a: b.bourne_congruence(a, msk(a, "z,x,y,u"))),
+     "zero class wrong for {0,x}"),
+    ("generated-roundtrip", _ex62, "_generated",
+     lambda real, algebra: lambda alg, elements: real(alg, elements[:-1]),
+     "regenerating {0,z} changed it"),
+    ("maximal-saturated-are-prime", _ex62, "saturated_primes", _constant(()),
+     "{0,z,x,y,u} is maximal saturated but not prime"),
+    ("minimal-primes-are-zero-divisors", _ex62, "zero_divisors",
+     lambda real, algebra: lambda alg: msk(alg, "z,x,u") & ~1,
+     "y in {0,z,y} is no zero divisor"),
+    ("minimal-primes-equal-minimal-saturated", _ex62, "min_primes", _constant(()),
+     "the two minimal families differ"),
+    ("associated-primes-are-annihilators", _ex62, "associated_primes",
+     lambda real, algebra: lambda alg: ((1, msk(alg, "")),),
+     "associated {0} is not prime"),
+    ("associated-primes-are-annihilators", _chain4, "associated_primes",
+     lambda real, algebra: lambda alg: ((1, 1 << alg.index["c1"]),),
+     "associated {c1} is not saturated"),
+    ("associated-primes-are-annihilators", _chain4, "associated_primes",
+     lambda real, algebra: lambda alg: ((1, msk(alg, "c1")),),
+     "associated {0,c1} is no annihilator"),
+    ("primary-radical-is-prime", _ex62, "_primaries",
+     lambda real, algebra: lambda alg: (msk(alg, ""),),
+     "r({0}) is not prime"),
+    ("primary-intersections-stay-primary", _null3, "is_primary",
+     _refused_when_asked_again(""),
+     "whole family meet fails for {0,a1,a2,a3,t}"),
+    ("weak-decomposition-exact", _ex62, "_split",
+     _split_with(components=lambda node: (node,)),
+     "component {0,z} of {0,z}"),
+    ("weak-decomposition-exact", _ex62, "minimalize",
+     lambda real, algebra: lambda result: result._replace(components=()),
+     "minimalize broke {0,z}"),
+    ("weak-decomposition-exact", _ex62, "_split",
+     _split_with(split_trace=lambda node: ((node, (0, 0)),)),
+     "bad split witness at {0,z}"),
+    ("radical-decomposition-matches-minimal-primes", _ex62, "radical_decomposition",
+     lambda real, algebra: lambda alg, mask: real(alg, mask)._replace(
+         components=real(alg, mask).components[1:]
+     ),
+     "a minimal prime is missing from the components"),
+    ("radical-decomposition-matches-minimal-primes", _ex62, "minimalize",
+     lambda real, algebra: lambda result: result._replace(components=result.components[:1]),
+     "minimalized components differ from the minimal primes"),
+    ("divisor-sets", _ex62, "divisor_set", _constant(0),
+     "D({0}) does not contain the ideal"),
+]
+
+
+class TestAuditFailures:
+    @pytest.mark.parametrize(
+        "check, make, name, patch, detail",
+        _FAILING_BRANCHES,
+        ids=[f"{row[0]}: {row[-1]}" for row in _FAILING_BRANCHES],
+    )
+    def test_each_failing_branch_names_its_witness(
+        self, monkeypatch, check, make, name, patch, detail
+    ):
+        decompose = importlib.import_module("b1alg.decompose")
+        algebra = make()
+        monkeypatch.setattr(decompose, name, patch(getattr(decompose, name), algebra))
+        result = b.audit(algebra)
+        assert not result.passed
+        assert next(c.detail for c in result.checks if c.name == check) == detail
 
 
 def _fresh(algebra: b.Algebra) -> b.Algebra:
