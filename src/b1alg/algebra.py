@@ -84,9 +84,10 @@ class Algebra:
     ORs, ANDs and shifts of masks: ``_above[a]`` is {i : a + i = i},
     ``_powers[a]`` is {a**k : k >= 1}, ``_principal[a]`` is A*a and
     ``_products[t]`` is {(u, v) : u*v = t}, pair (u, v) at bit u*n + v.
-    They are built here rather than through ``_per_algebra``, which
-    refuses algebras past the enumeration bound, because radicals and the
-    nilradical must still answer on those.
+    They are built here as plain attributes, so a per-ideal call reads
+    them without a memo lookup.  None of them needs the ideals, so
+    radicals and the nilradical answer past the enumeration bound, which
+    ``enumerate_ideals`` alone enforces.
     """
 
     __slots__ = (

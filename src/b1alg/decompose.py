@@ -17,7 +17,6 @@ from collections import namedtuple
 
 from .algebra import Algebra, AlgebraError
 from .ideals import (
-    _bounded,
     _canonical,
     _generated,
     _join,
@@ -204,7 +203,6 @@ def minimalize(result: DecompositionResult) -> DecompositionResult:
     return result._replace(components=tuple(comps), irredundant=True)
 
 
-@_bounded
 def laskerian_check(algebra: Algebra) -> LaskerianReport:
     """Can every proper saturated ideal be cut out by saturated primaries?
 
@@ -567,7 +565,6 @@ _AUDIT_CHECKS = (
 )
 
 
-@_bounded
 def audit(algebra: Algebra) -> AuditResult:
     """Run the full invariant suite against one finite algebra.
 

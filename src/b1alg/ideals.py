@@ -7,10 +7,10 @@ algebra's memo (``Algebra._memo``) is the engine's only cache, and a memo
 hit is one Python frame.  ``_per_algebra`` computes each family once per
 instance, the ideals themselves included: ``enumerate_ideals`` finds them
 as joins of principal ideals and refuses once it finds more than the
-enumeration bound.  ``_bounded`` alone holds a known ideal count to that
-bound, and ``_per_algebra`` is its memoizing form: a public call reads the
-bound once on entry, and every bounded call, nested or not, refuses an
-algebra whose memoized ideals exceed it before it reads the memo.
+enumeration bound.  That search is the only reader of the bound: every
+family is read off the ideals, so an instance past the bound is refused by
+each family, and an instance whose ideals are known answers each from its
+memo, whatever the bound is by then.
 Saturations, radicals, joins with principal ideals, the ideal test,
 annihilators and conductors read the masks each ``Algebra`` builds from its
 tables instead of scanning the tables on every call; ``_pairs_in`` gives
@@ -19,13 +19,15 @@ Sums, products, intersections and ``preimage_ideal`` refuse a non-ideal
 with the witness ``ideal_violation`` names; ``member_labels``, the Bourne
 congruence and the prime, primary and divisor-set tests refuse a mask with
 a bit at or past the order; saturations, radicals and conductors ignore it.
+Every public function that takes a mask refuses one that is not an int,
+bool included.
 
 ``_per_mask`` computes each per-ideal result once per instance and mask:
 saturations, the saturated test, radicals and the ideal test here, the
 prime test, primarity and divisor sets in ``spectrum``, and, through
 ``_per_mask_record``, the Evans reports and radical decompositions in
 ``decompose``.  Every caller, the one-pass filters included, goes through
-the memoized function.  It makes no bound check, so these still answer
+the memoized function.  None of these enumerates, so they still answer
 past the bound.  A walk over a mask's bits that runs once per call takes
 the list ``_members`` returns; the few that run once per item walk the
 bits inline, so that no loop enters a frame per item.  Public functions
@@ -43,7 +45,6 @@ a join of principal ideals, or of the ideals iJ for a product.
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import os
 from collections import namedtuple
@@ -61,8 +62,9 @@ class EnumerationBoundError(AlgebraError):
 def enumeration_bound() -> int:
     """Most ideals an algebra may have for its ideal families to be computed.
 
-    Read from the environment on every call.  The engine reads it once per
-    public call, on entry (see ``_bounded``), not once per family.
+    Read from the environment on every call.  The engine reads it in one
+    place: ``enumerate_ideals``, when an instance's ideals are first
+    enumerated.
     """
     raw = os.environ.get(ENUMERATION_BOUND_ENV)
     if raw is None:
@@ -78,56 +80,6 @@ def enumeration_bound() -> int:
     return value
 
 
-# The bound of the public call in progress, read once on entry; 0 outside one.
-_call_bound = contextvars.ContextVar("b1alg_enumeration_bound", default=0)
-
-
-def _bounded(fn, memoize: bool = False):
-    """Run fn(algebra) with the enumeration bound read once for the
-    whole call, refusing an algebra whose known ideals exceed it.
-
-    The outermost call reads ``enumeration_bound()`` and holds it until it
-    returns or raises; every bounded function it reaches inside, however
-    deeply nested, uses that value instead of reading the environment
-    again.  Every call, nested or not, compares the algebra's memoized
-    ideal count, if any, with that bound, so a lowered bound refuses every
-    family, whatever was computed before.  With ``memoize`` (see
-    ``_per_algebra``) the same body then reads fn's memo entry, so a
-    family hit with the bound held is one frame.
-    """
-
-    @functools.wraps(fn)
-    def call(algebra: Algebra):
-        memo = algebra._memo
-        bound = _call_bound.get()
-        token = None
-        if not bound:
-            bound = enumeration_bound()
-            token = _call_bound.set(bound)
-        try:
-            if len(memo.get(_IDEALS, ())) > bound:
-                raise _over_bound(algebra, bound)
-            if not memoize:
-                return fn(algebra)
-            try:
-                return memo[fn]
-            except KeyError:
-                out = memo[fn] = fn(algebra)
-                return out
-        finally:
-            if token is not None:
-                _call_bound.reset(token)
-
-    return call
-
-
-def _over_bound(algebra: Algebra, bound: int) -> EnumerationBoundError:
-    return EnumerationBoundError(
-        f"the ideals of this order-{algebra.order} algebra exceed the enumeration "
-        f"bound {bound}; raise it via {ENUMERATION_BOUND_ENV} if you have the patience"
-    )
-
-
 def _members(mask: int) -> list[int]:
     """The set bit positions of mask in ascending order."""
     out = []
@@ -138,8 +90,21 @@ def _members(mask: int) -> list[int]:
     return out
 
 
+def _not_an_int(mask) -> AlgebraError:
+    """The refusal of a mask that is not an int; a bool is refused too, as
+    it would otherwise read the memo entry of the int it equals."""
+    return AlgebraError(f"mask {mask!r} is not an int")
+
+
 def bits(mask: int):
-    """An iterator over the set bit positions of mask in ascending order."""
+    """An iterator over the set bit positions of mask in ascending order.
+
+    A mask that is not an int, or is negative, is refused on the call.
+    """
+    if type(mask) is not int:
+        raise _not_an_int(mask)
+    if mask < 0:
+        raise AlgebraError(f"mask {mask} is negative")
     return iter(_members(mask))
 
 
@@ -157,8 +122,11 @@ def _out_of_range(algebra: Algebra, mask: int) -> AlgebraError:
 
 
 def mask_of(elements) -> int:
+    """The mask with bit e set for each element index e."""
     out = 0
     for e in elements:
+        if type(e) is not int or e < 0:
+            raise AlgebraError(f"element index {e!r} is not an int >= 0")
         out |= 1 << e
     return out
 
@@ -171,26 +139,42 @@ def _canonical(masks) -> list[int]:
 
 def _per_algebra(fn):
     """Run fn(algebra) once per algebra instance, memoized on the instance
-    under fn: the memoizing form of ``_bounded``, whose one wrapper body
-    holds the bound, compares the memoized ideal count and then reads the
-    memo.  A hit calls nothing else."""
-    return _bounded(fn, memoize=True)
+    under fn.  A hit is one frame.
+
+    Errors are not memoized, so a family that ``enumerate_ideals`` refused
+    is computed afresh on the next call.  fn must return values that do not
+    refer to the algebra, or the memo would keep its own algebra alive.
+    """
+
+    @functools.wraps(fn)
+    def once(algebra: Algebra):
+        memo = algebra._memo
+        try:
+            return memo[fn]
+        except KeyError:
+            out = memo[fn] = fn(algebra)
+            return out
+
+    return once
 
 
 def _per_mask(fn):
     """Run fn(algebra, mask) once per algebra instance and mask, memoized
     on the instance in a dict keyed by mask.  A hit is one frame.
 
-    It is not bounded, so the functions it wraps still answer past the
-    enumeration bound.  Errors are not memoized.  fn must return immutable
-    values that do not refer to the algebra, or the memo would keep its own
-    algebra alive.  Callers never read fn around the memo; a function whose
-    memo would not pay, such as ``_pairs_in`` or ``bourne_congruence``, is
-    left unwrapped instead.
+    A mask that is not an int is refused before the memo is read, so a
+    bool or float equal to a memoized int never reads that int's entry.
+    Errors are not memoized.  fn must return immutable values that do not
+    refer to the algebra, or the memo would keep its own algebra alive.
+    Callers never read fn around the memo; a function whose memo would not
+    pay, such as ``_pairs_in`` or ``bourne_congruence``, is left unwrapped
+    instead.
     """
 
     @functools.wraps(fn)
     def once(algebra: Algebra, mask: int):
+        if type(mask) is not int:
+            raise _not_an_int(mask)
         memo = algebra._memo.get(fn)
         if memo is None:
             memo = algebra._memo[fn] = {}
@@ -214,6 +198,8 @@ def _per_mask_record(fn):
 
     @functools.wraps(fn)
     def once(algebra: Algebra, mask: int):
+        if type(mask) is not int:
+            raise _not_an_int(mask)
         memo = algebra._memo.get(fn)
         if memo is None:
             memo = algebra._memo[fn] = {}
@@ -235,6 +221,8 @@ def full_mask(algebra: Algebra) -> int:
 
 def member_labels(algebra: Algebra, mask: int) -> tuple[str, ...]:
     """Labels of the mask's members in element-index order (zero first)."""
+    if type(mask) is not int:
+        raise _not_an_int(mask)
     if mask & ~algebra._full:
         raise _out_of_range(algebra, mask)
     names, out = algebra.names, []
@@ -377,6 +365,8 @@ def conductor(algebra: Algebra, x: int, mask: int) -> int:
     Bits of J at or past the order are ignored.
     """
     algebra._require_element(x)
+    if type(mask) is not int:
+        raise _not_an_int(mask)
     return _pairs_in(algebra, mask) >> x * algebra.order & algebra._full
 
 
@@ -417,32 +407,33 @@ def _join(algebra: Algebra, ideal: int, other: int) -> int:
 # ---------------------------------------------------------------------------
 # Ideal enumeration by joins of principal ideals
 
+@_per_algebra
 def enumerate_ideals(algebra: Algebra) -> tuple[int, ...]:
     """All ideals, sorted by cardinality then by mask value.
 
     The whole algebra is the only ideal with ``order`` members, so it comes
     last: the proper ideals, or saturated ideals, are all but the last.
     Found once per algebra as joins of principal ideals, in time that grows
-    with their number; the scan stops as soon as it finds more ideals than
-    the bound in force.
+    with their number.  The search reads ``enumeration_bound()`` on entry
+    and stops as soon as it finds more ideals than that; the refusal is not
+    memoized, so a raised bound lets the next call enumerate afresh.
     """
     # Every ideal is the sum of the principal ideals A*a of its members, so
     # joining each known ideal with A*a, for a = 1..n-1 in turn, finds them
     # all.
-    bound = _call_bound.get()
+    bound = enumeration_bound()
     found = {1}
     for a in range(1, algebra.order):
         principal = algebra._principal[a]
         for ideal in [m for m in found if not m >> a & 1]:
             found.add(_join(algebra, ideal, principal))
             if len(found) > bound:
-                raise _over_bound(algebra, bound)
+                raise EnumerationBoundError(
+                    f"the ideals of this order-{algebra.order} algebra exceed the "
+                    f"enumeration bound {bound}; raise it via {ENUMERATION_BOUND_ENV} "
+                    "if you have the patience"
+                )
     return tuple(_canonical(found))
-
-
-# The memo key of the ideals, whose count _bounded holds to the bound.
-_IDEALS = enumerate_ideals
-enumerate_ideals = _per_algebra(enumerate_ideals)
 
 
 @_per_algebra
@@ -520,6 +511,8 @@ def bourne_congruence(algebra: Algebra, mask: int) -> Congruence:
     numbered by smallest member.  A mask that does not hold its join (no
     ideal) is refused.  The class of zero is exactly the saturation of I.
     """
+    if type(mask) is not int:
+        raise _not_an_int(mask)
     if mask & ~algebra._full:
         raise _out_of_range(algebra, mask)
     t = _member_sum(algebra, mask)

@@ -22,7 +22,6 @@ from collections import namedtuple
 
 from .algebra import Algebra
 from .ideals import (
-    _bounded,
     _canonical,
     _member_sum,
     _out_of_range,
@@ -247,7 +246,6 @@ class SpectrumResult(namedtuple("SpectrumResult", (
     __slots__ = ()
 
 
-@_bounded
 def spectrum(algebra: Algebra) -> SpectrumResult:
     standard, cover = is_standard(algebra)
     return SpectrumResult(

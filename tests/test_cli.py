@@ -346,10 +346,37 @@ class TestCommands:
         assert main(["ideals", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    def test_zero_enumeration_bound_exits_2(self, ex62_path, capsys, monkeypatch):
-        monkeypatch.setenv("B1ALG_ENUM_BOUND", "0")
-        assert main(["ideals", ex62_path]) == 2
-        assert capsys.readouterr().err == "error: B1ALG_ENUM_BOUND must be positive, got 0\n"
+    @pytest.mark.parametrize(
+        ("bound", "refusal"),
+        [
+            ("4", "the ideals of this order-6 algebra exceed the enumeration bound 4; "
+                  "raise it via B1ALG_ENUM_BOUND if you have the patience"),
+            ("garbage", "B1ALG_ENUM_BOUND must be an integer, got 'garbage'"),
+            ("0", "B1ALG_ENUM_BOUND must be positive, got 0"),
+        ],
+        ids=["4", "garbage", "0"],
+    )
+    def test_the_bound_refuses_exactly_the_enumerating_commands(
+        self, ex62_path, capsys, monkeypatch, bound, refusal
+    ):
+        # validate, nil and decompose --ideal 0 never enumerate the ideals, so
+        # no bound, however low or malformed, changes their reports.
+        monkeypatch.delenv("B1ALG_ENUM_BOUND", raising=False)
+        untouched = (["validate"], ["nil"], ["decompose", "--ideal", "0"])
+        unbounded = []
+        for command in untouched:
+            assert main([command[0], ex62_path, *command[1:]]) == 0
+            unbounded.append(capsys.readouterr())
+        monkeypatch.setenv("B1ALG_ENUM_BOUND", bound)
+        for command, report in zip(untouched, unbounded):
+            assert main([command[0], ex62_path, *command[1:]]) == 0
+            assert capsys.readouterr() == report
+        for command in (
+            ["ideals"], ["ideals", "--saturated"], ["spectrum"], ["assoc"],
+            ["laskerian"], ["evans"], ["audit"],
+        ):
+            assert main([command[0], ex62_path, *command[1:]]) == 2, command
+            assert capsys.readouterr() == ("", f"error: {refusal}\n"), command
 
     def test_trivial_algebra_audits_clean(self, tmp_path, capsys):
         path = tmp_path / "trivial.b1a"

@@ -2,9 +2,13 @@ from __future__ import annotations
 
 import gc
 import importlib
+import inspect
 import os
 import re
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -12,7 +16,7 @@ import pytest
 import b1alg as b
 import b1alg.ideals as ideals_module
 import oracles
-from support import engine_frames, lbl, msk, null_algebra, refuses_out_of_range_masks
+from support import answer, engine_frames, lbl, msk, null_algebra, refuses_out_of_range_masks
 
 
 def out_of_range(bit: int) -> str:
@@ -263,11 +267,17 @@ class TestEnumeration:
         assert b.nilradical(big) == b.full_mask(big) ^ 1 << big.one
 
     def test_bound_holds_for_every_memoized_family(self, monkeypatch):
-        algebra = b.builtin("example-6-2")  # fresh instance, empty memo
-        b.spectrum(algebra)
-        b.audit(algebra)
+        # The bound is read where the ideals are enumerated: each family
+        # refuses a fresh instance, and an instance whose ideals were
+        # enumerated before the bound was lowered answers from its memo.
+        # Refusals are not memoized: once the bound is raised, the refused
+        # instance enumerates and answers.
+        known = b.builtin("example-6-2")
+        b.enumerate_ideals(known)
         monkeypatch.setenv("B1ALG_ENUM_BOUND", "4")
+        refused = []
         for family in (
+            b.enumerate_ideals,
             b.primes,
             b.saturated_primes,
             b.enumerate_saturated_ideals,
@@ -280,12 +290,20 @@ class TestEnumeration:
             b.laskerian_check,
             b.audit,
         ):
+            algebra = b.builtin("example-6-2")
             with pytest.raises(b.EnumerationBoundError, match="bound 4"):
                 family(algebra)
+            refused.append((family, algebra))
+            family(known)
+        assert b.audit(known).passed
+        monkeypatch.delenv("B1ALG_ENUM_BOUND")
+        for family, algebra in refused:
+            assert family(algebra) == family(known), family.__name__
 
-    def test_one_environment_read_per_public_call(self, monkeypatch):
-        # A public call reads B1ALG_ENUM_BOUND once on entry; the families
-        # it asks for inside use that value.
+    def test_one_environment_read_per_instance(self, monkeypatch):
+        # The first call on a fresh algebra reads B1ALG_ENUM_BOUND once, when
+        # it enumerates the ideals; every later call, of any family, reads
+        # the memo and not the environment.
         reads = []
 
         class CountingEnviron:
@@ -294,15 +312,19 @@ class TestEnumeration:
                 return os.environ.get(key, default)
 
         monkeypatch.setattr(ideals_module, "os", SimpleNamespace(environ=CountingEnviron()))
-        for call in (
+        calls = (
             b.spectrum, b.audit, b.laskerian_check, b.enumerate_ideals, b.primes,
             b.min_primes, b.is_standard, b.associated_primes,
-        ):
+        )
+        for first in calls:
             for algebra in (b.builtin("example-6-2"), null_algebra(3)):
-                for _ in range(2):  # computed, then read from the memo
+                reads.clear()
+                first(algebra)
+                assert reads == ["B1ALG_ENUM_BOUND"], first.__name__
+                for call in calls:
                     reads.clear()
                     call(algebra)
-                    assert reads == ["B1ALG_ENUM_BOUND"], call.__name__
+                    assert reads == [], (first.__name__, call.__name__)
 
     def test_a_family_memo_hit_reads_only_the_memo(self, monkeypatch):
         algebra = b.builtin("example-6-2")  # fresh instance, empty memo
@@ -324,8 +346,7 @@ class TestEnumeration:
         assert calls == []
 
     def test_a_memo_hit_is_one_frame(self):
-        # One wrapper body answers a hit: for a family, it holds the bound,
-        # compares the memoized ideal count and reads the memo.  The record
+        # One wrapper body answers a hit by reading the memo.  The record
         # class's own __new__ is not b1alg code, so it is not counted.
         algebra = b.builtin("example-6-2")  # fresh instance, empty memo
         full = b.full_mask(algebra)
@@ -333,25 +354,21 @@ class TestEnumeration:
         b.saturation(algebra, 1)
         b.is_prime(algebra, 1)
         b.evans_report(algebra, 1)
-        token = ideals_module._call_bound.set(ideals_module.enumeration_bound())
-        try:  # nested: a public call in progress already holds the bound
-            nested = [engine_frames(family, algebra) for family in (b.primes, b.max_saturated)]
-        finally:
-            ideals_module._call_bound.reset(token)
-        assert nested == [["call"], ["call"]]
+        for family in (b.enumerate_ideals, b.primes, b.max_saturated):
+            assert engine_frames(family, algebra) == ["once"]
         assert engine_frames(b.saturation, algebra, 1) == ["once"]
         assert engine_frames(b.is_saturated, algebra, full) == ["once"]
         assert engine_frames(b.is_prime, algebra, 1) == ["once"]
         assert engine_frames(b.evans_report, algebra, 1) == ["once"]
 
-    def test_bound_env_override(self, ex62, monkeypatch):
+    def test_bound_env_override(self, monkeypatch):
         monkeypatch.setenv("B1ALG_ENUM_BOUND", "4")
         with pytest.raises(b.EnumerationBoundError, match="bound 4"):
-            b.enumerate_ideals(ex62)
+            b.enumerate_ideals(b.builtin("example-6-2"))
         monkeypatch.setenv("B1ALG_ENUM_BOUND", "garbage")
         for call in (b.enumerate_ideals, b.primes, b.spectrum, b.laskerian_check, b.audit):
             with pytest.raises(b.AlgebraError, match="integer"):
-                call(ex62)
+                call(b.builtin("example-6-2"))
 
     def test_null_algebra_counts(self):
         for k in range(11):
@@ -496,3 +513,77 @@ class TestBourneAndQuotients:
                     for c in algebra.elements():
                         assert pi[algebra.add[a][c]] == t.add[pi[a]][pi[c]]
                         assert pi[algebra.mul[a][c]] == t.mul[pi[a]][pi[c]]
+
+
+def mask_calls(algebra: b.Algebra) -> dict[str, list]:
+    """Each public function that takes a mask, as one call of the mask per
+    mask argument, the other arguments valid."""
+    qmap = b.quotient(algebra, b.bourne_congruence(algebra, 1))
+    return {
+        "bits": [b.bits],
+        "member_labels": [lambda m: b.member_labels(algebra, m)],
+        "is_ideal": [lambda m: b.is_ideal(algebra, m)],
+        "ideal_violation": [lambda m: b.ideal_violation(algebra, m)],
+        "saturation": [lambda m: b.saturation(algebra, m)],
+        "is_saturated": [lambda m: b.is_saturated(algebra, m)],
+        "radical": [lambda m: b.radical(algebra, m)],
+        "ideal_sum": [lambda m: b.ideal_sum(algebra, m, 1), lambda m: b.ideal_sum(algebra, 1, m)],
+        "ideal_intersect": [
+            lambda m: b.ideal_intersect(algebra, m, 1), lambda m: b.ideal_intersect(algebra, 1, m),
+        ],
+        "ideal_product": [
+            lambda m: b.ideal_product(algebra, m, 1), lambda m: b.ideal_product(algebra, 1, m),
+        ],
+        "conductor": [lambda m: b.conductor(algebra, 1, m)],
+        "bourne_congruence": [lambda m: b.bourne_congruence(algebra, m)],
+        "preimage_ideal": [lambda m: b.preimage_ideal(qmap, m)],
+        "is_prime": [lambda m: b.is_prime(algebra, m)],
+        "is_primary": [lambda m: b.is_primary(algebra, m)],
+        "divisor_set": [lambda m: b.divisor_set(algebra, m)],
+        "evans_report": [lambda m: b.evans_report(algebra, m)],
+        "radical_decomposition": [lambda m: b.radical_decomposition(algebra, m)],
+        "weak_decompose": [lambda m: b.weak_decompose(algebra, m)],
+    }
+
+
+class TestMaskArguments:
+    def test_every_mask_argument_must_be_an_int(self):
+        algebra = b.builtin("example-6-2")  # fresh instance, empty memo
+        calls = mask_calls(algebra)
+        taking = {
+            name for name in b.__all__
+            if inspect.isfunction(getattr(b, name))
+            and {"mask", "left", "right"} & set(inspect.signature(getattr(b, name)).parameters)
+        }
+        assert set(calls) == taking
+        for name, positions in calls.items():
+            for call in positions:
+                answer(call, 1)  # memoized under the int 1 where it answers
+                for bad in (True, False, 1.0, 3.0, "1", None):
+                    refusal = f"mask {bad!r} is not an int"
+                    with pytest.raises(b.AlgebraError, match=f"^{re.escape(refusal)}$"):
+                        call(bad)
+
+    def test_mask_of_refuses_what_it_cannot_shift(self):
+        assert b.mask_of([0, 2, 2]) == 0b101
+        for bad in (-1, 1.0, True, "1", None):
+            refusal = f"element index {bad!r} is not an int >= 0"
+            with pytest.raises(b.AlgebraError, match=f"^{re.escape(refusal)}$"):
+                b.mask_of([0, bad])
+
+    def test_bits_refuses_a_negative_mask_on_the_call(self):
+        # A negative mask never runs out of bits, so a bits that walked it
+        # would grow its list until memory ran out: the probe runs in a child
+        # capped in time and address space.
+        probe = (
+            "import resource, b1alg as b\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "try:\n    b.bits(-1)\nexcept b.AlgebraError as exc:\n    print(exc)\n"
+        )
+        src = Path(b.__file__).resolve().parent.parent
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=30,
+        )
+        assert out.stdout == "mask -1 is negative\n"
+        assert list(b.bits(0)) == [] and list(b.bits(0b1010)) == [1, 3]

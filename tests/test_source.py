@@ -63,6 +63,26 @@ def test_no_memo_bypasses_in_the_package():
     assert found == []
 
 
+def test_only_the_enumeration_reads_the_bound():
+    # The bound budgets the one exponential search; every family is read off
+    # its result, so a second reader would only re-check a finished search.
+    def callers(node, function):
+        """Names of the functions under node that call enumeration_bound."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "attr", getattr(func, "id", None)) == "enumeration_bound":
+                    yield function
+            defines = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            yield from callers(child, child.name if defines else function)
+
+    found = set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found.update(f"{path.name}:{name}" for name in callers(tree, "<module>"))
+    assert found == {"ideals.py:enumerate_ideals"}
+
+
 def test_audit_checks_take_only_the_algebra():
     # Each audit check asks the memoized families itself; a second
     # parameter would carry a per-call copy of what the memo already holds.
