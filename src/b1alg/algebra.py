@@ -374,6 +374,9 @@ def build_algebra(
 
 def direct_product(a: Algebra, b: Algebra) -> Algebra:
     """Componentwise product; element (i, j) gets the label 'i.j'."""
+    for operand in (a, b):
+        if not isinstance(operand, Algebra):
+            raise AlgebraError(f"direct_product operand {operand!r} is not an Algebra")
     na, nb = a.order, b.order
     names = tuple(f"{a.names[i]}.{b.names[j]}" for i in range(na) for j in range(nb))
 
@@ -391,10 +394,13 @@ def chain_algebra(n: int) -> Algebra:
     """Total order 0 < c1 < ... < 1 with add = max and mul = min.
 
     Every ideal of a chain is a down-set, and every proper ideal is prime;
-    chains are the simplest saturated-spectrum test family.
+    chains are the simplest saturated-spectrum test family.  The order n is
+    refused, before any table is built, unless an int in 2.._BUILTIN_ORDER_BOUND.
     """
-    if n < 2:
-        raise AlgebraError(f"chain algebra needs order >= 2, got {n}")
+    if type(n) is not int:
+        raise AlgebraError(f"chain algebra order {n!r} is not an int")
+    if not 2 <= n <= _BUILTIN_ORDER_BOUND:
+        raise AlgebraError(f"chain algebra needs order 2..{_BUILTIN_ORDER_BOUND}, got {n}")
     names = ("0",) + tuple(f"c{i}" for i in range(1, n - 1)) + ("1",)
     add = tuple(tuple(max(i, j) for j in range(n)) for i in range(n))
     mul = tuple(tuple(min(i, j) for j in range(n)) for i in range(n))
@@ -447,6 +453,8 @@ def builtin(name: str) -> Algebra:
     chain-N (N >= 2) and bool-K (K-fold product of b1, K >= 1), with N or
     K in plain decimal digits and at most _BUILTIN_ORDER_BOUND elements.
     """
+    if type(name) is not str:
+        raise AlgebraError(f"builtin name {name!r} is not a str")
     if name == "b1":
         return chain_algebra(2)
     if name == "trivial":

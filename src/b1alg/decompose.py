@@ -9,6 +9,8 @@ to J.  Taking radicals before recursing is what restores the precondition
 at every node; the intersection identity survives because a power landing
 in both branches lands, after one more squaring, in J itself.  Only the
 public entry points check the precondition; ``_split`` trusts its input.
+Each node is split once per algebra (``_split_step``), and every
+decomposition and audit law that passes through it reuses that step.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .ideals import (
     _not_an_ideal,
     _pairs_in,
     _per_algebra,
+    _per_mask,
     _per_mask_record,
     bourne_congruence,
     enumerate_ideals,
@@ -125,7 +128,9 @@ def weak_decompose(algebra: Algebra, mask: int) -> DecompositionResult:
 
     The witness pair at each node is the lexicographically smallest
     (u, v) in element-index order, so traces are reproducible.  The
-    returned components always intersect exactly to the input.
+    returned components always intersect exactly to the input.  Each
+    node's witness and arms are computed once per algebra (``_split_step``)
+    and shared by every split that passes through the node.
     """
     _require_saturated_proper(algebra, mask)
     extra = radical(algebra, mask) & ~mask
@@ -138,35 +143,43 @@ def weak_decompose(algebra: Algebra, mask: int) -> DecompositionResult:
     return _split(algebra, mask)
 
 
+@_per_mask
+def _split_step(algebra: Algebra, j: int) -> tuple[tuple[int, int], tuple[int, int]] | None:
+    """The one split of node j, proper, saturated and radical: None if j is
+    prime, else its witness pair (u, v) and its arms r(sat(j + A*u)) and
+    r(sat(j + A*v)), each strictly between j and the whole algebra.  An
+    error is not memoized, so a broken arm raises on every split."""
+    if is_prime(algebra, j):
+        return None
+    u, v = witness = _prime_witness(algebra, j)
+    arm_u = radical(algebra, saturation(algebra, _join(algebra, j, algebra._principal[u])))
+    arm_v = radical(algebra, saturation(algebra, _join(algebra, j, algebra._principal[v])))
+    if {arm_u, arm_v} & {j, algebra._full}:
+        raise RuntimeError("split arm failed to grow properly (engine bug)")
+    return witness, (arm_u, arm_v)
+
+
 def _split(algebra: Algebra, mask: int) -> DecompositionResult:
-    """``weak_decompose`` of a proper, saturated, radical ideal, unchecked."""
-    full = algebra._full
-    components: list[int] = []
+    """``weak_decompose`` of a proper, saturated, radical ideal, unchecked.
+
+    Depth first on an explicit stack, u's arm first, reading each node's
+    step from ``_split_step``; the trace lists every visit.  A node is the
+    meet of the saturated primes above it and each arm strictly holds its
+    node, so a split is at most as deep as there are saturated primes above
+    its input, which can pass the recursion limit: the walk never recurses.
+    """
+    components = set()
     trace: list[tuple[int, tuple[int, int]]] = []
-    # Depth first on an explicit stack, since a recursive closure is a cycle that
-    # keeps the algebra alive; v is pushed first, so u's subtree comes first.
     stack = [mask]
     while stack:
         j = stack.pop()
-        # Every node is proper, so a node that is not prime has a witness pair.
-        if is_prime(algebra, j):
-            if j not in components:
-                components.append(j)
-            continue
-        witness = _prime_witness(algebra, j)
-        trace.append((j, witness))
-        for w in reversed(witness):
-            arm = radical(algebra, saturation(algebra, _join(algebra, j, algebra._principal[w])))
-            if arm == full or arm == j:
-                raise RuntimeError("split arm failed to grow properly (engine bug)")
-            stack.append(arm)
-    result = DecompositionResult(
-        algebra=algebra,
-        input=mask,
-        components=tuple(_canonical(components)),
-        irredundant=False,
-        split_trace=tuple(trace),
-    )
+        step = _split_step(algebra, j)
+        if step is None:
+            components.add(j)
+        else:
+            trace.append((j, step[0]))
+            stack.extend(reversed(step[1]))
+    result = DecompositionResult(algebra, mask, tuple(_canonical(components)), False, tuple(trace))
     if result.intersection() != mask:
         raise RuntimeError("decomposition lost its intersection (engine bug)")
     return result

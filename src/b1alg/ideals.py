@@ -24,15 +24,16 @@ bool included.
 
 ``_per_mask`` computes each per-ideal result once per instance and mask:
 saturations, the saturated test, radicals and the ideal test here, the
-prime test, primarity and divisor sets in ``spectrum``, and, through
-``_per_mask_record``, the Evans reports and radical decompositions in
-``decompose``.  Every caller, the one-pass filters included, goes through
-the memoized function.  None of these enumerates, so they still answer
-past the bound.  A walk over a mask's bits that runs once per call takes
-the list ``_members`` returns; the few that run once per item walk the
-bits inline, so that no loop enters a frame per item.  Public functions
-range-check the element indices they are given; the engine's own in-range
-calls read ``_generated`` and the rows of ``_products[0]`` instead.
+prime test, primarity and divisor sets in ``spectrum``, the split steps
+in ``decompose``, and, through ``_per_mask_record``, the Evans reports
+and radical decompositions there.  Every caller, the one-pass filters
+included, goes through the memoized function.  None of these enumerates,
+so they still answer past the bound.  A walk over a mask's bits that
+runs once per call takes the list ``_members`` returns; the few that run
+once per item walk the bits inline, so that no loop enters a frame per
+item.  Public functions range-check the element indices they are given;
+the engine's own in-range calls read ``_generated`` and the rows of
+``_products[0]`` instead.
 
 The operations mirror the classical ones: generated ideals, the saturation
 closure I-bar = {a : a + i = i for some i in I}, radicals, annihilators,
@@ -266,7 +267,11 @@ def ideal_violation(algebra: Algebra, mask: int) -> tuple[str, tuple[int, ...]] 
 
 def generated_ideal(algebra: Algebra, elements) -> int:
     """Smallest ideal containing the given elements."""
-    elements = list(elements)
+    try:
+        items = iter(elements)
+    except TypeError:
+        raise AlgebraError(f"elements {elements!r} is not an iterable of element indices") from None
+    elements = list(items)
     for s in elements:
         algebra._require_element(s)
     return _generated(algebra, elements)
@@ -476,7 +481,12 @@ class QuotientMap(namedtuple("QuotientMap", "source target projection")):
 def congruence_violation(
     algebra: Algebra, class_of: tuple[int, ...]
 ) -> tuple[str, tuple[int, ...]] | None:
-    """First compatibility failure of the partition, or None if valid."""
+    """First compatibility failure of the partition, or None if valid.
+
+    A ``class_of`` that does not number every element once is refused.
+    """
+    if len(class_of) != algebra.order:
+        raise AlgebraError(f"the congruence numbers {len(class_of)} of {algebra.order} elements")
     add, mul = algebra.add, algebra.mul
     everything = range(algebra.order)
     for a in everything:
@@ -543,15 +553,13 @@ def quotient(algebra: Algebra, congruence: Congruence) -> QuotientMap:
     refused with its witness.
     """
     class_of, names = congruence.class_of, algebra.names
-    if len(class_of) != algebra.order:
-        raise AlgebraError(f"the congruence numbers {len(class_of)} of {algebra.order} elements")
+    bad = congruence_violation(algebra, class_of)  # refuses a class_of of the wrong length
     reps: list[int] = []  # the smallest member of each class
     for a, k in enumerate(class_of):
         if k == len(reps):
             reps.append(a)
         elif not 0 <= k < len(reps):
             raise AlgebraError(f"class {k!r} of {names[a]} is not numbered by its smallest member")
-    bad = congruence_violation(algebra, class_of)
     if bad is not None:
         witness = ", ".join([names[i] for i in bad[1]])
         raise AlgebraError(f"not a congruence: {bad[0]} at ({witness})")

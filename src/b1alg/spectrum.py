@@ -6,8 +6,9 @@ conductor C_u(I): each predicate ORs the pair-product masks of ``Algebra``
 over I once and then reads the rows of the elements outside I, with no
 per-element conductor call.  The prime and primary tests and divisor sets
 are memoized per algebra and mask (``ideals._per_mask``); the prime test
-is the prime question's one memo, and ``_prime_witness`` computes the
-failing pair afresh for the weak decomposition, its one other caller.
+is the prime question's one memo, and ``_prime_witness`` gives the
+failing pair to its one other caller, the weak decomposition's split
+step, which is memoized per node.
 Every family (primes, saturated primes, primaries, the minimal and maximal
 spectra, associated primes and the standard verdict) is memoized once per
 algebra (``ideals._per_algebra``); the standard cover and the associated

@@ -14,7 +14,9 @@ table covers via the meet of the saturated primaries above each ideal
 instead of a meet closure, the standard cover via every subset of the
 saturated primes, and the Evans report via the conductor, prime,
 saturation and divisor-set oracles instead of the pair mask and the
-memoized predicates.
+memoized predicates.  The minimal primes of a direct product come from its
+factors' ideal and prime oracles, which still run where the product is too
+large for the subset scan.
 """
 
 from __future__ import annotations
@@ -139,6 +141,33 @@ def ideals_oracle(algebra: b.Algebra) -> frozenset[int]:
         if all(mask >> add[i][j] & 1 for i in members for j in members):
             found.add(mask)
     return frozenset(found)
+
+
+def _minimal_primes(algebra: b.Algebra) -> list[int]:
+    primes = [m for m in ideals_oracle(algebra) if prime_oracle(algebra, m)]
+    return [p for p in primes if not any(q != p and q & p == q for q in primes)]
+
+
+def lifted_min_primes_oracle(left: b.Algebra, right: b.Algebra) -> list[int]:
+    """The minimal primes of ``direct_product(left, right)`` in the
+    canonical order, lifted from the factors': P x B for each minimal prime
+    P of A = left, and A x Q for each minimal prime Q of B = right.
+
+    A prime of A x B holds (1, 0)*(0, 1) = 0, so it holds (0, 1) or (1, 0),
+    not both, as it is proper.  Holding (0, 1) it holds every (0, b) =
+    (0, 1)*(a, b), so it is P x B with P = {a : (a, 0) in it}; P is proper,
+    and prime since (u, 1)*(v, 1) = (uv, 1).  Every P x B with P prime is
+    prime, and so is every A x Q.  P x B lies in P' x B exactly when P lies
+    in P', and never in A x Q, which misses (0, 1).  Element (i, j) of the
+    product has index i * |B| + j.
+    """
+    n_right = right.order
+    lifts = []
+    for p in _minimal_primes(left):
+        lifts.append(sum(((1 << n_right) - 1) << i * n_right for i in b.bits(p)))
+    for q in _minimal_primes(right):
+        lifts.append(sum(q << i * n_right for i in range(left.order)))
+    return _canonical(lifts)
 
 
 def radical_oracle(algebra: b.Algebra, mask: int) -> int:

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -382,6 +386,39 @@ class TestConstructions:
         for name in ("bool-8", "bool-40", "chain-129", "chain-" + "9" * 5000):
             with pytest.raises(b.AlgebraError, match="order bound 128"):
                 b.builtin(name)
+
+    def test_argument_holes_are_refused_by_name(self):
+        # Each call once escaped as a bare TypeError, IndexError or
+        # AttributeError, or, for chain_algebra(2**70), built tables until
+        # memory ran out: the calls run in a child capped in time and address
+        # space.  A is example-6-2.
+        table = [
+            ("b.congruence_violation(A, (0, 1))", "the congruence numbers 2 of 6 elements"),
+            ("b.congruence_violation(A, (0,) * 7)", "the congruence numbers 7 of 6 elements"),
+            ("b.chain_algebra(2.5)", "chain algebra order 2.5 is not an int"),
+            ("b.chain_algebra(True)", "chain algebra order True is not an int"),
+            ("b.chain_algebra(2**70)", f"chain algebra needs order 2..128, got {2**70}"),
+            ("b.chain_algebra(129)", "chain algebra needs order 2..128, got 129"),
+            ("b.builtin(None)", "builtin name None is not a str"),
+            ("b.direct_product(A, None)", "direct_product operand None is not an Algebra"),
+            ("b.direct_product('b1', A)", "direct_product operand 'b1' is not an Algebra"),
+            ("b.generated_ideal(A, 3)", "elements 3 is not an iterable of element indices"),
+        ]
+        probe = (
+            "import resource, b1alg as b\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "A = b.builtin('example-6-2')\n"
+            f"for call in {[call for call, _ in table]!r}:\n"
+            "    try:\n        eval(call)\n        print('no refusal', flush=True)\n"
+            "    except b.AlgebraError as exc:\n        print(exc, flush=True)\n"
+            "    except Exception as exc:\n        print(type(exc).__name__, flush=True)\n"
+        )
+        src = Path(b.__file__).resolve().parent.parent
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=30,
+        )
+        assert list(zip([call for call, _ in table], out.stdout.splitlines())) == table
 
     def test_power(self, ex62):
         z, x = ex62.index["z"], ex62.index["x"]

@@ -88,15 +88,17 @@ class TestWeakDecompose:
             with pytest.raises(b.AlgebraError, match="out-of-range element"):
                 analyse(bool2, out_of_range)
 
-    def test_broken_invariant_raises_runtime_error(self, ex62, monkeypatch):
+    def test_broken_invariant_raises_runtime_error(self, monkeypatch):
         # A saturation that jumps to the whole algebra leaves a split arm
         # that cannot grow properly; the check must be an exception, not an
-        # assert that -O strips.
+        # assert that -O strips.  A fresh algebra, since a node split once
+        # is read from the memo.
+        algebra = b.builtin("example-6-2")
         monkeypatch.setattr(
             "b1alg.decompose.saturation", lambda algebra, mask: b.full_mask(algebra)
         )
         with pytest.raises(RuntimeError, match="split arm failed to grow properly"):
-            b.weak_decompose(ex62, msk(ex62, "z"))
+            b.weak_decompose(algebra, msk(algebra, "z"))
 
     def test_analysed_algebra_is_freed_without_gc(self):
         # Reference counting alone must free an analysed algebra, and with
@@ -180,6 +182,45 @@ class TestInputChecks:
                         assert got == want
 
 
+def _splits(algebra: b.Algebra) -> list[DecompositionResult]:
+    """The split of every proper saturated radical ideal, as the audit's
+    weak-decomposition-exact law asks for them."""
+    decompose = importlib.import_module("b1alg.decompose")
+    full = b.full_mask(algebra)
+    return [
+        decompose._split(algebra, j) for j in b.enumerate_saturated_ideals(algebra)
+        if j != full and b.radical(algebra, j) == j
+    ]
+
+
+class TestSharedSplit:
+    def test_audit_splits_each_node_once(self):
+        decompose = importlib.import_module("b1alg.decompose")
+        algebra = b.direct_product(b.builtin("example-6-2"), b.builtin("bool-3"))
+        frames = engine_frames(b.audit, algebra)
+        splits = _splits(algebra)  # every step now read from the memo
+        visits = [node for result in splits for node, _ in result.split_trace]
+        nodes = set(visits).union(*[result.components for result in splits])
+        assert len(visits) > len(set(visits))  # some node lies on several splits
+        assert set(algebra._memo[decompose._split_step.__wrapped__]) == nodes
+        # a miss enters _split_step itself, a hit only the memo's wrapper
+        assert frames.count("_split_step") == len(nodes)
+
+    def test_audit_rechecks_a_shared_witness(self):
+        # The audit re-checks every witness it reads from the memo, so a
+        # corrupted step of a node on several splits fails the law there.
+        decompose = importlib.import_module("b1alg.decompose")
+        algebra = b.direct_product(b.builtin("example-6-2"), b.builtin("b1"))
+        visits = [node for result in _splits(algebra) for node, _ in result.split_trace]
+        node = max(visits, key=visits.count)
+        assert visits.count(node) > 1
+        steps = algebra._memo[decompose._split_step.__wrapped__]
+        steps[node] = ((0, 0), steps[node][1])
+        check = next(c for c in b.audit(algebra).checks if c.name == "weak-decomposition-exact")
+        assert not check.passed
+        assert check.detail == f"bad split witness at {{{lbl(algebra, node)}}}"
+
+
 class TestRadicalDecomposition:
     def test_zero_ideal(self, ex62):
         result = b.radical_decomposition(ex62, 1)
@@ -220,6 +261,24 @@ class TestRadicalDecomposition:
                 assert oracles.saturation_oracle(algebra, r) == r
                 checked += 1
         assert checked == 236
+
+    def test_minimal_primes_of_products_follow_the_factors(self, base_fleet, full_random_fleet):
+        # Past order 6 the factors' brute-force oracles still decide: every
+        # minimal prime of A x B is P x B or A x Q for a minimal prime P of
+        # A or Q of B.
+        rng = random.Random(8400)
+        factors = [a for a in [*base_fleet.values(), *full_random_fleet] if not a.is_trivial]
+        checked = 0
+        while checked < 80:
+            left, right = rng.choice(factors), rng.choice(factors)
+            if not 6 < left.order * right.order <= 36:
+                continue
+            product = b.direct_product(left, right)
+            lifted = tuple(oracles.lifted_min_primes_oracle(left, right))
+            assert b.min_primes(product) == lifted
+            slim = b.minimalize(b.radical_decomposition(product, 1))
+            assert tuple(sorted(slim.components, key=lambda m: (m.bit_count(), m))) == lifted
+            checked += 1
 
     def test_matches_the_weak_decomposition_of_the_radical(
         self, base_fleet, small_random_fleet

@@ -121,6 +121,25 @@ def test_decomposition_precondition_is_checked_once():
     assert [name for name in audit_checks if calls[name] & checked_routes] == []
 
 
+def test_only_the_split_step_splits_a_node():
+    # Each node's witness and arms come from one memoized step, which every
+    # split through the node shares; the walk that reads the steps never
+    # calls itself, as a split can run deeper than the recursion limit.
+    tree = ast.parse((PACKAGE_DIR / "decompose.py").read_text(encoding="utf-8"))
+    calls = {
+        node.name: {
+            sub.func.id
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+        }
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    splitting = {name for name, called in calls.items() if {"_prime_witness", "_join"} & called}
+    assert splitting == {"_split_step"}
+    assert "_split" not in calls["_split"] and "_split_step" not in calls["_split_step"]
+
+
 def test_no_exponential_subset_loops_in_the_package():
     # Subset scans over range(1 << n) or range(2 ** n), and searches through
     # itertools' combinations, permutations or products, belong to the test
