@@ -8,137 +8,11 @@ checks every structural law on the given instance.
 
 __version__ = "0.1.0"
 
-from .algebra import (
-    Algebra,
-    AlgebraError,
-    AxiomError,
-    AxiomReport,
-    Violation,
-    build_algebra,
-    builtin,
-    chain_algebra,
-    check_axioms,
-    direct_product,
-)
-from .ideals import (
-    Congruence,
-    EnumerationBoundError,
-    QuotientMap,
-    annihilator,
-    annihilator_set,
-    bits,
-    bourne_congruence,
-    conductor,
-    congruence_violation,
-    enumerate_ideals,
-    enumerate_saturated_ideals,
-    enumeration_bound,
-    full_mask,
-    generated_ideal,
-    ideal_intersect,
-    ideal_product,
-    ideal_sum,
-    ideal_violation,
-    is_ideal,
-    is_saturated,
-    mask_of,
-    member_labels,
-    preimage_ideal,
-    quotient,
-    radical,
-    saturation,
-)
-from .spectrum import (
-    SpectrumResult,
-    associated_primes,
-    divisor_set,
-    is_primary,
-    is_prime,
-    is_standard,
-    max_saturated,
-    min_primes,
-    min_saturated_primes,
-    nilradical,
-    primes,
-    saturated_primes,
-    spectrum,
-    zero_divisors,
-)
-from .decompose import (
-    AuditCheck,
-    AuditResult,
-    DecompositionResult,
-    EvansReport,
-    LaskerianReport,
-    audit,
-    evans_report,
-    laskerian_check,
-    minimalize,
-    radical_decomposition,
-    weak_decompose,
-)
+# The star import of .spectrum rebinds the name spectrum to the function.
+from . import algebra, decompose, ideals, spectrum as _spectrum
+from .algebra import *
+from .ideals import *
+from .spectrum import *
+from .decompose import *
 
-__all__ = (
-    "__version__",
-    "Algebra",
-    "AlgebraError",
-    "AxiomError",
-    "AxiomReport",
-    "EnumerationBoundError",
-    "Violation",
-    "build_algebra",
-    "builtin",
-    "chain_algebra",
-    "check_axioms",
-    "direct_product",
-    "enumeration_bound",
-    "Congruence",
-    "QuotientMap",
-    "annihilator",
-    "annihilator_set",
-    "bits",
-    "bourne_congruence",
-    "conductor",
-    "congruence_violation",
-    "enumerate_ideals",
-    "enumerate_saturated_ideals",
-    "full_mask",
-    "generated_ideal",
-    "ideal_intersect",
-    "ideal_product",
-    "ideal_sum",
-    "ideal_violation",
-    "is_ideal",
-    "is_saturated",
-    "mask_of",
-    "member_labels",
-    "preimage_ideal",
-    "quotient",
-    "radical",
-    "saturation",
-    "SpectrumResult",
-    "associated_primes",
-    "divisor_set",
-    "is_primary",
-    "is_prime",
-    "is_standard",
-    "max_saturated",
-    "min_primes",
-    "min_saturated_primes",
-    "nilradical",
-    "primes",
-    "saturated_primes",
-    "spectrum",
-    "zero_divisors",
-    "AuditCheck",
-    "AuditResult",
-    "DecompositionResult",
-    "EvansReport",
-    "LaskerianReport",
-    "audit",
-    "evans_report",
-    "laskerian_check",
-    "minimalize",
-    "radical_decomposition",
-    "weak_decompose",
-)
+__all__ = ("__version__", *algebra.__all__, *ideals.__all__, *_spectrum.__all__, *decompose.__all__)

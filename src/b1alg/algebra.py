@@ -18,6 +18,11 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import chain
 
+__all__ = (
+    "Algebra", "AlgebraError", "AxiomError", "AxiomReport", "Violation",
+    "build_algebra", "builtin", "chain_algebra", "check_axioms", "direct_product",
+)
+
 # Labels travel through files and comma-separated CLI flags.
 _FORBIDDEN_IN_LABEL = ("#", ",")
 
@@ -60,10 +65,11 @@ class Algebra:
     """Immutable finite B1-algebra.
 
     The constructor is the one gate, so nothing downstream checks again.
-    It raises an ``AlgebraError`` naming the first bad label (not a str,
-    empty, holding whitespace, '#' or ',', or repeated) or table defect (a
-    row count other than the labels', rows not n long, an entry or ``one``
-    not an int in range(n)), and an ``AxiomError`` when an axiom fails.
+    It raises an ``AlgebraError`` naming labels that are not iterable, the
+    first bad label (not a str, empty, holding whitespace, '#' or ',', or
+    repeated) or table defect (not a sequence of rows, a row count other
+    than the labels', rows not n long, an entry or ``one`` not an int in
+    range(n)), and an ``AxiomError`` when an axiom fails.
 
     ``add`` and ``mul`` are tuples of tuples of element indices;
     ``add[a][b]`` is the index of a + b.  ``zero`` is always 0, and
@@ -103,9 +109,12 @@ class Algebra:
         mul: tuple[tuple[int, ...], ...],
         one: int,
     ):
-        self.names = names = tuple(names)
-        self.add = tuple(map(tuple, add))
-        self.mul = tuple(map(tuple, mul))
+        try:
+            self.names = names = tuple(names)
+            self.add = tuple(map(tuple, add))
+            self.mul = tuple(map(tuple, mul))
+        except TypeError:  # an argument that is not a sequence (of rows)
+            raise AlgebraError(_shape_problem(add, mul, one, names)) from None
         self.order = n = len(names)
         # _label_problem's rules in C-level calls; labels split back from their join
         # exactly when none is empty or holds whitespace.
@@ -215,21 +224,27 @@ def check_axioms(
 
     Returns the complete list of violations; every witness is a tuple of
     element indices in the order the axiom quantifies them.  Zero is
-    position 0 by convention.  Tables that are not n by n over range(n),
-    or a ``one`` outside it (ints only: not 1.0), raise an AlgebraError naming it.
+    position 0 by convention.  Tables that are not sequences of rows n by n
+    over range(n), or a ``one`` outside it (ints only: not 1.0), raise an
+    AlgebraError naming it.
 
     The unary axioms and commutativity are always scanned in full.  When
     they hold, ``_ternary_laws_hold`` tests each remaining equation once;
     if it accepts, the full ternary scan would find nothing and is
     skipped.  Otherwise the full scan runs and alone builds the report.
     """
-    n = len(add)
-    rng = range(n)
     # The shape, in C-level calls only: this runs on every construction.
-    rows = set(map(len, add)) | set(map(len, mul))
-    if (len(mul) != n or rows != {n} or set(map(type, chain((one,), *add, *mul))) != {int}
-            or set().union((one,), *add, *mul) - set(rng)):
+    try:
+        n = len(add)
+        rows = set(map(len, add)) | set(map(len, mul))
+        shaped = (len(mul) == n and rows == {n}
+                  and set(map(type, chain((one,), *add, *mul))) == {int}
+                  and not set().union((one,), *add, *mul) - set(range(n)))
+    except TypeError:  # a table, or one of its rows, has no length
+        shaped = False
+    if not shaped:
         raise AlgebraError(_shape_problem(add, mul, one))
+    rng = range(n)
     out: list[Violation] = []
 
     for a in rng:
@@ -276,9 +291,17 @@ def check_axioms(
     return AxiomReport(valid=not out, violations=tuple(out))
 
 
-def _shape_problem(add, mul, one) -> str:
-    """The first defect of tables that are not n by n over range(n), with n
-    the add table's row count, or of a ``one`` outside range(n)."""
+def _shape_problem(add, mul, one, names=()) -> str:
+    """The first defect of labels that are not iterable, of tables that are
+    not sequences of rows or not n by n over range(n), with n the add
+    table's row count, or of a ``one`` outside range(n)."""
+    if not hasattr(names, "__iter__"):
+        return f"the labels {names!r} are not iterable"
+    for what, table in (("add", add), ("mul", mul)):
+        try:
+            len(table), [*map(len, table)]
+        except TypeError:
+            return f"the {what} table {table!r} is not a sequence of rows"
     n = len(add)
     if len(mul) != n:
         return f"the add table has {n} rows but the mul table has {len(mul)}"
@@ -350,11 +373,14 @@ def build_algebra(
     rely on it).  Dimension or label problems raise AlgebraError; axiom
     failures raise AxiomError carrying the complete violation report.
     """
-    names = tuple(map(str, names))
+    try:
+        names = tuple(map(str, names))
+    except TypeError:
+        raise AlgebraError(f"the labels {names!r} are not iterable") from None
     index = dict(zip(names, range(len(names))))
-    if zero not in index:
+    if zero not in names:
         raise AlgebraError(f"unknown zero label {zero!r}")
-    if one not in index:
+    if one not in names:
         raise AlgebraError(f"unknown one label {one!r}")
     if names[0] != zero:  # the Algebra constructor checks the labels
         raise AlgebraError(f"zero element {zero!r} must be listed first")
@@ -362,11 +388,13 @@ def build_algebra(
     def to_indices(table, what: str):
         # The Algebra constructor checks the shape.
         rows = []
-        for i, row in enumerate(table, 1):
-            try:
+        try:
+            for i, row in enumerate(table, 1):
                 rows.append(tuple(map(index.__getitem__, map(str, row))))
-            except KeyError as exc:
-                raise AlgebraError(f"{what} table row {i}: unknown label {exc.args[0]!r}") from None
+        except KeyError as exc:
+            raise AlgebraError(f"{what} table row {i}: unknown label {exc.args[0]!r}") from None
+        except TypeError:
+            raise AlgebraError(f"the {what} table {table!r} is not a sequence of rows") from None
         return rows
 
     return Algebra(names, to_indices(add, "add"), to_indices(mul, "mul"), index[one])

@@ -53,6 +53,12 @@ from .spectrum import (
     zero_divisors,
 )
 
+__all__ = (
+    "AuditCheck", "AuditResult", "DecompositionResult", "EvansReport", "LaskerianReport",
+    "audit", "evans_report", "laskerian_check", "minimalize", "radical_decomposition",
+    "weak_decompose",
+)
+
 
 class DecompositionResult(namedtuple("DecompositionResult", (
     "algebra",      # Algebra
@@ -203,6 +209,8 @@ def minimalize(result: DecompositionResult) -> DecompositionResult:
     deleting a component can only enlarge the meet of the others, so a
     component kept because that meet escapes it stays irredundant.
     """
+    if not isinstance(result, DecompositionResult):
+        raise AlgebraError(f"result {result!r} is not a DecompositionResult")
     comps = list(result.components)
     k = 0
     while k < len(comps) > 1:

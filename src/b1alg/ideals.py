@@ -52,6 +52,15 @@ from collections import namedtuple
 
 from .algebra import Algebra, AlgebraError
 
+__all__ = (
+    "Congruence", "EnumerationBoundError", "QuotientMap", "annihilator", "annihilator_set",
+    "bits", "bourne_congruence", "conductor", "congruence_violation", "enumerate_ideals",
+    "enumerate_saturated_ideals", "enumeration_bound", "full_mask", "generated_ideal",
+    "ideal_intersect", "ideal_product", "ideal_sum", "ideal_violation", "is_ideal",
+    "is_saturated", "mask_of", "member_labels", "preimage_ideal", "quotient", "radical",
+    "saturation",
+)
+
 DEFAULT_ENUMERATION_BOUND = 2**19  # the most ideals of any algebra of order <= 20
 ENUMERATION_BOUND_ENV = "B1ALG_ENUM_BOUND"
 
@@ -122,10 +131,20 @@ def _out_of_range(algebra: Algebra, mask: int) -> AlgebraError:
     return _not_an_ideal(algebra, ideal_violation(algebra, mask))
 
 
+def _listed(elements) -> list:
+    """The items of an iterable argument of element indices, refusing a
+    non-iterable by name."""
+    try:
+        items = iter(elements)
+    except TypeError:
+        raise AlgebraError(f"elements {elements!r} is not an iterable of element indices") from None
+    return list(items)
+
+
 def mask_of(elements) -> int:
     """The mask with bit e set for each element index e."""
     out = 0
-    for e in elements:
+    for e in _listed(elements):
         if type(e) is not int or e < 0:
             raise AlgebraError(f"element index {e!r} is not an int >= 0")
         out |= 1 << e
@@ -267,11 +286,7 @@ def ideal_violation(algebra: Algebra, mask: int) -> tuple[str, tuple[int, ...]] 
 
 def generated_ideal(algebra: Algebra, elements) -> int:
     """Smallest ideal containing the given elements."""
-    try:
-        items = iter(elements)
-    except TypeError:
-        raise AlgebraError(f"elements {elements!r} is not an iterable of element indices") from None
-    elements = list(items)
+    elements = _listed(elements)
     for s in elements:
         algebra._require_element(s)
     return _generated(algebra, elements)
@@ -359,7 +374,7 @@ def annihilator(algebra: Algebra, s: int) -> int:
 
 def annihilator_set(algebra: Algebra, elements) -> int:
     out = algebra._full
-    for s in elements:
+    for s in _listed(elements):
         out &= annihilator(algebra, s)
     return out
 
@@ -483,8 +498,11 @@ def congruence_violation(
 ) -> tuple[str, tuple[int, ...]] | None:
     """First compatibility failure of the partition, or None if valid.
 
-    A ``class_of`` that does not number every element once is refused.
+    A ``class_of`` that is not a tuple or list numbering every element
+    once is refused.
     """
+    if not isinstance(class_of, (tuple, list)):
+        raise AlgebraError(f"class_of {class_of!r} is not a tuple or list of class numbers")
     if len(class_of) != algebra.order:
         raise AlgebraError(f"the congruence numbers {len(class_of)} of {algebra.order} elements")
     add, mul = algebra.add, algebra.mul
@@ -552,13 +570,15 @@ def quotient(algebra: Algebra, congruence: Congruence) -> QuotientMap:
     its smallest member, or is not compatible with both operations is
     refused with its witness.
     """
+    if not isinstance(congruence, Congruence):
+        raise AlgebraError(f"congruence {congruence!r} is not a Congruence")
     class_of, names = congruence.class_of, algebra.names
     bad = congruence_violation(algebra, class_of)  # refuses a class_of of the wrong length
     reps: list[int] = []  # the smallest member of each class
     for a, k in enumerate(class_of):
         if k == len(reps):
             reps.append(a)
-        elif not 0 <= k < len(reps):
+        elif type(k) is not int or not 0 <= k < len(reps):
             raise AlgebraError(f"class {k!r} of {names[a]} is not numbered by its smallest member")
     if bad is not None:
         witness = ", ".join([names[i] for i in bad[1]])
@@ -571,6 +591,8 @@ def quotient(algebra: Algebra, congruence: Congruence) -> QuotientMap:
 
 def preimage_ideal(qmap: QuotientMap, mask: int) -> int:
     """Pull an ideal of the quotient back along the projection."""
+    if not isinstance(qmap, QuotientMap):
+        raise AlgebraError(f"qmap {qmap!r} is not a QuotientMap")
     bad = ideal_violation(qmap.target, mask)
     if bad:
         raise _not_an_ideal(qmap.target, bad)

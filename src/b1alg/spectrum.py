@@ -35,6 +35,12 @@ from .ideals import (
     radical,
 )
 
+__all__ = (
+    "SpectrumResult", "associated_primes", "divisor_set", "is_primary", "is_prime",
+    "is_standard", "max_saturated", "min_primes", "min_saturated_primes", "nilradical",
+    "primes", "saturated_primes", "spectrum", "zero_divisors",
+)
+
 
 def _prime_witness(algebra: Algebra, mask: int) -> tuple[int, int] | None:
     """First (u, v) in element-index order with u, v outside and u*v inside.

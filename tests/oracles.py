@@ -14,9 +14,10 @@ table covers via the meet of the saturated primaries above each ideal
 instead of a meet closure, the standard cover via every subset of the
 saturated primes, and the Evans report via the conductor, prime,
 saturation and divisor-set oracles instead of the pair mask and the
-memoized predicates.  The minimal primes of a direct product come from its
-factors' ideal and prime oracles, which still run where the product is too
-large for the subset scan.
+memoized predicates.  The ideals, saturated ideals, primes and minimal
+primes of a direct product come from its factors' ideal, saturation and
+prime oracles, which still run where the product is too large for the
+subset scan.
 """
 
 from __future__ import annotations
@@ -143,9 +144,74 @@ def ideals_oracle(algebra: b.Algebra) -> frozenset[int]:
     return frozenset(found)
 
 
+def _primes(algebra: b.Algebra) -> list[int]:
+    return [m for m in ideals_oracle(algebra) if prime_oracle(algebra, m)]
+
+
 def _minimal_primes(algebra: b.Algebra) -> list[int]:
-    primes = [m for m in ideals_oracle(algebra) if prime_oracle(algebra, m)]
+    primes = _primes(algebra)
     return [p for p in primes if not any(q != p and q & p == q for q in primes)]
+
+
+def _times(i: int, j: int, right: b.Algebra) -> int:
+    """The mask of I x J in ``direct_product(left, right)``, whose element
+    (a, b) has index a * |right| + b."""
+    return sum(j << a * right.order for a in b.bits(i))
+
+
+def lifted_ideals_oracle(left: b.Algebra, right: b.Algebra) -> list[int]:
+    """The ideals of A x B = ``direct_product(left, right)`` in the
+    canonical order: every I x J for ideals I of A and J of B.
+
+    e = (1, 0) and f = (0, 1) are idempotents with e + f = 1 and ef = 0.
+    For an ideal K and (a, b) in K, e*(a, b) = (a, 0) and f*(a, b) = (0, b)
+    lie in K, and (a, 0) + (0, b) = (a, b).  So K = I x J with
+    I = {a : (a, 0) in K} and J = {b : (0, b) in K}, and I, J are ideals, as
+    (x, y)*(a, 0) = (xa, 0) and (a, 0) + (a', 0) = (a + a', 0).  Conversely
+    every I x J is an ideal, as the operations act per factor.
+    """
+    ideals = ideals_oracle(right)
+    return _canonical(_times(i, j, right) for i in ideals_oracle(left) for j in ideals)
+
+
+def lifted_saturated_ideals_oracle(left: b.Algebra, right: b.Algebra) -> list[int]:
+    """The saturated ideals of A x B in the canonical order: every S x T for
+    saturated ideals S of A and T of B.
+
+    The natural order of A x B is the product order, since
+    (a, b) + (c, d) = (c, d) exactly when a + c = c and b + d = d.  So the
+    saturation of I x J, the down-set of I x J, is sat(I) x sat(J), and
+    I x J is saturated exactly when I and J are.
+    """
+    def saturated(algebra):
+        return [m for m in ideals_oracle(algebra) if saturation_oracle(algebra, m) == m]
+
+    ideals = saturated(right)
+    return _canonical(_times(s, t, right) for s in saturated(left) for t in ideals)
+
+
+def _lifted_primes(left: b.Algebra, right: b.Algebra, primes) -> list[int]:
+    """P x B for each P in primes(left), and A x Q for each Q in
+    primes(right), in the canonical order."""
+    whole_left, whole_right = b.full_mask(left), b.full_mask(right)
+    return _canonical(
+        [_times(p, whole_right, right) for p in primes(left)]
+        + [_times(whole_left, q, right) for q in primes(right)]
+    )
+
+
+def lifted_primes_oracle(left: b.Algebra, right: b.Algebra) -> list[int]:
+    """The primes of A x B = ``direct_product(left, right)`` in the
+    canonical order: P x B for each prime P of A, and A x Q for each prime
+    Q of B.
+
+    A prime of A x B holds (1, 0)*(0, 1) = 0, so it holds (0, 1) or (1, 0),
+    not both, as it is proper.  Holding (0, 1) it holds every (0, b) =
+    (0, 1)*(a, b), so it is P x B with P = {a : (a, 0) in it}; P is proper,
+    and prime since (u, 1)*(v, 1) = (uv, 1).  Every P x B with P prime is
+    prime, and so is every A x Q.
+    """
+    return _lifted_primes(left, right, _primes)
 
 
 def lifted_min_primes_oracle(left: b.Algebra, right: b.Algebra) -> list[int]:
@@ -153,21 +219,11 @@ def lifted_min_primes_oracle(left: b.Algebra, right: b.Algebra) -> list[int]:
     canonical order, lifted from the factors': P x B for each minimal prime
     P of A = left, and A x Q for each minimal prime Q of B = right.
 
-    A prime of A x B holds (1, 0)*(0, 1) = 0, so it holds (0, 1) or (1, 0),
-    not both, as it is proper.  Holding (0, 1) it holds every (0, b) =
-    (0, 1)*(a, b), so it is P x B with P = {a : (a, 0) in it}; P is proper,
-    and prime since (u, 1)*(v, 1) = (uv, 1).  Every P x B with P prime is
-    prime, and so is every A x Q.  P x B lies in P' x B exactly when P lies
-    in P', and never in A x Q, which misses (0, 1).  Element (i, j) of the
-    product has index i * |B| + j.
+    The primes are the lifts of ``lifted_primes_oracle``.  P x B lies in
+    P' x B exactly when P lies in P', and never in A x Q, which misses
+    (0, 1).
     """
-    n_right = right.order
-    lifts = []
-    for p in _minimal_primes(left):
-        lifts.append(sum(((1 << n_right) - 1) << i * n_right for i in b.bits(p)))
-    for q in _minimal_primes(right):
-        lifts.append(sum(q << i * n_right for i in range(left.order)))
-    return _canonical(lifts)
+    return _lifted_primes(left, right, _minimal_primes)
 
 
 def radical_oracle(algebra: b.Algebra, mask: int) -> int:

@@ -178,6 +178,20 @@ def monoid_ideal_algebra() -> b.Algebra:
     return b.build_algebra(names, add, mul, "0", name[whole])
 
 
+def seeded_products(factors, count: int = 80):
+    """(left, right, left x right) for count seeded draws of two nontrivial
+    factors whose product has order 7..36: past the order-6 fleets, where
+    the factors' brute-force oracles still run."""
+    rng = random.Random(8400)
+    factors = [a for a in factors if not a.is_trivial]
+    out = []
+    while len(out) < count:
+        left, right = rng.choice(factors), rng.choice(factors)
+        if 6 < left.order * right.order <= 36:
+            out.append((left, right, b.direct_product(left, right)))
+    return out
+
+
 def _product_pool() -> list[b.Algebra]:
     seeds = [
         b.builtin("b1"),

@@ -420,6 +420,44 @@ class TestConstructions:
         )
         assert list(zip([call for call, _ in table], out.stdout.splitlines())) == table
 
+    def test_container_holes_are_refused_by_name(self, ex62):
+        # Each call once escaped as a bare TypeError or AttributeError: a
+        # table, sequence, iterable or record argument of the wrong type is
+        # refused with an AlgebraError that names the argument.
+        A = ex62
+        congruence = b.bourne_congruence(A, 1)
+        no_sequence = "is not a sequence of rows"
+        table = [
+            (lambda: b.Algebra(("0",), 5, ((0,),), 0), f"the add table 5 {no_sequence}"),
+            (lambda: b.Algebra(("0",), (5,), ((0,),), 0), f"the add table (5,) {no_sequence}"),
+            (lambda: b.Algebra(("0",), ((0,),), None, 0), f"the mul table None {no_sequence}"),
+            (lambda: b.Algebra(None, None, None, 0), "the labels None are not iterable"),
+            (lambda: check_axioms(None, None, 1), f"the add table None {no_sequence}"),
+            (lambda: check_axioms((5,), ((0,),), 0), f"the add table (5,) {no_sequence}"),
+            (lambda: check_axioms(((0,),), iter([(0,)]), 0), "the mul table <list_iterator"),
+            (lambda: b.build_algebra(None, [], [], "0", "1"), "the labels None are not iterable"),
+            (lambda: b.build_algebra(["0", "1"], None, None, "0", "1"),
+             f"the add table None {no_sequence}"),
+            (lambda: b.build_algebra(["0"], [5], [["0"]], "0", "0"),
+             f"the add table [5] {no_sequence}"),
+            (lambda: b.build_algebra(["0"], [["0"]], [["0"]], ["0"], "0"), "unknown zero label ['0']"),
+            (lambda: b.annihilator_set(A, 3), "elements 3 is not an iterable of element indices"),
+            (lambda: b.mask_of(3), "elements 3 is not an iterable of element indices"),
+            (lambda: b.congruence_violation(A, 5),
+             "class_of 5 is not a tuple or list of class numbers"),
+            (lambda: b.quotient(A, congruence._replace(class_of=None)),
+             "class_of None is not a tuple or list of class numbers"),
+            (lambda: b.quotient(A, congruence._replace(class_of=("0",) * 6)),
+             "class '0' of 0 is not numbered by its smallest member"),
+            (lambda: b.quotient(A, None), "congruence None is not a Congruence"),
+            (lambda: b.preimage_ideal(None, 1), "qmap None is not a QuotientMap"),
+            (lambda: b.minimalize(None), "result None is not a DecompositionResult"),
+        ]
+        for call, refusal in table:
+            with pytest.raises(b.AlgebraError) as caught:
+                call()
+            assert str(caught.value).startswith(refusal), refusal
+
     def test_power(self, ex62):
         z, x = ex62.index["z"], ex62.index["x"]
         assert ex62.power(z, 1) == z

@@ -19,6 +19,7 @@ from support import (
     msk,
     null_algebra,
     out_of_range_refusal,
+    seeded_products,
 )
 
 
@@ -266,19 +267,11 @@ class TestRadicalDecomposition:
         # Past order 6 the factors' brute-force oracles still decide: every
         # minimal prime of A x B is P x B or A x Q for a minimal prime P of
         # A or Q of B.
-        rng = random.Random(8400)
-        factors = [a for a in [*base_fleet.values(), *full_random_fleet] if not a.is_trivial]
-        checked = 0
-        while checked < 80:
-            left, right = rng.choice(factors), rng.choice(factors)
-            if not 6 < left.order * right.order <= 36:
-                continue
-            product = b.direct_product(left, right)
+        for left, right, product in seeded_products([*base_fleet.values(), *full_random_fleet]):
             lifted = tuple(oracles.lifted_min_primes_oracle(left, right))
             assert b.min_primes(product) == lifted
             slim = b.minimalize(b.radical_decomposition(product, 1))
             assert tuple(sorted(slim.components, key=lambda m: (m.bit_count(), m))) == lifted
-            checked += 1
 
     def test_matches_the_weak_decomposition_of_the_radical(
         self, base_fleet, small_random_fleet

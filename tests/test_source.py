@@ -3,14 +3,49 @@
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import b1alg as b
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 PACKAGE_DIR = REPO_ROOT / "src" / "b1alg"
+
+
+def test_each_public_name_is_declared_once_where_it_is_defined():
+    # Each engine module's __all__ names exactly the public functions and
+    # classes it defines, and the package re-exports the four as they are,
+    # so a public name added without an entry fails here instead of escaping
+    # `from b1alg import *` and every test that reads b1alg.__all__.
+    declared = []
+    for name in ("algebra", "ideals", "spectrum", "decompose"):  # dependency order
+        tree = ast.parse((PACKAGE_DIR / f"{name}.py").read_text(encoding="utf-8"))
+        defined = [
+            node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        ]
+        exported = importlib.import_module(f"b1alg.{name}").__all__
+        assert type(exported) is tuple and sorted(exported) == sorted(defined), name
+        declared += exported
+    assert len(set(declared)) == len(declared)  # no name in two modules
+    assert b.__all__ == ("__version__", *declared)
+    init = ast.parse((PACKAGE_DIR / "__init__.py").read_text(encoding="utf-8"))
+    assert {
+        alias.name for node in init.body if isinstance(node, ast.ImportFrom) and node.module
+        for alias in node.names
+    } == {"*"}
+    namespace: dict = {}
+    exec("from b1alg import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(b.__all__)
+    # The submodule and the function share a name: the package binds the
+    # function, and the module stays reachable through importlib.
+    module = importlib.import_module("b1alg.spectrum")
+    assert inspect.ismodule(module) and b.spectrum is module.spectrum
 
 
 def test_no_assert_statements_in_the_package():

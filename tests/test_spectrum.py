@@ -15,6 +15,7 @@ from support import (
     null_algebra,
     out_of_range_refusal,
     refuses_out_of_range_masks,
+    seeded_products,
 )
 
 
@@ -281,3 +282,18 @@ class TestPairProductPredicates:
                     (conductors[c], c) for c in sorted(maximal, key=lambda c: (c.bit_count(), c))
                 )
                 assert b.evans_report(algebra, m).maximal_conductors == want
+
+
+class TestProducts:
+    def test_ideal_families_of_products_follow_the_factors(self, base_fleet, full_random_fleet):
+        # Past order 6 the factors' brute-force oracles still decide: every
+        # ideal of A x B is I x J, every saturated one S x T, and every prime
+        # P x B or A x Q.
+        for left, right, product in seeded_products([*base_fleet.values(), *full_random_fleet]):
+            ideals = tuple(oracles.lifted_ideals_oracle(left, right))
+            saturated = tuple(oracles.lifted_saturated_ideals_oracle(left, right))
+            primes = tuple(oracles.lifted_primes_oracle(left, right))
+            assert b.enumerate_ideals(product) == ideals
+            assert b.enumerate_saturated_ideals(product) == saturated
+            assert b.primes(product) == primes
+            assert b.saturated_primes(product) == tuple([p for p in primes if p in saturated])
