@@ -16,7 +16,7 @@ violated axiom with a concrete witness.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain
+from itertools import chain, repeat
 
 __all__ = (
     "Algebra", "AlgebraError", "AxiomError", "AxiomReport", "Violation",
@@ -86,19 +86,20 @@ class Algebra:
     instance, so reference counting alone frees it.
 
     The tables are also read once into bitmasks, so that saturations,
-    radicals, joins, conductors and the prime and primary questions are
-    ORs, ANDs and shifts of masks: ``_above[a]`` is {i : a + i = i},
-    ``_powers[a]`` is {a**k : k >= 1}, ``_principal[a]`` is A*a and
-    ``_products[t]`` is {(u, v) : u*v = t}, pair (u, v) at bit u*n + v.
-    They are built here as plain attributes, so a per-ideal call reads
-    them without a memo lookup.  None of them needs the ideals, so
-    radicals and the nilradical answer past the enumeration bound, which
-    ``enumerate_ideals`` alone enforces.
+    radicals, joins, conductors, the saturated ideals and the prime and
+    primary questions are ORs, ANDs and shifts of masks: ``_down[t]`` is
+    the down-set {a : a + t = t}, ``_powers[a]`` is {a**k : k >= 1},
+    ``_principal[a]`` is A*a and ``_products[t]`` is {(u, v) : u*v = t},
+    pair (u, v) at bit u*n + v.  They are built here as plain attributes,
+    so a per-ideal call reads them without a memo lookup.  None of them
+    needs the ideals, so radicals, the nilradical and the saturated ideals
+    answer past the enumeration bound, which ``enumerate_ideals`` alone
+    enforces.
     """
 
     __slots__ = (
         "names", "order", "is_trivial", "add", "mul", "zero", "one", "index",
-        "_full", "_above", "_powers", "_principal", "_products",
+        "_full", "_down", "_powers", "_principal", "_products",
         "_hash", "_memo", "__weakref__",
     )
 
@@ -132,14 +133,14 @@ class Algebra:
         self.one = one
         self.is_trivial = n == 1
         self._full = (1 << n) - 1
-        above = []
-        for row in self.add:
+        down = []
+        for t, row in enumerate(self.add):
             mask = 0
             for i, s in enumerate(row):
-                if s == i:
+                if s == t:
                     mask |= 1 << i
-            above.append(mask)
-        self._above = tuple(above)
+            down.append(mask)
+        self._down = tuple(down)
         powers = []
         for a in range(n):
             orbit, p = 0, a
@@ -238,6 +239,7 @@ def check_axioms(
         n = len(add)
         rows = set(map(len, add)) | set(map(len, mul))
         shaped = (len(mul) == n and rows == {n}
+                  and all(map(hasattr, chain((add, mul), add, mul), repeat("__getitem__")))
                   and set(map(type, chain((one,), *add, *mul))) == {int}
                   and not set().union((one,), *add, *mul) - set(range(n)))
     except TypeError:  # a table, or one of its rows, has no length
@@ -298,9 +300,9 @@ def _shape_problem(add, mul, one, names=()) -> str:
     if not hasattr(names, "__iter__"):
         return f"the labels {names!r} are not iterable"
     for what, table in (("add", add), ("mul", mul)):
-        try:
-            len(table), [*map(len, table)]
-        except TypeError:
+        try:  # counted and indexed rows: a set has a length but no index
+            len(table), [*map(len, table)], [*map(getattr, (table, *table), repeat("__getitem__"))]
+        except (TypeError, AttributeError):
             return f"the {what} table {table!r} is not a sequence of rows"
     n = len(add)
     if len(mul) != n:
@@ -401,11 +403,18 @@ def build_algebra(
 
 
 def direct_product(a: Algebra, b: Algebra) -> Algebra:
-    """Componentwise product; element (i, j) gets the label 'i.j'."""
+    """Componentwise product; element (i, j) gets the label 'i.j'.
+
+    A product of more than _BUILTIN_ORDER_BOUND elements is refused before
+    any table is built.
+    """
     for operand in (a, b):
         if not isinstance(operand, Algebra):
             raise AlgebraError(f"direct_product operand {operand!r} is not an Algebra")
     na, nb = a.order, b.order
+    if na * nb > _BUILTIN_ORDER_BOUND:
+        raise AlgebraError(f"the product of orders {na} and {nb} exceeds the order bound "
+                           f"{_BUILTIN_ORDER_BOUND}")
     names = tuple(f"{a.names[i]}.{b.names[j]}" for i in range(na) for j in range(nb))
 
     def table(ta, tb):

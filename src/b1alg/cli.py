@@ -144,10 +144,9 @@ def parse_algebra_text(text: str) -> Algebra:
     for needed in ("elements", "zero", "one", "add", "mul"):
         if needed not in seen_at:
             raise ParseError(len(text.splitlines()) + 1, f"missing directive: {needed}")
-    if zero not in index:
-        raise ParseError(seen_at["zero"], f"unknown label {zero!r}")
-    if one not in index:
-        raise ParseError(seen_at["one"], f"unknown label {one!r}")
+    for head, label in (("zero", zero), ("one", one)):
+        if label not in index:
+            raise ParseError(seen_at[head], f"unknown label {label!r}")
     if names[0] != zero:
         raise ParseError(
             seen_at["elements"], f"zero element {zero!r} must be listed first"

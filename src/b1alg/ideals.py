@@ -7,14 +7,19 @@ algebra's memo (``Algebra._memo``) is the engine's only cache, and a memo
 hit is one Python frame.  ``_per_algebra`` computes each family once per
 instance, the ideals themselves included: ``enumerate_ideals`` finds them
 as joins of principal ideals and refuses once it finds more than the
-enumeration bound.  That search is the only reader of the bound: every
-family is read off the ideals, so an instance past the bound is refused by
-each family, and an instance whose ideals are known answers each from its
-memo, whatever the bound is by then.
+enumeration bound.  That search is the only reader of the bound.  The
+families that list every ideal (the ideals, primes and primaries and what
+is built on them) are read off it, so an instance past the bound is
+refused by each of them, and an instance whose ideals are known answers
+each from its memo, whatever the bound is by then.  The saturated ideals
+are read off the natural order instead (``enumerate_saturated_ideals``),
+so they and the families built on them answer under any bound.
 Saturations, radicals, joins with principal ideals, the ideal test,
 annihilators and conductors read the masks each ``Algebra`` builds from its
-tables instead of scanning the tables on every call; ``_pairs_in`` gives
-every conductor of an ideal at once, and ``conductor`` is one row of it.
+tables instead of scanning the tables on every call: the saturation of I
+ORs the down-sets ``Algebra._down[i]`` of its members i.  ``_pairs_in``
+gives every conductor of an ideal at once, and ``conductor`` is one row of
+it.
 Sums, products, intersections and ``preimage_ideal`` refuse a non-ideal
 with the witness ``ideal_violation`` names; ``member_labels``, the Bourne
 congruence and the prime, primary and divisor-set tests refuse a mask with
@@ -70,7 +75,8 @@ class EnumerationBoundError(AlgebraError):
 
 
 def enumeration_bound() -> int:
-    """Most ideals an algebra may have for its ideal families to be computed.
+    """Most ideals an algebra may have for the families that list every
+    ideal to be computed.
 
     Read from the environment on every call.  The engine reads it in one
     place: ``enumerate_ideals``, when an instance's ideals are first
@@ -123,6 +129,14 @@ def _not_an_ideal(algebra: Algebra, violation: tuple[str, tuple[int, ...]]) -> A
     what, witness = violation
     names = ", ".join([algebra.names[w] if w < algebra.order else f"bit {w}" for w in witness])
     return AlgebraError(f"the set {what} (witness: {names})")
+
+
+def _require_ideals(algebra: Algebra, *masks: int) -> None:
+    """Refuse the first mask that ``ideal_violation`` rejects, naming its witness."""
+    for mask in masks:
+        bad = ideal_violation(algebra, mask)
+        if bad:
+            raise _not_an_ideal(algebra, bad)
 
 
 def _out_of_range(algebra: Algebra, mask: int) -> AlgebraError:
@@ -309,9 +323,9 @@ def saturation(algebra: Algebra, mask: int) -> int:
     Bits at or past the order are ignored.
     """
     out = 0
-    for a, above in enumerate(algebra._above):
-        if above & mask:
-            out |= 1 << a
+    for i, down in enumerate(algebra._down):
+        if mask >> i & 1:
+            out |= down
     return out
 
 
@@ -335,16 +349,12 @@ def radical(algebra: Algebra, mask: int) -> int:
 
 
 def ideal_sum(algebra: Algebra, left: int, right: int) -> int:
-    bad = ideal_violation(algebra, left) or ideal_violation(algebra, right)
-    if bad:
-        raise _not_an_ideal(algebra, bad)
+    _require_ideals(algebra, left, right)
     return _join(algebra, left, right)
 
 
 def ideal_intersect(algebra: Algebra, left: int, right: int) -> int:
-    bad = ideal_violation(algebra, left) or ideal_violation(algebra, right)
-    if bad:
-        raise _not_an_ideal(algebra, bad)
+    _require_ideals(algebra, left, right)
     return left & right
 
 
@@ -354,9 +364,7 @@ def ideal_product(algebra: Algebra, left: int, right: int) -> int:
     Each iJ is an ideal, as J is: 0 = i*0, i*j + i*j' = i*(j + j') and
     a*(i*j) = i*(a*j).
     """
-    bad = ideal_violation(algebra, left) or ideal_violation(algebra, right)
-    if bad:
-        raise _not_an_ideal(algebra, bad)
+    _require_ideals(algebra, left, right)
     out, others = 1, _members(right)
     for i in _members(left):
         row, part = algebra.mul[i], 0
@@ -458,7 +466,20 @@ def enumerate_ideals(algebra: Algebra) -> tuple[int, ...]:
 
 @_per_algebra
 def enumerate_saturated_ideals(algebra: Algebra) -> tuple[int, ...]:
-    return tuple([m for m in enumerate_ideals(algebra) if is_saturated(algebra, m)])
+    """All saturated ideals, in the canonical order of ``enumerate_ideals``,
+    read off the natural order with no enumeration, so past the bound too.
+
+    With T the sum of all elements and down(t) = {a : a + t = t}
+    (``Algebra._down``), they are exactly the sets down(t) with T*t = t.  A
+    saturated ideal I is a down-set closed under +, so it holds t, the sum
+    of its members, and I = down(t).  down(t) is always a down-set closed
+    under +.  For x <= t, distributivity gives a*x <= a*t <= T*t, and
+    t = 1*t <= T*t.  So down(t) is an ideal when T*t = t; and when it is an
+    ideal it holds T*t, so T*t <= t.  t is the largest member of down(t), so
+    no set is listed twice.
+    """
+    top = algebra.mul[_member_sum(algebra, algebra._full)]
+    return tuple(_canonical([down for t, down in enumerate(algebra._down) if top[t] == t]))
 
 
 # ---------------------------------------------------------------------------
@@ -593,9 +614,7 @@ def preimage_ideal(qmap: QuotientMap, mask: int) -> int:
     """Pull an ideal of the quotient back along the projection."""
     if not isinstance(qmap, QuotientMap):
         raise AlgebraError(f"qmap {qmap!r} is not a QuotientMap")
-    bad = ideal_violation(qmap.target, mask)
-    if bad:
-        raise _not_an_ideal(qmap.target, bad)
+    _require_ideals(qmap.target, mask)
     out = 0
     for a, v in enumerate(qmap.projection):
         if mask >> v & 1:

@@ -11,8 +11,10 @@ failing pair to its one other caller, the weak decomposition's split
 step, which is memoized per node.
 Every family (primes, saturated primes, primaries, the minimal and maximal
 spectra, associated primes and the standard verdict) is memoized once per
-algebra (``ideals._per_algebra``); the standard cover and the associated
-primes are read off the saturated primes, with no search.  Lists come
+algebra (``ideals._per_algebra``).  The saturated primes are the saturated
+ideals that pass the prime test, so they, the minimal saturated primes,
+the maximal saturated ideals, the standard cover and the associated primes
+never enumerate the ideals; the primes and primaries do.  Lists come
 back in the canonical enumeration order (cardinality, then mask value), so
 reports are diffable.
 """
@@ -31,7 +33,6 @@ from .ideals import (
     _per_mask,
     enumerate_ideals,
     enumerate_saturated_ideals,
-    is_saturated,
     radical,
 )
 
@@ -100,7 +101,7 @@ def primes(algebra: Algebra) -> tuple[int, ...]:
 
 @_per_algebra
 def saturated_primes(algebra: Algebra) -> tuple[int, ...]:
-    return tuple([p for p in primes(algebra) if is_saturated(algebra, p)])
+    return tuple([p for p in enumerate_saturated_ideals(algebra) if is_prime(algebra, p)])
 
 
 @_per_algebra

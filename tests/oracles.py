@@ -14,10 +14,10 @@ table covers via the meet of the saturated primaries above each ideal
 instead of a meet closure, the standard cover via every subset of the
 saturated primes, and the Evans report via the conductor, prime,
 saturation and divisor-set oracles instead of the pair mask and the
-memoized predicates.  The ideals, saturated ideals, primes and minimal
-primes of a direct product come from its factors' ideal, saturation and
-prime oracles, which still run where the product is too large for the
-subset scan.
+memoized predicates.  The ideals, saturated ideals, primes, minimal
+primes and maximal proper saturated ideals of a direct product come from
+its factors' ideal, saturation and prime oracles, which still run where
+the product is too large for the subset scan.
 """
 
 from __future__ import annotations
@@ -190,13 +190,13 @@ def lifted_saturated_ideals_oracle(left: b.Algebra, right: b.Algebra) -> list[in
     return _canonical(_times(s, t, right) for s in saturated(left) for t in ideals)
 
 
-def _lifted_primes(left: b.Algebra, right: b.Algebra, primes) -> list[int]:
-    """P x B for each P in primes(left), and A x Q for each Q in
-    primes(right), in the canonical order."""
+def _lifted_sides(left: b.Algebra, right: b.Algebra, family) -> list[int]:
+    """P x B for each P in family(left), and A x Q for each Q in
+    family(right), in the canonical order."""
     whole_left, whole_right = b.full_mask(left), b.full_mask(right)
     return _canonical(
-        [_times(p, whole_right, right) for p in primes(left)]
-        + [_times(whole_left, q, right) for q in primes(right)]
+        [_times(p, whole_right, right) for p in family(left)]
+        + [_times(whole_left, q, right) for q in family(right)]
     )
 
 
@@ -211,7 +211,7 @@ def lifted_primes_oracle(left: b.Algebra, right: b.Algebra) -> list[int]:
     and prime since (u, 1)*(v, 1) = (uv, 1).  Every P x B with P prime is
     prime, and so is every A x Q.
     """
-    return _lifted_primes(left, right, _primes)
+    return _lifted_sides(left, right, _primes)
 
 
 def lifted_min_primes_oracle(left: b.Algebra, right: b.Algebra) -> list[int]:
@@ -222,8 +222,37 @@ def lifted_min_primes_oracle(left: b.Algebra, right: b.Algebra) -> list[int]:
     The primes are the lifts of ``lifted_primes_oracle``.  P x B lies in
     P' x B exactly when P lies in P', and never in A x Q, which misses
     (0, 1).
+
+    They are also the minimal saturated primes.  Every saturated prime holds
+    a minimal prime, and every minimal prime P is saturated: for x in P some
+    s outside P and k >= 1 have s*x^k = 0, so each a <= x has s*a^k = 0 and,
+    as P is prime, lies in P.
     """
-    return _lifted_primes(left, right, _minimal_primes)
+    return _lifted_sides(left, right, _minimal_primes)
+
+
+def _maximal_proper_saturated(algebra: b.Algebra) -> list[int]:
+    full = b.full_mask(algebra)
+    proper = [
+        m for m in ideals_oracle(algebra) if m != full and saturation_oracle(algebra, m) == m
+    ]
+    return [m for m in proper if not any(o != m and o & m == m for o in proper)]
+
+
+def lifted_max_saturated_oracle(left: b.Algebra, right: b.Algebra) -> list[int]:
+    """The maximal proper saturated ideals of ``direct_product(left, right)``
+    in the canonical order: M x B for each maximal proper saturated ideal M
+    of A = left, and A x N for each N of B = right.
+
+    The saturated ideals of A x B are the S x T of
+    ``lifted_saturated_ideals_oracle``, and S x T lies in S' x T' exactly
+    when S lies in S' and T in T'.  A proper S x T with S != A lies in the
+    proper S x B, and one with S = A has T != B and lies in the proper A x T.
+    So a maximal one is M x B or A x N, with M and N maximal; and a proper
+    saturated ideal above M x B is some S' x B with S' proper above M, so
+    S' = M.
+    """
+    return _lifted_sides(left, right, _maximal_proper_saturated)
 
 
 def radical_oracle(algebra: b.Algebra, mask: int) -> int:

@@ -389,9 +389,9 @@ class TestConstructions:
 
     def test_argument_holes_are_refused_by_name(self):
         # Each call once escaped as a bare TypeError, IndexError or
-        # AttributeError, or, for chain_algebra(2**70), built tables until
-        # memory ran out: the calls run in a child capped in time and address
-        # space.  A is example-6-2.
+        # AttributeError, or, for chain_algebra(2**70) and an order-256
+        # product, built tables until memory or time ran out: the calls run in
+        # a child capped in time and address space.  A is example-6-2.
         table = [
             ("b.congruence_violation(A, (0, 1))", "the congruence numbers 2 of 6 elements"),
             ("b.congruence_violation(A, (0,) * 7)", "the congruence numbers 7 of 6 elements"),
@@ -402,6 +402,8 @@ class TestConstructions:
             ("b.builtin(None)", "builtin name None is not a str"),
             ("b.direct_product(A, None)", "direct_product operand None is not an Algebra"),
             ("b.direct_product('b1', A)", "direct_product operand 'b1' is not an Algebra"),
+            ("b.direct_product(b.chain_algebra(128), b.chain_algebra(2))",
+             "the product of orders 128 and 2 exceeds the order bound 128"),
             ("b.generated_ideal(A, 3)", "elements 3 is not an iterable of element indices"),
         ]
         probe = (
@@ -435,6 +437,9 @@ class TestConstructions:
             (lambda: check_axioms(None, None, 1), f"the add table None {no_sequence}"),
             (lambda: check_axioms((5,), ((0,),), 0), f"the add table (5,) {no_sequence}"),
             (lambda: check_axioms(((0,),), iter([(0,)]), 0), "the mul table <list_iterator"),
+            (lambda: check_axioms({(0,)}, ((0,),), 0), f"the add table {{(0,)}} {no_sequence}"),
+            (lambda: check_axioms(((0,),), {(0,)}, 0), f"the mul table {{(0,)}} {no_sequence}"),
+            (lambda: check_axioms(((0,),), ({0},), 0), f"the mul table ({{0}},) {no_sequence}"),
             (lambda: b.build_algebra(None, [], [], "0", "1"), "the labels None are not iterable"),
             (lambda: b.build_algebra(["0", "1"], None, None, "0", "1"),
              f"the add table None {no_sequence}"),

@@ -359,10 +359,15 @@ class TestCommands:
     def test_the_bound_refuses_exactly_the_enumerating_commands(
         self, ex62_path, capsys, monkeypatch, bound, refusal
     ):
-        # validate, nil and decompose --ideal 0 never enumerate the ideals, so
-        # no bound, however low or malformed, changes their reports.
+        # validate, nil and decompose --ideal 0 never enumerate the ideals,
+        # and ideals --saturated, assoc and evans read the saturated ideals off
+        # the natural order, so no bound, however low or malformed, changes
+        # their reports.
         monkeypatch.delenv("B1ALG_ENUM_BOUND", raising=False)
-        untouched = (["validate"], ["nil"], ["decompose", "--ideal", "0"])
+        untouched = (
+            ["validate"], ["nil"], ["decompose", "--ideal", "0"], ["ideals", "--saturated"],
+            ["assoc"], ["evans"],
+        )
         unbounded = []
         for command in untouched:
             assert main([command[0], ex62_path, *command[1:]]) == 0
@@ -371,10 +376,7 @@ class TestCommands:
         for command, report in zip(untouched, unbounded):
             assert main([command[0], ex62_path, *command[1:]]) == 0
             assert capsys.readouterr() == report
-        for command in (
-            ["ideals"], ["ideals", "--saturated"], ["spectrum"], ["assoc"],
-            ["laskerian"], ["evans"], ["audit"],
-        ):
+        for command in (["ideals"], ["spectrum"], ["laskerian"], ["audit"]):
             assert main([command[0], ex62_path, *command[1:]]) == 2, command
             assert capsys.readouterr() == ("", f"error: {refusal}\n"), command
 

@@ -16,7 +16,17 @@ import pytest
 import b1alg as b
 import b1alg.ideals as ideals_module
 import oracles
-from support import answer, engine_frames, lbl, msk, null_algebra, refuses_out_of_range_masks
+from b1alg.cli import main, serialize_algebra
+from support import (
+    answer,
+    engine_frames,
+    idempotent_chain,
+    lbl,
+    msk,
+    monoid_ideal_algebra,
+    null_algebra,
+    refuses_out_of_range_masks,
+)
 
 
 def out_of_range(bit: int) -> str:
@@ -267,25 +277,29 @@ class TestEnumeration:
         assert b.nilradical(big) == b.full_mask(big) ^ 1 << big.one
 
     def test_bound_holds_for_every_memoized_family(self, monkeypatch):
-        # The bound is read where the ideals are enumerated: each family
-        # refuses a fresh instance, and an instance whose ideals were
-        # enumerated before the bound was lowered answers from its memo.
-        # Refusals are not memoized: once the bound is raised, the refused
-        # instance enumerates and answers.
+        # The bound is read where the ideals are enumerated: each family that
+        # lists every ideal refuses a fresh instance, and an instance whose
+        # ideals were enumerated before the bound was lowered answers from
+        # its memo.  Refusals are not memoized: once the bound is raised, the
+        # refused instance enumerates and answers.  The saturated families
+        # are read off the natural order, so they answer under any bound.
         known = b.builtin("example-6-2")
         b.enumerate_ideals(known)
         monkeypatch.setenv("B1ALG_ENUM_BOUND", "4")
+        for family in (
+            b.enumerate_saturated_ideals,
+            b.saturated_primes,
+            b.associated_primes,
+            b.min_saturated_primes,
+            b.max_saturated,
+            b.is_standard,
+        ):
+            assert family(b.builtin("example-6-2")) == family(known), family.__name__
         refused = []
         for family in (
             b.enumerate_ideals,
             b.primes,
-            b.saturated_primes,
-            b.enumerate_saturated_ideals,
-            b.associated_primes,
             b.min_primes,
-            b.min_saturated_primes,
-            b.max_saturated,
-            b.is_standard,
             b.spectrum,
             b.laskerian_check,
             b.audit,
@@ -301,9 +315,10 @@ class TestEnumeration:
             assert family(algebra) == family(known), family.__name__
 
     def test_one_environment_read_per_instance(self, monkeypatch):
-        # The first call on a fresh algebra reads B1ALG_ENUM_BOUND once, when
-        # it enumerates the ideals; every later call, of any family, reads
-        # the memo and not the environment.
+        # The first call on a fresh algebra that enumerates the ideals reads
+        # B1ALG_ENUM_BOUND once; every later call, of any family, reads the
+        # memo and not the environment.  The saturated families never
+        # enumerate, so they read it zero times.
         reads = []
 
         class CountingEnviron:
@@ -312,16 +327,20 @@ class TestEnumeration:
                 return os.environ.get(key, default)
 
         monkeypatch.setattr(ideals_module, "os", SimpleNamespace(environ=CountingEnviron()))
-        calls = (
-            b.spectrum, b.audit, b.laskerian_check, b.enumerate_ideals, b.primes,
-            b.min_primes, b.is_standard, b.associated_primes,
+        saturated = (b.is_standard, b.associated_primes)
+        enumerating = (
+            b.spectrum, b.audit, b.laskerian_check, b.enumerate_ideals, b.primes, b.min_primes,
         )
-        for first in calls:
+        for first in enumerating:
             for algebra in (b.builtin("example-6-2"), null_algebra(3)):
+                for call in saturated:
+                    reads.clear()
+                    call(algebra)
+                    assert reads == [], call.__name__
                 reads.clear()
                 first(algebra)
                 assert reads == ["B1ALG_ENUM_BOUND"], first.__name__
-                for call in calls:
+                for call in (*saturated, *enumerating):
                     reads.clear()
                     call(algebra)
                     assert reads == [], (first.__name__, call.__name__)
@@ -352,6 +371,7 @@ class TestEnumeration:
         full = b.full_mask(algebra)
         b.spectrum(algebra)
         b.saturation(algebra, 1)
+        b.is_saturated(algebra, full)
         b.is_prime(algebra, 1)
         b.evans_report(algebra, 1)
         for family in (b.enumerate_ideals, b.primes, b.max_saturated):
@@ -394,6 +414,74 @@ class TestEnumeration:
         assert what == "is not closed under multiplication by the algebra"
         no_zero = msk(ex62, "z") & ~1
         assert b.ideal_violation(ex62, no_zero) == ("does not contain zero", (0,))
+
+
+class TestSaturatedIdeals:
+    # The saturated ideals are the sets down(t) = {a : a + t = t} with T*t = t,
+    # for T the sum of all elements; no ideal is enumerated to find them.
+
+    def test_closed_form_matches_the_oracle_filter(self, base_fleet, full_random_fleet):
+        # The oracle scans every subset and keeps the ideals that its own
+        # down-set saturation fixes, then the primes among them.
+        algebras = [
+            *base_fleet.values(), *full_random_fleet, monoid_ideal_algebra(), idempotent_chain(),
+            *[null_algebra(k) for k in range(1, 11)],
+        ]
+        for algebra in algebras:
+            saturated = sorted(
+                [m for m in oracles.ideals_oracle(algebra)
+                 if oracles.saturation_oracle(algebra, m) == m],
+                key=lambda m: (m.bit_count(), m),
+            )
+            assert b.enumerate_saturated_ideals(algebra) == tuple(saturated), algebra.names
+            primes = [m for m in saturated if oracles.prime_oracle(algebra, m)]
+            assert b.saturated_primes(algebra) == tuple(primes), algebra.names
+
+    def test_every_ideal_of_a_chain_is_saturated(self):
+        # A chain's ideals are its down-sets {0..k-1}, and every proper one is prime.
+        for n in (2, 3, 5, 24, 64, 128):
+            chain = b.chain_algebra(n)
+            down_sets = tuple([(1 << k) - 1 for k in range(1, n + 1)])
+            assert b.enumerate_saturated_ideals(chain) == down_sets == b.enumerate_ideals(chain)
+            assert b.saturated_primes(chain) == down_sets[:-1]
+
+    def test_the_saturated_families_never_enumerate(self, monkeypatch, tmp_path, capsys):
+        # Past the bound too: null-20 has 2**20 + 22 ideals and 23 saturated ones.
+        paths = []
+        for algebra in (b.builtin("example-6-2"), null_algebra(20)):
+            paths.append(tmp_path / f"order-{algebra.order}.b1a")
+            paths[-1].write_text(serialize_algebra(algebra), encoding="utf-8")
+        commands = (["ideals", "--saturated"], ["assoc"], ["evans"])
+        reports = []
+        for command in commands:
+            assert main([command[0], str(paths[0]), *command[1:]]) == 0
+            reports.append(capsys.readouterr())
+        known = b.builtin("example-6-2")
+        families = (
+            b.enumerate_saturated_ideals, b.saturated_primes, b.min_saturated_primes,
+            b.max_saturated, b.is_standard, b.associated_primes,
+            importlib.import_module("b1alg.decompose")._evans_failure,
+        )
+        answers = [family(known) for family in families]
+
+        def refuse(algebra):
+            raise RuntimeError("enumerate_ideals was called")
+
+        # b1alg.spectrum is the function, so each module is imported by name
+        for module in ("ideals", "spectrum", "decompose", "cli"):
+            module = importlib.import_module(f"b1alg.{module}")
+            monkeypatch.setattr(module, "enumerate_ideals", refuse)
+        for command, report in zip(commands, reports):
+            assert main([command[0], str(paths[0]), *command[1:]]) == 0
+            assert capsys.readouterr() == report
+            assert main([command[0], str(paths[1]), *command[1:]]) == 0, command
+            assert capsys.readouterr().err == ""
+        for family, want in zip(families, answers):
+            assert family(b.builtin("example-6-2")) == want, family.__name__
+            family(null_algebra(20))
+        assert len(b.enumerate_saturated_ideals(null_algebra(20))) == 23
+        with pytest.raises(RuntimeError, match="enumerate_ideals was called"):
+            b.primes(b.builtin("example-6-2"))
 
 
 class TestBourneAndQuotients:

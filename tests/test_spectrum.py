@@ -200,20 +200,24 @@ class TestSpectrumResult:
 
 class TestComputedOnce:
     def test_spectrum_scans_each_ideal_once(self, monkeypatch):
+        # Each mask's prime test is computed once: the primes and the
+        # saturated primes both ask it, and the second asker reads the memo.
         algebra = b.builtin("example-6-2")  # fresh instance, empty memo
+        spectrum_module = importlib.import_module("b1alg.spectrum")
         calls = []
-        is_prime = b.is_prime
+        prime_witness = spectrum_module._prime_witness
 
         def counting(alg, mask):
             calls.append(mask)
-            return is_prime(alg, mask)
+            return prime_witness(alg, mask)
 
-        # the package name b1alg.spectrum is the function, not the module
-        monkeypatch.setattr(importlib.import_module("b1alg.spectrum"), "is_prime", counting)
+        monkeypatch.setattr(spectrum_module, "_prime_witness", counting)
         b.spectrum(algebra)
-        assert len(calls) == len(b.enumerate_ideals(algebra)) == 9
+        # the whole algebra is refused as improper before any witness is sought
+        assert sorted(calls) == sorted(b.enumerate_ideals(algebra)[:-1])
+        assert len(calls) == 8
         b.spectrum(algebra)
-        assert len(calls) == 9
+        assert len(calls) == 8
 
     def test_audit_after_spectrum_recomputes_no_family(self, monkeypatch):
         spectrum_module = importlib.import_module("b1alg.spectrum")
@@ -287,8 +291,9 @@ class TestPairProductPredicates:
 class TestProducts:
     def test_ideal_families_of_products_follow_the_factors(self, base_fleet, full_random_fleet):
         # Past order 6 the factors' brute-force oracles still decide: every
-        # ideal of A x B is I x J, every saturated one S x T, and every prime
-        # P x B or A x Q.
+        # ideal of A x B is I x J, every saturated one S x T, every prime
+        # P x B or A x Q, every maximal proper saturated one M x B or A x N,
+        # and the minimal saturated primes are the minimal primes.
         for left, right, product in seeded_products([*base_fleet.values(), *full_random_fleet]):
             ideals = tuple(oracles.lifted_ideals_oracle(left, right))
             saturated = tuple(oracles.lifted_saturated_ideals_oracle(left, right))
@@ -297,3 +302,9 @@ class TestProducts:
             assert b.enumerate_saturated_ideals(product) == saturated
             assert b.primes(product) == primes
             assert b.saturated_primes(product) == tuple([p for p in primes if p in saturated])
+            assert b.max_saturated(product) == tuple(
+                oracles.lifted_max_saturated_oracle(left, right)
+            )
+            assert b.min_saturated_primes(product) == tuple(
+                oracles.lifted_min_primes_oracle(left, right)
+            )
