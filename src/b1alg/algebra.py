@@ -67,9 +67,10 @@ class Algebra:
     The constructor is the one gate, so nothing downstream checks again.
     It raises an ``AlgebraError`` naming labels that are not iterable, the
     first bad label (not a str, empty, holding whitespace, '#' or ',', or
-    repeated) or table defect (not a sequence of rows, a row count other
-    than the labels', rows not n long, an entry or ``one`` not an int in
-    range(n)), and an ``AxiomError`` when an axiom fails.
+    repeated), the first table defect that ``check_axioms`` names, or a row
+    count other than the labels', and an ``AxiomError`` when an axiom fails.
+    It checks the tables as given, then freezes them to tuples: a set of
+    rows, a set row or an iterator of rows is refused, not read in order.
 
     ``add`` and ``mul`` are tuples of tuples of element indices;
     ``add[a][b]`` is the index of a + b.  ``zero`` is always 0, and
@@ -112,10 +113,8 @@ class Algebra:
     ):
         try:
             self.names = names = tuple(names)
-            self.add = tuple(map(tuple, add))
-            self.mul = tuple(map(tuple, mul))
-        except TypeError:  # an argument that is not a sequence (of rows)
-            raise AlgebraError(_shape_problem(add, mul, one, names)) from None
+        except TypeError:
+            raise AlgebraError(f"the labels {names!r} are not iterable") from None
         self.order = n = len(names)
         # _label_problem's rules in C-level calls; labels split back from their join
         # exactly when none is empty or holds whitespace.
@@ -124,11 +123,13 @@ class Algebra:
                 or any(map(joined.__contains__, _FORBIDDEN_IN_LABEL))):
             raise AlgebraError(_label_problem(names))
         self.index = dict(zip(names, range(n)))
-        if len(self.add) != n:
-            raise AlgebraError(f"{n} labels for an add table of {len(self.add)} rows")
-        report = check_axioms(self.add, self.mul, one)
+        report = check_axioms(add, mul, one)
+        if len(add) != n:
+            raise AlgebraError(f"{n} labels for an add table of {len(add)} rows")
         if not report.valid:
-            raise AxiomError(report, self.names)
+            raise AxiomError(report, names)
+        self.add = tuple(map(tuple, add))
+        self.mul = tuple(map(tuple, mul))
         self.zero = 0
         self.one = one
         self.is_trivial = n == 1
@@ -227,7 +228,8 @@ def check_axioms(
     element indices in the order the axiom quantifies them.  Zero is
     position 0 by convention.  Tables that are not sequences of rows n by n
     over range(n), or a ``one`` outside it (ints only: not 1.0), raise an
-    AlgebraError naming it.
+    AlgebraError naming it; a set of rows, a set row and an iterator of rows
+    are not sequences, as they have no order or cannot be read twice.
 
     The unary axioms and commutativity are always scanned in full.  When
     they hold, ``_ternary_laws_hold`` tests each remaining equation once;
@@ -293,14 +295,12 @@ def check_axioms(
     return AxiomReport(valid=not out, violations=tuple(out))
 
 
-def _shape_problem(add, mul, one, names=()) -> str:
-    """The first defect of labels that are not iterable, of tables that are
-    not sequences of rows or not n by n over range(n), with n the add
-    table's row count, or of a ``one`` outside range(n)."""
-    if not hasattr(names, "__iter__"):
-        return f"the labels {names!r} are not iterable"
+def _shape_problem(add, mul, one) -> str:
+    """The first defect of tables that are not sequences of rows (counted
+    and indexed: a set has no index) or not n by n over range(n), with n
+    the add table's row count, or of a ``one`` outside range(n)."""
     for what, table in (("add", add), ("mul", mul)):
-        try:  # counted and indexed rows: a set has a length but no index
+        try:
             len(table), [*map(len, table)], [*map(getattr, (table, *table), repeat("__getitem__"))]
         except (TypeError, AttributeError):
             return f"the {what} table {table!r} is not a sequence of rows"
@@ -372,7 +372,8 @@ def build_algebra(
     """Validate label tables and return the algebra they define.
 
     The zero label must be listed first (bitmask conventions downstream
-    rely on it).  Dimension or label problems raise AlgebraError; axiom
+    rely on it).  Dimension or label problems raise AlgebraError, as does a
+    table or row that is not a sequence (a set has no order to map); axiom
     failures raise AxiomError carrying the complete violation report.
     """
     try:
@@ -388,14 +389,15 @@ def build_algebra(
         raise AlgebraError(f"zero element {zero!r} must be listed first")
 
     def to_indices(table, what: str):
-        # The Algebra constructor checks the shape.
+        # A set has no order to map; the Algebra constructor checks the shape.
         rows = []
         try:
+            [*map(getattr, (table, *table), repeat("__getitem__"))]
             for i, row in enumerate(table, 1):
                 rows.append(tuple(map(index.__getitem__, map(str, row))))
         except KeyError as exc:
             raise AlgebraError(f"{what} table row {i}: unknown label {exc.args[0]!r}") from None
-        except TypeError:
+        except (TypeError, AttributeError):
             raise AlgebraError(f"the {what} table {table!r} is not a sequence of rows") from None
         return rows
 

@@ -25,7 +25,8 @@ with the witness ``ideal_violation`` names; ``member_labels``, the Bourne
 congruence and the prime, primary and divisor-set tests refuse a mask with
 a bit at or past the order; saturations, radicals and conductors ignore it.
 Every public function that takes a mask refuses one that is not an int,
-bool included.
+bool included, and every memoized one (the ``_per_*`` decorators) refuses
+a first argument that is not an ``Algebra``.
 
 ``_per_mask`` computes each per-ideal result once per instance and mask:
 saturations, the saturated test, radicals and the ideal test here, the
@@ -112,6 +113,11 @@ def _not_an_int(mask) -> AlgebraError:
     return AlgebraError(f"mask {mask!r} is not an int")
 
 
+def _not_an_algebra(algebra) -> AlgebraError:
+    """The refusal of a first argument that has no ``Algebra._memo``."""
+    return AlgebraError(f"algebra {algebra!r} is not an Algebra")
+
+
 def bits(mask: int):
     """An iterator over the set bit positions of mask in ascending order.
 
@@ -182,12 +188,13 @@ def _per_algebra(fn):
 
     @functools.wraps(fn)
     def once(algebra: Algebra):
-        memo = algebra._memo
         try:
-            return memo[fn]
+            return algebra._memo[fn]
         except KeyError:
-            out = memo[fn] = fn(algebra)
+            out = algebra._memo[fn] = fn(algebra)
             return out
+        except AttributeError:
+            raise _not_an_algebra(algebra) from None
 
     return once
 
@@ -209,14 +216,13 @@ def _per_mask(fn):
     def once(algebra: Algebra, mask: int):
         if type(mask) is not int:
             raise _not_an_int(mask)
-        memo = algebra._memo.get(fn)
-        if memo is None:
-            memo = algebra._memo[fn] = {}
         try:
-            return memo[mask]
+            return algebra._memo[fn][mask]
         except KeyError:
-            out = memo[mask] = fn(algebra, mask)
+            out = algebra._memo.setdefault(fn, {})[mask] = fn(algebra, mask)
             return out
+        except AttributeError:
+            raise _not_an_algebra(algebra) from None
 
     return once
 
@@ -234,14 +240,13 @@ def _per_mask_record(fn):
     def once(algebra: Algebra, mask: int):
         if type(mask) is not int:
             raise _not_an_int(mask)
-        memo = algebra._memo.get(fn)
-        if memo is None:
-            memo = algebra._memo[fn] = {}
         try:
-            cls, rest = memo[mask]
+            cls, rest = algebra._memo[fn][mask]
         except KeyError:
             record = fn(algebra, mask)
-            cls, rest = memo[mask] = type(record), record[1:]
+            cls, rest = algebra._memo.setdefault(fn, {})[mask] = type(record), record[1:]
+        except AttributeError:
+            raise _not_an_algebra(algebra) from None
         return cls(algebra, *rest)
 
     return once

@@ -426,10 +426,29 @@ class TestConstructions:
         # Each call once escaped as a bare TypeError or AttributeError: a
         # table, sequence, iterable or record argument of the wrong type is
         # refused with an AlgebraError that names the argument.
+        # A set of rows or a set row has no order to keep, and an iterator of
+        # rows none to read twice: each was once built in iteration order.
         A = ex62
         congruence = b.bourne_congruence(A, 1)
         no_sequence = "is not a sequence of rows"
+        # The order of these two sets, and of their reprs, varies with the hash seed.
+        label_rows, label_row = {("0", "1"), ("1", "1")}, {"0", "1"}
         table = [
+            (lambda: b.Algebra(("0", "1"), {(0, 1), (1, 1)}, ((0, 0), (0, 1)), 1),
+             f"the add table {{(0, 1), (1, 1)}} {no_sequence}"),
+            (lambda: b.Algebra(("0", "1"), ((0, 1), (1, 1)), ((0, 0), {0, 1}), 1),
+             f"the mul table ((0, 0), {{0, 1}}) {no_sequence}"),
+            (lambda: b.Algebra(("0",), iter([(0,)]), ((0,),), 0), "the add table <list_iterator"),
+            (lambda: b.build_algebra(["0", "1"], label_rows, [["0", "0"], ["0", "1"]], "0", "1"),
+             f"the add table {label_rows!r} {no_sequence}"),
+            (lambda: b.build_algebra(["0", "1"], [["0", "1"], ["1", "1"]], [["0", "0"], label_row],
+                                     "0", "1"),
+             f"the mul table [['0', '0'], {label_row!r}] {no_sequence}"),
+            (lambda: b.spectrum(None), "algebra None is not an Algebra"),
+            (lambda: b.audit(5), "algebra 5 is not an Algebra"),
+            (lambda: b.laskerian_check(None), "algebra None is not an Algebra"),
+            (lambda: b.is_prime("b1", 1), "algebra 'b1' is not an Algebra"),
+            (lambda: b.evans_report(None, 1), "algebra None is not an Algebra"),
             (lambda: b.Algebra(("0",), 5, ((0,),), 0), f"the add table 5 {no_sequence}"),
             (lambda: b.Algebra(("0",), (5,), ((0,),), 0), f"the add table (5,) {no_sequence}"),
             (lambda: b.Algebra(("0",), ((0,),), None, 0), f"the mul table None {no_sequence}"),
