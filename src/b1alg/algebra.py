@@ -16,7 +16,7 @@ violated axiom with a concrete witness.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain, repeat
+from itertools import chain
 
 __all__ = (
     "Algebra", "AlgebraError", "AxiomError", "AxiomReport", "Violation",
@@ -25,6 +25,11 @@ __all__ = (
 
 # Labels travel through files and comma-separated CLI flags.
 _FORBIDDEN_IN_LABEL = ("#", ",")
+
+# Whether the types of a table and its rows make a sequence of rows, in one C-level call:
+# only a tuple or list indexes exactly what it iterates.  A set has no order, an iterator
+# cannot be read twice, and a dict or a subclass may index other entries than it iterates.
+_all_sequences = frozenset((tuple, list)).issuperset
 
 
 class AlgebraError(ValueError):
@@ -69,8 +74,8 @@ class Algebra:
     first bad label (not a str, empty, holding whitespace, '#' or ',', or
     repeated), the first table defect that ``check_axioms`` names, or a row
     count other than the labels', and an ``AxiomError`` when an axiom fails.
-    It checks the tables as given, then freezes them to tuples: a set of
-    rows, a set row or an iterator of rows is refused, not read in order.
+    It checks the tables as given, then freezes them to tuples: a table or
+    row that is not a tuple or list (a set, an iterator, a dict) is refused.
 
     ``add`` and ``mul`` are tuples of tuples of element indices;
     ``add[a][b]`` is the index of a + b.  ``zero`` is always 0, and
@@ -228,8 +233,8 @@ def check_axioms(
     element indices in the order the axiom quantifies them.  Zero is
     position 0 by convention.  Tables that are not sequences of rows n by n
     over range(n), or a ``one`` outside it (ints only: not 1.0), raise an
-    AlgebraError naming it; a set of rows, a set row and an iterator of rows
-    are not sequences, as they have no order or cannot be read twice.
+    AlgebraError naming it; only a tuple or list of tuples or lists is a
+    sequence of rows (``_all_sequences``), so a set or a dict is refused.
 
     The unary axioms and commutativity are always scanned in full.  When
     they hold, ``_ternary_laws_hold`` tests each remaining equation once;
@@ -241,7 +246,7 @@ def check_axioms(
         n = len(add)
         rows = set(map(len, add)) | set(map(len, mul))
         shaped = (len(mul) == n and rows == {n}
-                  and all(map(hasattr, chain((add, mul), add, mul), repeat("__getitem__")))
+                  and _all_sequences(map(type, chain((add, mul), add, mul)))
                   and set(map(type, chain((one,), *add, *mul))) == {int}
                   and not set().union((one,), *add, *mul) - set(range(n)))
     except TypeError:  # a table, or one of its rows, has no length
@@ -296,14 +301,16 @@ def check_axioms(
 
 
 def _shape_problem(add, mul, one) -> str:
-    """The first defect of tables that are not sequences of rows (counted
-    and indexed: a set has no index) or not n by n over range(n), with n
+    """The first defect of tables that are not sequences of rows (tuples
+    or lists of tuples or lists) or not n by n over range(n), with n
     the add table's row count, or of a ``one`` outside range(n)."""
     for what, table in (("add", add), ("mul", mul)):
         try:
-            len(table), [*map(len, table)], [*map(getattr, (table, *table), repeat("__getitem__"))]
-        except (TypeError, AttributeError):
-            return f"the {what} table {table!r} is not a sequence of rows"
+            if _all_sequences(map(type, chain((table,), table))):
+                continue
+        except TypeError:
+            pass
+        return f"the {what} table {table!r} is not a sequence of rows"
     n = len(add)
     if len(mul) != n:
         return f"the add table has {n} rows but the mul table has {len(mul)}"
@@ -373,7 +380,7 @@ def build_algebra(
 
     The zero label must be listed first (bitmask conventions downstream
     rely on it).  Dimension or label problems raise AlgebraError, as does a
-    table or row that is not a sequence (a set has no order to map); axiom
+    table or row that is not a tuple or list (a set has no order to map); axiom
     failures raise AxiomError carrying the complete violation report.
     """
     try:
@@ -392,12 +399,13 @@ def build_algebra(
         # A set has no order to map; the Algebra constructor checks the shape.
         rows = []
         try:
-            [*map(getattr, (table, *table), repeat("__getitem__"))]
+            if not _all_sequences(map(type, chain((table,), table))):
+                raise TypeError
             for i, row in enumerate(table, 1):
                 rows.append(tuple(map(index.__getitem__, map(str, row))))
         except KeyError as exc:
             raise AlgebraError(f"{what} table row {i}: unknown label {exc.args[0]!r}") from None
-        except (TypeError, AttributeError):
+        except TypeError:
             raise AlgebraError(f"the {what} table {table!r} is not a sequence of rows") from None
         return rows
 

@@ -439,6 +439,12 @@ class TestConstructions:
             (lambda: b.Algebra(("0", "1"), ((0, 1), (1, 1)), ((0, 0), {0, 1}), 1),
              f"the mul table ((0, 0), {{0, 1}}) {no_sequence}"),
             (lambda: b.Algebra(("0",), iter([(0,)]), ((0,),), 0), "the add table <list_iterator"),
+            # A dict indexes by key but iterates its keys: rows read one way and
+            # copied the other were once two different tables.
+            (lambda: b.Algebra(("0", "1"), ({1: 1, 0: 0}, (1, 1)), ((0, 0), (0, 1)), 1),
+             f"the add table ({{1: 1, 0: 0}}, (1, 1)) {no_sequence}"),
+            (lambda: b.Algebra(("0",), {(0,): 1}, ((0,),), 0), f"the add table {{(0,): 1}} {no_sequence}"),
+            (lambda: check_axioms({(0,): 1}, ((0,),), 0), f"the add table {{(0,): 1}} {no_sequence}"),
             (lambda: b.build_algebra(["0", "1"], label_rows, [["0", "0"], ["0", "1"]], "0", "1"),
              f"the add table {label_rows!r} {no_sequence}"),
             (lambda: b.build_algebra(["0", "1"], [["0", "1"], ["1", "1"]], [["0", "0"], label_row],
