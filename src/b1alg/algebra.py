@@ -26,9 +26,9 @@ __all__ = (
 # Labels travel through files and comma-separated CLI flags.
 _FORBIDDEN_IN_LABEL = ("#", ",")
 
-# Whether the types of a table and its rows make a sequence of rows, in one C-level call:
-# only a tuple or list indexes exactly what it iterates.  A set has no order, an iterator
-# cannot be read twice, and a dict or a subclass may index other entries than it iterates.
+# Whether the types of labels, or of a table and its rows, are all tuple or list, in one
+# C-level call: only those index exactly what they iterate.  A set has no order, a str
+# splits, an iterator cannot be read twice, and a dict or a subclass may index other entries.
 _all_sequences = frozenset((tuple, list)).issuperset
 
 
@@ -70,10 +70,11 @@ class Algebra:
     """Immutable finite B1-algebra.
 
     The constructor is the one gate, so nothing downstream checks again.
-    It raises an ``AlgebraError`` naming labels that are not iterable, the
-    first bad label (not a str, empty, holding whitespace, '#' or ',', or
-    repeated), the first table defect that ``check_axioms`` names, or a row
-    count other than the labels', and an ``AxiomError`` when an axiom fails.
+    It raises an ``AlgebraError`` naming labels that are not a tuple or list
+    (a set, a str), the first bad label (not a str, empty, holding
+    whitespace, '#' or ',', or repeated), the first table defect that
+    ``check_axioms`` names, or a row count other than the labels', and an
+    ``AxiomError`` when an axiom fails.
     It checks the tables as given, then freezes them to tuples: a table or
     row that is not a tuple or list (a set, an iterator, a dict) is refused.
 
@@ -116,10 +117,9 @@ class Algebra:
         mul: tuple[tuple[int, ...], ...],
         one: int,
     ):
-        try:
-            self.names = names = tuple(names)
-        except TypeError:
-            raise AlgebraError(f"the labels {names!r} are not iterable") from None
+        if not _all_sequences((type(names),)):
+            raise AlgebraError(f"the labels {names!r} are not a tuple or list")
+        self.names = names = tuple(names)
         self.order = n = len(names)
         # _label_problem's rules in C-level calls; labels split back from their join
         # exactly when none is empty or holds whitespace.
@@ -379,14 +379,13 @@ def build_algebra(
     """Validate label tables and return the algebra they define.
 
     The zero label must be listed first (bitmask conventions downstream
-    rely on it).  Dimension or label problems raise AlgebraError, as does a
-    table or row that is not a tuple or list (a set has no order to map); axiom
-    failures raise AxiomError carrying the complete violation report.
+    rely on it).  Dimension or label problems raise AlgebraError, as do
+    labels, a table or a row that is not a tuple or list (a set has no order to
+    map); axiom failures raise AxiomError carrying the complete violation report.
     """
-    try:
-        names = tuple(map(str, names))
-    except TypeError:
-        raise AlgebraError(f"the labels {names!r} are not iterable") from None
+    if not _all_sequences((type(names),)):
+        raise AlgebraError(f"the labels {names!r} are not a tuple or list")
+    names = tuple(map(str, names))
     index = dict(zip(names, range(len(names))))
     if zero not in names:
         raise AlgebraError(f"unknown zero label {zero!r}")

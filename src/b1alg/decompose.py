@@ -319,11 +319,12 @@ def _labels(algebra: Algebra, mask: int) -> str:
 
 # The three pair laws name the first failing pair of the nested scan over
 # every ordered pair, yet visit each unordered pair once: their inner loops
-# start at the outer item's position.  radical-saturation-intersection and
-# primary-intersections-stay-primary test a predicate symmetric in the pair,
-# so if (i, j) fails with j before i, then (j, i) fails earlier in the nested
-# scan, whatever radical, saturation or is_primary answer.  In the monotone
-# law of saturation-closure, i <= j puts j at or after i in canonical order.
+# start at the outer item's position.  The two meet laws below test a predicate
+# symmetric in the pair, so if (i, j) fails with j before i, then (j, i) fails
+# earlier in the nested scan.  They look each meet up in its family: ideals and
+# saturated ideals are closed under meets and _primaries lists every primary
+# ideal, so a lookup misses, failing the law, only where a family lacks a meet.
+# In the monotone law of saturation-closure, i <= j puts j at or after i in canonical order.
 
 
 def _audit_saturation_closure(algebra: Algebra) -> str | None:
@@ -353,19 +354,11 @@ def _audit_radical_closure(algebra: Algebra) -> str | None:
 def _audit_radical_saturation_intersection(algebra: Algebra) -> str | None:
     ideals = enumerate_ideals(algebra)
     sats = [saturation(algebra, i) for i in ideals]
-    rad_sats = [radical(algebra, s) for s in sats]
-    # r(sat(i & j)) and r(sat i & sat j), memoized by the mask inside
-    lhs_of: dict[int, int] = {}
-    mid_of: dict[int, int] = {}
-    for k, (i, si, ri) in enumerate(zip(ideals, sats, rad_sats)):
-        for j, sj, rj in zip(ideals[k:], sats[k:], rad_sats[k:]):
-            lhs = lhs_of.get(i & j)
-            if lhs is None:
-                lhs = lhs_of[i & j] = radical(algebra, saturation(algebra, i & j))
-            mid = mid_of.get(si & sj)
-            if mid is None:
-                mid = mid_of[si & sj] = radical(algebra, si & sj)
-            if not lhs == mid == ri & rj:
+    rad_sat = {i: radical(algebra, s) for i, s in zip(ideals, sats)}
+    rad = {s: radical(algebra, s) for s in enumerate_saturated_ideals(algebra)}
+    for k, (i, si) in enumerate(zip(ideals, sats)):
+        for j, sj in zip(ideals[k:], sats[k:]):
+            if not rad_sat.get(i & j) == rad.get(si & sj) == rad_sat[i] & rad_sat[j]:
                 return f"identity fails at ({_labels(algebra, i)}, {_labels(algebra, j)})"
     return None
 
@@ -457,23 +450,20 @@ def _audit_primary_intersections_stay_primary(algebra: Algebra) -> str | None:
     by_radical: dict[int, list[int]] = {}
     for q in _primaries(algebra):
         by_radical.setdefault(radical(algebra, q), []).append(q)
-    for p, group in by_radical.items():
-        meet_all = algebra._full
+    for group in by_radical.values():
+        members = set(group)
         passed = set()  # each distinct meet is tested once, when it first comes up
         for k, a in enumerate(group):
-            meet_all &= a
             for b in group[k:]:
                 c = a & b
                 if c in passed:
                     continue
-                if not is_primary(algebra, c) or radical(algebra, c) != p:
+                if not is_primary(algebra, c) or c not in members:
                     return (
                         f"{_labels(algebra, a)} meet {_labels(algebra, b)} "
                         "is not primary for the same prime"
                     )
                 passed.add(c)
-        if not is_primary(algebra, meet_all) or radical(algebra, meet_all) != p:
-            return f"whole family meet fails for {_labels(algebra, p)}"
     return None
 
 

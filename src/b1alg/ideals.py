@@ -304,7 +304,10 @@ def ideal_violation(algebra: Algebra, mask: int) -> tuple[str, tuple[int, ...]] 
 
 
 def generated_ideal(algebra: Algebra, elements) -> int:
-    """Smallest ideal containing the given elements."""
+    """Smallest ideal containing the given elements; a first argument that
+    is not an ``Algebra`` is refused before the elements are read."""
+    if not isinstance(algebra, Algebra):
+        raise _not_an_algebra(algebra)
     elements = _listed(elements)
     for s in elements:
         algebra._require_element(s)

@@ -458,19 +458,33 @@ class TestConstructions:
             (lambda: b.Algebra(("0",), 5, ((0,),), 0), f"the add table 5 {no_sequence}"),
             (lambda: b.Algebra(("0",), (5,), ((0,),), 0), f"the add table (5,) {no_sequence}"),
             (lambda: b.Algebra(("0",), ((0,),), None, 0), f"the mul table None {no_sequence}"),
-            (lambda: b.Algebra(None, None, None, 0), "the labels None are not iterable"),
+            (lambda: b.Algebra(None, None, None, 0), "the labels None are not a tuple or list"),
+            # Labels given as a set were once read in the set's order, and a str
+            # was once split into one label per character.
+            (lambda: b.Algebra(label_row, ((0, 1), (1, 1)), ((0, 0), (0, 1)), 1),
+             f"the labels {label_row!r} are not a tuple or list"),
+            (lambda: b.Algebra("01", ((0, 1), (1, 1)), ((0, 0), (0, 1)), 1),
+             "the labels '01' are not a tuple or list"),
             (lambda: check_axioms(None, None, 1), f"the add table None {no_sequence}"),
             (lambda: check_axioms((5,), ((0,),), 0), f"the add table (5,) {no_sequence}"),
             (lambda: check_axioms(((0,),), iter([(0,)]), 0), "the mul table <list_iterator"),
             (lambda: check_axioms({(0,)}, ((0,),), 0), f"the add table {{(0,)}} {no_sequence}"),
             (lambda: check_axioms(((0,),), {(0,)}, 0), f"the mul table {{(0,)}} {no_sequence}"),
             (lambda: check_axioms(((0,),), ({0},), 0), f"the mul table ({{0}},) {no_sequence}"),
-            (lambda: b.build_algebra(None, [], [], "0", "1"), "the labels None are not iterable"),
+            (lambda: b.build_algebra(None, [], [], "0", "1"), "the labels None are not a tuple or list"),
+            (lambda: b.build_algebra(label_row, [["0", "1"], ["1", "1"]], [["0", "0"], ["0", "1"]],
+                                     "0", "1"),
+             f"the labels {label_row!r} are not a tuple or list"),
+            (lambda: b.build_algebra("01", [["0", "1"], ["1", "1"]], [["0", "0"], ["0", "1"]],
+                                     "0", "1"),
+             "the labels '01' are not a tuple or list"),
             (lambda: b.build_algebra(["0", "1"], None, None, "0", "1"),
              f"the add table None {no_sequence}"),
             (lambda: b.build_algebra(["0"], [5], [["0"]], "0", "0"),
              f"the add table [5] {no_sequence}"),
             (lambda: b.build_algebra(["0"], [["0"]], [["0"]], ["0"], "0"), "unknown zero label ['0']"),
+            # An empty element list once answered 1 for any first argument.
+            (lambda: b.generated_ideal(None, []), "algebra None is not an Algebra"),
             (lambda: b.annihilator_set(A, 3), "elements 3 is not an iterable of element indices"),
             (lambda: b.mask_of(3), "elements 3 is not an iterable of element indices"),
             (lambda: b.congruence_violation(A, 5),
