@@ -96,8 +96,10 @@ class Algebra:
     radicals, joins, conductors, the saturated ideals and the prime and
     primary questions are ORs, ANDs and shifts of masks: ``_down[t]`` is
     the down-set {a : a + t = t}, ``_powers[a]`` is {a**k : k >= 1},
-    ``_principal[a]`` is A*a and ``_products[t]`` is {(u, v) : u*v = t},
-    pair (u, v) at bit u*n + v.  They are built here as plain attributes,
+    ``_principal[a]`` is A*a, ``_products[t]`` is {(u, v) : u*v = t},
+    pair (u, v) at bit u*n + v, ``_annihilators[x]`` is Ann(x) = {y : x*y = 0}
+    and ``_zero_divisors`` is the mask of the nonzero x whose Ann(x) holds a
+    nonzero element.  They are built here as plain attributes,
     so a per-ideal call reads them without a memo lookup.  None of them
     needs the ideals, so radicals, the nilradical and the saturated ideals
     answer past the enumeration bound, which ``enumerate_ideals`` alone
@@ -107,6 +109,7 @@ class Algebra:
     __slots__ = (
         "names", "order", "is_trivial", "add", "mul", "zero", "one", "index",
         "_full", "_down", "_powers", "_principal", "_products",
+        "_annihilators", "_zero_divisors",
         "_hash", "_memo", "__weakref__",
     )
 
@@ -155,7 +158,7 @@ class Algebra:
                 p = self.mul[p][a]
             powers.append(orbit)
         self._powers = tuple(powers)
-        principal, products = [], [0] * n
+        principal, products, annihilators, divisors = [], [0] * n, [], 0
         for x, row in enumerate(self.mul):
             by_value = [0] * n
             for y, t in enumerate(row):
@@ -167,8 +170,13 @@ class Algebra:
                     values |= 1 << t
                     products[t] |= ys << x * n
             principal.append(values)
+            annihilators.append(by_value[0])
+            if x and by_value[0] > 1:  # Ann(x) holds a nonzero element
+                divisors |= 1 << x
         self._principal = tuple(principal)
         self._products = tuple(products)
+        self._annihilators = tuple(annihilators)
+        self._zero_divisors = divisors
         self._hash = hash((self.names, self.add, self.mul, one))
         self._memo: dict = {}
 

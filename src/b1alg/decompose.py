@@ -364,10 +364,8 @@ def _audit_radical_saturation_intersection(algebra: Algebra) -> str | None:
 
 
 def _audit_annihilators_saturated(algebra: Algebra) -> str | None:
-    n, full = algebra.order, algebra._full
-    killed = algebra._products[0]  # row s is Ann(s)
-    for s in range(n):
-        if not is_saturated(algebra, killed >> s * n & full):
+    for s, killed in enumerate(algebra._annihilators):
+        if not is_saturated(algebra, killed):
             return f"Ann({algebra.names[s]}) is not saturated"
     return None
 
@@ -426,9 +424,7 @@ def _audit_minimal_primes_equal_minimal_saturated(algebra: Algebra) -> str | Non
 
 
 def _audit_associated_primes_are_annihilators(algebra: Algebra) -> str | None:
-    n, full = algebra.order, algebra._full
-    killed = algebra._products[0]  # row u is Ann(u)
-    annihilators = {killed >> u * n & full for u in range(1, n)}
+    annihilators = set(algebra._annihilators[1:])
     for x, p in associated_primes(algebra):
         if not is_prime(algebra, p):
             return f"associated {_labels(algebra, p)} is not prime"

@@ -25,8 +25,9 @@ with the witness ``ideal_violation`` names; ``member_labels``, the Bourne
 congruence and the prime, primary and divisor-set tests refuse a mask with
 a bit at or past the order; saturations, radicals and conductors ignore it.
 Every public function that takes a mask refuses one that is not an int,
-bool included, and every memoized one (the ``_per_*`` decorators) refuses
-a first argument that is not an ``Algebra``.
+bool included, and every one that takes an algebra refuses a first
+argument that is not an ``Algebra``: the memoized ones in their
+``_per_*`` wrapper, the others where they first read it.
 
 ``_per_mask`` computes each per-ideal result once per instance and mask:
 saturations, the saturated test, radicals and the ideal test here, the
@@ -38,8 +39,8 @@ so they still answer past the bound.  A walk over a mask's bits that
 runs once per call takes the list ``_members`` returns; the few that run
 once per item walk the bits inline, so that no loop enters a frame per
 item.  Public functions range-check the element indices they are given;
-the engine's own in-range calls read ``_generated`` and the rows of
-``_products[0]`` instead.
+the engine's own in-range calls read ``_generated`` and
+``Algebra._annihilators`` instead.
 
 The operations mirror the classical ones: generated ideals, the saturation
 closure I-bar = {a : a + i = i for some i in I}, radicals, annihilators,
@@ -255,15 +256,21 @@ def _per_mask_record(fn):
 def full_mask(algebra: Algebra) -> int:
     """Mask of every element: the public name of ``Algebra._full``, which
     the package itself reads directly."""
-    return algebra._full
+    try:
+        return algebra._full
+    except AttributeError:
+        raise _not_an_algebra(algebra) from None
 
 
 def member_labels(algebra: Algebra, mask: int) -> tuple[str, ...]:
     """Labels of the mask's members in element-index order (zero first)."""
     if type(mask) is not int:
         raise _not_an_int(mask)
-    if mask & ~algebra._full:
-        raise _out_of_range(algebra, mask)
+    try:
+        if mask & ~algebra._full:
+            raise _out_of_range(algebra, mask)
+    except AttributeError:
+        raise _not_an_algebra(algebra) from None
     names, out = algebra.names, []
     while mask:
         low = mask & -mask
@@ -384,12 +391,18 @@ def ideal_product(algebra: Algebra, left: int, right: int) -> int:
 
 def annihilator(algebra: Algebra, s: int) -> int:
     """Ann(s) = {x : s*x = 0}; always a saturated ideal."""
-    algebra._require_element(s)
-    return algebra._products[0] >> s * algebra.order & algebra._full
+    try:
+        algebra._require_element(s)
+    except AttributeError:
+        raise _not_an_algebra(algebra) from None
+    return algebra._annihilators[s]
 
 
 def annihilator_set(algebra: Algebra, elements) -> int:
-    out = algebra._full
+    try:
+        out = algebra._full
+    except AttributeError:
+        raise _not_an_algebra(algebra) from None
     for s in _listed(elements):
         out &= annihilator(algebra, s)
     return out
@@ -400,7 +413,10 @@ def conductor(algebra: Algebra, x: int, mask: int) -> int:
 
     Bits of J at or past the order are ignored.
     """
-    algebra._require_element(x)
+    try:
+        algebra._require_element(x)
+    except AttributeError:
+        raise _not_an_algebra(algebra) from None
     if type(mask) is not int:
         raise _not_an_int(mask)
     return _pairs_in(algebra, mask) >> x * algebra.order & algebra._full
@@ -532,10 +548,12 @@ def congruence_violation(
     """
     if not isinstance(class_of, (tuple, list)):
         raise AlgebraError(f"class_of {class_of!r} is not a tuple or list of class numbers")
-    if len(class_of) != algebra.order:
-        raise AlgebraError(f"the congruence numbers {len(class_of)} of {algebra.order} elements")
-    add, mul = algebra.add, algebra.mul
-    everything = range(algebra.order)
+    try:
+        add, mul, everything = algebra.add, algebra.mul, range(algebra.order)
+    except AttributeError:
+        raise _not_an_algebra(algebra) from None
+    if len(class_of) != len(everything):
+        raise AlgebraError(f"the congruence numbers {len(class_of)} of {len(everything)} elements")
     for a in everything:
         for b in everything:
             if class_of[a] != class_of[b]:
@@ -570,8 +588,11 @@ def bourne_congruence(algebra: Algebra, mask: int) -> Congruence:
     """
     if type(mask) is not int:
         raise _not_an_int(mask)
-    if mask & ~algebra._full:
-        raise _out_of_range(algebra, mask)
+    try:
+        if mask & ~algebra._full:
+            raise _out_of_range(algebra, mask)
+    except AttributeError:
+        raise _not_an_algebra(algebra) from None
     t = _member_sum(algebra, mask)
     if not mask >> t & 1:
         raise AlgebraError(
@@ -601,7 +622,10 @@ def quotient(algebra: Algebra, congruence: Congruence) -> QuotientMap:
     """
     if not isinstance(congruence, Congruence):
         raise AlgebraError(f"congruence {congruence!r} is not a Congruence")
-    class_of, names = congruence.class_of, algebra.names
+    try:
+        class_of, names = congruence.class_of, algebra.names
+    except AttributeError:
+        raise _not_an_algebra(algebra) from None
     bad = congruence_violation(algebra, class_of)  # refuses a class_of of the wrong length
     reps: list[int] = []  # the smallest member of each class
     for a, k in enumerate(class_of):

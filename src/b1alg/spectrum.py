@@ -27,6 +27,7 @@ from .algebra import Algebra
 from .ideals import (
     _canonical,
     _member_sum,
+    _not_an_algebra,
     _out_of_range,
     _pairs_in,
     _per_algebra,
@@ -149,15 +150,11 @@ def max_saturated(algebra: Algebra) -> tuple[int, ...]:
 
 
 def zero_divisors(algebra: Algebra) -> int:
-    """Mask of nonzero elements that kill some nonzero element."""
-    n = algebra.order
-    killed = algebra._products[0]  # row a is Ann(a)
-    nonzero = algebra._full & ~1
-    out = 0
-    for a in range(1, n):
-        if killed >> a * n & nonzero:
-            out |= 1 << a
-    return out
+    """Mask of nonzero elements that kill some nonzero element: ``Algebra._zero_divisors``."""
+    try:
+        return algebra._zero_divisors
+    except AttributeError:
+        raise _not_an_algebra(algebra) from None
 
 
 @_per_mask
@@ -199,11 +196,9 @@ def associated_primes(algebra: Algebra) -> tuple[tuple[int, int], ...]:
     are always present.
     """
     candidates = saturated_primes(algebra)
-    n, full = algebra.order, algebra._full
-    killed = algebra._products[0]  # row x is Ann(x)
     found: dict[int, int] = {}
-    for x in range(1, n):
-        t = _member_sum(algebra, killed >> x * n & full)
+    for x in range(1, algebra.order):
+        t = _member_sum(algebra, algebra._annihilators[x])
         holding = []
         for p in candidates:
             if p >> t & 1:

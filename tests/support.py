@@ -1,4 +1,9 @@
-"""Shared fixtures-behind-the-fixtures: fleets, random algebras, mask helpers."""
+"""Shared fixtures-behind-the-fixtures: fleets, random algebras, mask
+helpers, and the work counter behind the frame and opcode ceilings.
+
+Run as a script, ``PYTHONPATH=src python tests/support.py`` prints the
+engine frames and opcodes of every input a tier-1 ceiling pins.
+"""
 
 from __future__ import annotations
 
@@ -7,32 +12,92 @@ import re
 import sys
 from pathlib import Path
 
-import pytest
-
 import b1alg as b
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import inputs  # noqa: E402  (perfbench/inputs.py)
+import worker  # noqa: E402  (perfbench/worker.py)
 
 _PACKAGE = str(Path(b.__file__).parent)
 
 
-def engine_frames(call, *args) -> list[str]:
-    """Names of the b1alg frames that call(*args) enters, in order.
+def engine_frames(call, *args, opcodes: bool = False):
+    """Names of the b1alg frames that call(*args) enters, in order; with
+    opcodes=True, the pair (names, count of opcodes executed in b1alg).
 
-    Counted as sys.setprofile "call" events whose code lives in the b1alg
-    package; a generator resumed n times counts n times.  The count is the
-    same on every host for a given Python version.
+    Frames are sys.setprofile "call" events whose code lives in the b1alg
+    package; a generator resumed n times counts n times.  Opcodes are
+    sys.settrace "opcode" events (``f_trace_opcodes``) in those frames, so
+    they see the work inside a loop that frames cannot: ``Algebra(...)``
+    enters three frames at any order.  Both counts are the same on every
+    host for a given Python version; the ceilings are Python 3.11 counts.
+    On 3.12.1 and 3.13.0, where sys.settrace runs on sys.monitoring, some
+    traced calls read 0 or too few opcodes, so only 3.11 counts are exact.
     """
     names: list[str] = []
+    count = 0
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code.co_filename.startswith(_PACKAGE):
             names.append(frame.f_code.co_name)
 
+    def step(frame, event, arg):
+        nonlocal count
+        if event == "opcode":
+            count += 1
+        return step
+
+    def trace(frame, event, arg):
+        if not frame.f_code.co_filename.startswith(_PACKAGE):
+            return None
+        frame.f_trace_lines, frame.f_trace_opcodes = False, True
+        return step
+
     sys.setprofile(profile)
+    if opcodes:
+        sys.settrace(trace)
     try:
         call(*args)
     finally:
+        sys.settrace(None)
         sys.setprofile(None)
-    return names
+    return (names, count) if opcodes else names
+
+
+def fleet_op(algebra: b.Algebra) -> None:
+    """The library op of the benchmark's fleet workload, less parsing and
+    rendering."""
+    b.spectrum(algebra)
+    b.laskerian_check(algebra)
+    full = b.full_mask(algebra)
+    for m in b.enumerate_saturated_ideals(algebra):
+        if m != full:
+            b.evans_report(algebra, m)
+    b.minimalize(b.radical_decomposition(algebra, 1))
+    b.audit(algebra)
+
+
+def _fleet_pass_input(seed: int):
+    """(call, args) of one pass of the benchmark's fleet workload: its
+    fleet op (``worker.analyse``, parsing and rendering included) on each
+    text of the seeded fleet, in order."""
+    engine, _ = worker._import_engine(["cli", "ideals", "spectrum", "decompose"])
+    texts = inputs.fleet_inputs(seed)
+    return lambda: [worker.analyse(engine, text) for text in texts], ()
+
+
+# Each input whose engine frames or opcodes a tier-1 ceiling pins, by name:
+# a function that returns (call, args), every algebra built afresh so that
+# no memo is warm.  Traced for opcodes, each but the fleet pass takes well
+# under 0.2 s; null-8's audit, at 0.5 s, is left out.
+WORK_INPUTS = {
+    "fleet pass, seed 111": lambda: _fleet_pass_input(111),
+    "fleet op, example-6-2": lambda: (fleet_op, (b.builtin("example-6-2"),)),
+    "Algebra, bool-5 tables": lambda: (b.Algebra, inputs.boolean(5)),
+    "audit, null-6": lambda: (b.audit, (null_algebra(6),)),
+    "enumerate_ideals, chain-32": lambda: (b.enumerate_ideals, (b.chain_algebra(32),)),
+}
 
 
 def answer(call, *args):
@@ -53,6 +118,8 @@ def out_of_range_refusal(algebra: b.Algebra, mask: int) -> str:
 def refuses_out_of_range_masks(call, ex62: b.Algebra) -> None:
     """call(ex62, mask) refuses a mask with a bit at or past the order, or a
     negative one, naming the lowest stray bit, as the ideal operations do."""
+    import pytest  # here, so that the count command runs without pytest
+
     for mask, stray in ((b.full_mask(ex62) | 1 << 6, 6), (-1, 6), (1 | 1 << 9, 9)):
         refusal = f"the set contains an out-of-range element (witness: bit {stray})"
         with pytest.raises(b.AlgebraError, match=re.escape(refusal)):
@@ -70,24 +137,6 @@ def msk(algebra: b.Algebra, labels: str) -> int:
 
 def lbl(algebra: b.Algebra, mask: int) -> str:
     return ",".join(b.member_labels(algebra, mask))
-
-
-def named_base_fleet() -> dict[str, b.Algebra]:
-    """b1, the six-element builtin, chains 2..6, and their pairwise products
-    up to order 12."""
-    named: dict[str, b.Algebra] = {
-        "b1": b.builtin("b1"),
-        "example-6-2": b.builtin("example-6-2"),
-    }
-    for n in range(2, 7):
-        named[f"chain-{n}"] = b.chain_algebra(n)
-    items = list(named.items())
-    fleet = dict(named)
-    for i, (ni, ai) in enumerate(items):
-        for nj, aj in items[i:]:
-            if ai.order * aj.order <= 12:
-                fleet[f"{ni}*{nj}"] = b.direct_product(ai, aj)
-    return fleet
 
 
 def null_algebra(k: int) -> b.Algebra:
@@ -192,68 +241,24 @@ def seeded_products(factors, count: int = 80):
     return out
 
 
-def _product_pool() -> list[b.Algebra]:
-    seeds = [
-        b.builtin("b1"),
-        b.builtin("example-6-2"),
-        b.chain_algebra(3),
-        b.chain_algebra(4),
-        b.chain_algebra(5),
-    ]
-    pool = list(seeds)
-    for i in range(len(seeds)):
-        for j in range(i, len(seeds)):
-            pool.append(b.direct_product(seeds[i], seeds[j]))
-    return pool
-
-
-def _random_subalgebra(rng: random.Random, base: b.Algebra, max_order: int):
-    gens = rng.sample(range(base.order), k=rng.randint(1, min(3, base.order)))
-    closure = {0, base.one, *gens}
-    changed = True
-    while changed and len(closure) <= max_order:
-        changed = False
-        for x in list(closure):
-            for y in list(closure):
-                for v in (base.add[x][y], base.mul[x][y]):
-                    if v not in closure:
-                        closure.add(v)
-                        changed = True
-    if len(closure) > max_order:
-        return None
-    members = sorted(closure)
-    names = [base.names[m] for m in members]
-    add = [[base.names[base.add[x][y]] for y in members] for x in members]
-    mul = [[base.names[base.mul[x][y]] for y in members] for x in members]
-    return b.build_algebra(names, add, mul, names[0], base.names[base.one])
-
-
-def _random_quotient(rng: random.Random, base: b.Algebra, max_order: int):
-    gens = rng.sample(range(base.order), k=rng.randint(0, 2))
-    ideal = b.generated_ideal(base, gens)
-    qmap = b.quotient(base, b.bourne_congruence(base, ideal))
-    if qmap.target.order > max_order:
-        return None
-    return qmap.target
+def named_base_fleet() -> dict[str, b.Algebra]:
+    """The benchmark's named base fleet (``inputs.named_base_fleet``): b1,
+    the six-element builtin, chains 2..6, and their pairwise products up
+    to order 12, each built from its tables by the ``Algebra`` constructor
+    alone."""
+    return {name: b.Algebra(*table) for name, table in inputs.named_base_fleet().items()}
 
 
 def random_fleet(count: int = 200, seed: int = 20120901, max_order: int = 6):
-    """Deterministic rejection-sampled fleet of valid algebras.
+    """The benchmark's seeded draw (``inputs.random_fleet``): random
+    generated subalgebras and Bourne quotients of products of the seed
+    algebras, rejected over max_order, each built from its tables by the
+    ``Algebra`` constructor alone, which checks its axioms."""
+    return [b.Algebra(*table) for table in inputs.random_fleet(seed, count, max_order)]
 
-    Candidates are random generated subalgebras and random Bourne quotients
-    of products of the seed algebras; anything that closes over the size
-    cap is rejected.  Every survivor passes the axiom checker on the way
-    out of build_algebra / quotient.
-    """
-    rng = random.Random(seed)
-    pool = _product_pool()
-    fleet: list[b.Algebra] = []
-    while len(fleet) < count:
-        base = pool[rng.randrange(len(pool))]
-        if rng.random() < 0.5:
-            made = _random_subalgebra(rng, base, max_order)
-        else:
-            made = _random_quotient(rng, base, max_order)
-        if made is not None:
-            fleet.append(made)
-    return fleet
+
+if __name__ == "__main__":
+    for name, make in WORK_INPUTS.items():
+        call, args = make()
+        frames, count = engine_frames(call, *args, opcodes=True)
+        print(f"{name}: {len(frames):,} frames, {count:,} opcodes")

@@ -502,6 +502,27 @@ class TestConstructions:
                 call()
             assert str(caught.value).startswith(refusal), refusal
 
+    # Each call once escaped as AttributeError: these functions reach no
+    # memo, whose wrapper refuses a first argument that is not an Algebra.
+    # The value maps example-6-2 to the other arguments.
+    NO_MEMO_FIRST = {
+        "member_labels": lambda A: (1,),
+        "zero_divisors": lambda A: (),
+        "conductor": lambda A: (1, 1),
+        "annihilator": lambda A: (1,),
+        "annihilator_set": lambda A: ([1],),
+        "bourne_congruence": lambda A: (1,),
+        "full_mask": lambda A: (),
+        "congruence_violation": lambda A: ((0,) * 6,),
+        "quotient": lambda A: (b.bourne_congruence(A, 1),),
+    }
+
+    @pytest.mark.parametrize("name", NO_MEMO_FIRST)
+    @pytest.mark.parametrize("algebra", [None, 5])
+    def test_a_first_argument_that_is_no_algebra_is_refused_by_name(self, name, algebra, ex62):
+        with pytest.raises(b.AlgebraError, match=f"^algebra {algebra} is not an Algebra$"):
+            getattr(b, name)(algebra, *self.NO_MEMO_FIRST[name](ex62))
+
     def test_power(self, ex62):
         z, x = ex62.index["z"], ex62.index["x"]
         assert ex62.power(z, 1) == z

@@ -7,7 +7,8 @@ draw, and every CLI op of the cli-small and enum-large workloads in both
 report formats.  The CLI workloads also install the tracer of
 perfbench/tracing.py, so every engine name it wraps must exist.  A ceiling
 on the engine frames of one fleet pass guards the fleet op's fixed cost,
-which wall time on a shared host cannot.  They only read perfbench/.
+and a ceiling on its opcodes the work inside its loops, which wall time
+on a shared host cannot.  They only read perfbench/.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from b1alg import cli
-from support import engine_frames
+from support import WORK_INPUTS, engine_frames
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -33,10 +34,13 @@ import worker  # noqa: E402  (perfbench/worker.py)
 
 
 # b1alg frames that one fleet pass enters (worker.analyse over the seed-111
-# fleet), measured on Python 3.11.  The count is the same on every host;
-# Python >= 3.12 inlines comprehensions, so counts there only fall.  Lower
-# the ceiling when a change cuts frames.
-FLEET_PASS_FRAME_CEILING = 88_907
+# fleet), and the opcodes it executes in b1alg, measured on Python 3.11.
+# Both counts are the same on every host; Python >= 3.12 inlines
+# comprehensions, so frames there only fall.  Re-measure with
+# `PYTHONPATH=src python tests/support.py`, and lower a ceiling when a
+# change cuts its count.
+FLEET_PASS_FRAME_CEILING = 88_685
+FLEET_PASS_OPCODE_CEILING = 5_551_414
 
 
 @pytest.fixture(scope="module")
@@ -90,8 +94,8 @@ def test_cli_ops_match_the_recorded_digests(workload, recorded, tmp_path, monkey
     assert wrong == []
 
 
-def test_a_fleet_pass_stays_under_the_frame_ceiling():
-    engine, _ = worker._import_engine(["cli", "ideals", "spectrum", "decompose"])
-    texts = inputs.fleet_inputs(111)
-    frames = engine_frames(lambda: [worker.analyse(engine, t) for t in texts])
+def test_a_fleet_pass_stays_under_the_frame_and_opcode_ceilings():
+    call, args = WORK_INPUTS["fleet pass, seed 111"]()
+    frames, opcodes = engine_frames(call, *args, opcodes=True)
     assert len(frames) <= FLEET_PASS_FRAME_CEILING
+    assert opcodes <= FLEET_PASS_OPCODE_CEILING

@@ -13,6 +13,7 @@ from b1alg.decompose import DecompositionResult
 from support import (
     answer,
     engine_frames,
+    fleet_op,
     idempotent_chain,
     lbl,
     monoid_ideal_algebra,
@@ -23,26 +24,12 @@ from support import (
 )
 
 
-def fleet_op(algebra: b.Algebra) -> None:
-    """The library op of the benchmark's fleet workload, less parsing and
-    rendering."""
-    b.spectrum(algebra)
-    b.laskerian_check(algebra)
-    full = b.full_mask(algebra)
-    for m in b.enumerate_saturated_ideals(algebra):
-        if m != full:
-            b.evans_report(algebra, m)
-    b.minimalize(b.radical_decomposition(algebra, 1))
-    b.audit(algebra)
-
-
-# b1alg frames that fleet_op enters on a fresh example-6-2, measured on
-# Python 3.11.  The count is the same on every host, so it guards the fixed
+# b1alg frames that support.fleet_op enters on a fresh example-6-2, measured
+# on Python 3.11.  The count is the same on every host, so it guards the fixed
 # per-call cost where wall time cannot; Python >= 3.12 inlines comprehensions,
-# so counts there only fall.  Re-measure with
-#     len(support.engine_frames(fleet_op, b.builtin("example-6-2")))
-# and lower the ceiling when a change cuts frames.
-FLEET_OP_FRAME_CEILING = 638
+# so counts there only fall.  Re-measure with `PYTHONPATH=src python
+# tests/support.py` and lower the ceiling when a change cuts frames.
+FLEET_OP_FRAME_CEILING = 637
 
 
 class TestWeakDecompose:

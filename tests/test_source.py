@@ -118,6 +118,25 @@ def test_only_the_enumeration_reads_the_bound():
     assert found == {"ideals.py:enumerate_ideals"}
 
 
+def test_only_the_pair_masks_read_the_product_masks():
+    # Ann(x) and the zero divisors come from the constructor's own rows
+    # (Algebra._annihilators and _zero_divisors), so no function shifts a row
+    # out of the n*n-bit mask _products[0] again; only the conductors' pair
+    # mask needs the product masks.
+    def readers(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == "_products":
+                yield where
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            yield from readers(child, f"{where}.{child.name}".lstrip(".") if named else where)
+
+    found = set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found.update(f"{path.name}:{name}" for name in readers(tree, ""))
+    assert found == {"algebra.py:Algebra.__init__", "ideals.py:_pairs_in"}
+
+
 def test_audit_checks_take_only_the_algebra():
     # Each audit check asks the memoized families itself; a second
     # parameter would carry a per-call copy of what the memo already holds.
