@@ -1,14 +1,14 @@
 """Classification of ideals: primes, primaries, spectra, associated primes.
 
-Primality, primarity and divisor sets are read off the pair mask
-P(I) = {(u, v) : u*v in I} (``ideals._pairs_in``), whose row u is the
-conductor C_u(I): each predicate ORs the pair-product masks of ``Algebra``
-over I once and then reads the rows of the elements outside I, with no
-per-element conductor call.  The prime and primary tests and divisor sets
-are memoized per algebra and mask (``ideals._per_mask``); the prime test
-is the prime question's one memo, and ``_prime_witness`` gives the
-failing pair to its one other caller, the weak decomposition's split
-step, which is memoized per node.
+The divisor set D(I) = {x : x*y in I for some y outside I} is the one row
+scan: it reads the pair mask P(I) = {(u, v) : u*v in I}
+(``ideals._pairs_in``), whose row x is the conductor C_x(I), once, and
+keeps the x whose row meets the outside of I.  The prime and primary
+tests are inclusions in it: I is prime iff D(I) is inside I, and primary
+iff D(I) is inside r(I) (Atiyah-Macdonald, ch. 4).  The three are
+memoized per algebra and mask (``ideals._per_mask``), so each mask's row
+scan runs once.  ``_prime_witness`` serves the weak decomposition's split
+step, which is memoized per node, with the first failing pair.
 Every family (primes, saturated primes, primaries, the minimal and maximal
 spectra, associated primes and the standard verdict) is memoized once per
 algebra (``ideals._per_algebra``).  The saturated primes are the saturated
@@ -65,34 +65,29 @@ def _prime_witness(algebra: Algebra, mask: int) -> tuple[int, int] | None:
 
 @_per_mask
 def is_prime(algebra: Algebra, mask: int) -> bool:
-    """Proper, and u*v in I forces u in I or v in I."""
+    """Proper, and u*v in I forces u in I or v in I.
+
+    That is D(I) inside I: an x in D(I) outside I is an x and a y, both
+    outside I, with x*y in I.  This holds for any in-range mask.
+    """
     if mask & ~algebra._full:
         raise _out_of_range(algebra, mask)
-    return mask != algebra._full and _prime_witness(algebra, mask) is None
+    return mask != algebra._full and not divisor_set(algebra, mask) & ~mask
 
 
 @_per_mask
 def is_primary(algebra: Algebra, mask: int) -> bool:
     """Proper, and x*y in Q forces x in Q or some power of y in Q.
 
-    The power condition on y is exactly membership in the radical, so Q is
-    primary iff no row of P(Q) for an x outside Q meets the complement of
-    r(Q).
+    The power condition on y is membership in r(Q), so Q is primary iff
+    the conductor C_x(Q) = {y : x*y in Q} of each x outside Q lies in
+    r(Q).  As x*y = y*x, D(Q) is the union of those conductors, so that is
+    D(Q) inside r(Q).  This holds for any in-range mask.
     """
-    n, full = algebra.order, algebra._full
+    full = algebra._full
     if mask & ~full:
         raise _out_of_range(algebra, mask)
-    if mask == full:
-        return False
-    pairs = _pairs_in(algebra, mask)  # row x is the conductor C_x(Q)
-    beyond = full & ~radical(algebra, mask)
-    rest = full & ~mask
-    while rest:
-        low = rest & -rest
-        if pairs >> (low.bit_length() - 1) * n & beyond:
-            return False
-        rest ^= low
-    return True
+    return mask != full and not divisor_set(algebra, mask) & ~radical(algebra, mask)
 
 
 @_per_algebra

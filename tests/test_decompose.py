@@ -29,7 +29,7 @@ from support import (
 # per-call cost where wall time cannot; Python >= 3.12 inlines comprehensions,
 # so counts there only fall.  Re-measure with `PYTHONPATH=src python
 # tests/support.py` and lower the ceiling when a change cuts frames.
-FLEET_OP_FRAME_CEILING = 637
+FLEET_OP_FRAME_CEILING = 629
 
 
 class TestWeakDecompose:

@@ -196,6 +196,28 @@ def test_only_the_split_step_splits_a_node():
     assert "_split" not in calls["_split"] and "_split_step" not in calls["_split_step"]
 
 
+def test_the_prime_and_primary_tests_are_inclusions_in_the_divisor_set():
+    # I is prime iff D(I) lies in I, and primary iff D(I) lies in r(I), so
+    # both read the memoized divisor set and neither scans P(I) again.
+    tree = ast.parse((PACKAGE_DIR / "spectrum.py").read_text(encoding="utf-8"))
+    tests = {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in ("is_prime", "is_primary")
+    }
+    assert set(tests) == {"is_prime", "is_primary"}
+    for node in tests.values():
+        called = {
+            sub.func.id
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+        }
+        loop = (ast.For, ast.While, ast.comprehension)
+        loops = [sub for sub in ast.walk(node) if isinstance(sub, loop)]
+        assert "divisor_set" in called and not called & {"_pairs_in", "_prime_witness"}
+        assert loops == []
+
+
 def test_no_exponential_subset_loops_in_the_package():
     # Subset scans over range(1 << n) or range(2 ** n), and searches through
     # itertools' combinations, permutations or products, belong to the test

@@ -200,20 +200,21 @@ class TestSpectrumResult:
 
 class TestComputedOnce:
     def test_spectrum_scans_each_ideal_once(self, monkeypatch):
-        # Each mask's prime test is computed once: the primes and the
-        # saturated primes both ask it, and the second asker reads the memo.
+        # Each mask's row scan, its divisor set, is computed once: the primes,
+        # the saturated primes and the standard verdict all read it, and every
+        # asker after the first reads the memo.
         algebra = b.builtin("example-6-2")  # fresh instance, empty memo
         spectrum_module = importlib.import_module("b1alg.spectrum")
         calls = []
-        prime_witness = spectrum_module._prime_witness
+        pairs_in = spectrum_module._pairs_in
 
         def counting(alg, mask):
             calls.append(mask)
-            return prime_witness(alg, mask)
+            return pairs_in(alg, mask)
 
-        monkeypatch.setattr(spectrum_module, "_prime_witness", counting)
+        monkeypatch.setattr(spectrum_module, "_pairs_in", counting)
         b.spectrum(algebra)
-        # the whole algebra is refused as improper before any witness is sought
+        # the whole algebra is refused as improper before its rows are scanned
         assert sorted(calls) == sorted(b.enumerate_ideals(algebra)[:-1])
         assert len(calls) == 8
         b.spectrum(algebra)
@@ -251,10 +252,16 @@ class TestPairProductPredicates:
         inside = [rng.getrandbits(algebra.order) | 1 for _ in range(20)]
         return [*b.enumerate_ideals(algebra), *stray, *inside]
 
-    def test_match_the_table_scans(self, base_fleet, small_random_fleet, past_order_six):
+    def test_match_the_table_scans(
+        self, base_fleet, small_random_fleet, full_random_fleet, past_order_six
+    ):
         prime_witness = importlib.import_module("b1alg.spectrum")._prime_witness
+        products = seeded_products([*base_fleet.values(), *full_random_fleet])
         rng = random.Random(9)
-        for algebra in [*base_fleet.values(), *small_random_fleet, *past_order_six]:
+        for algebra in [
+            *base_fleet.values(), *small_random_fleet, *past_order_six,
+            *[product for _, _, product in products],  # orders 7..36
+        ]:
             for m in self._masks(algebra, rng):
                 witness = oracles.prime_witness_oracle(algebra, m)
                 assert prime_witness(algebra, m) == witness
