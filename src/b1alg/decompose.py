@@ -9,7 +9,8 @@ to J.  Taking radicals before recursing is what restores the precondition
 at every node; the intersection identity survives because a power landing
 in both branches lands, after one more squaring, in J itself.  Only the
 public entry points check the precondition; ``_split`` trusts its input.
-Each node is split once per algebra (``_split_step``), and every
+Each node is split once per algebra (``_split_step``), which reads both
+the prime verdict and the witness off the divisor set D(J), and every
 decomposition and audit law that passes through it reuses that step.
 """
 
@@ -39,7 +40,6 @@ from .ideals import (
 )
 from .spectrum import (
     _maximal,
-    _prime_witness,
     _primaries,
     associated_primes,
     divisor_set,
@@ -154,15 +154,28 @@ def _split_step(algebra: Algebra, j: int) -> tuple[tuple[int, int], tuple[int, i
     """The one split of node j, proper, saturated and radical: None if j is
     prime, else its witness pair (u, v) and its arms r(sat(j + A*u)) and
     r(sat(j + A*v)), each strictly between j and the whole algebra.  An
-    error is not memoized, so a broken arm raises on every split."""
-    if is_prime(algebra, j):
+    error is not memoized, so a broken arm raises on every split.
+
+    Both come from D(j) outside j, the u outside j with u*v in j for some v
+    outside j: it is empty iff j is prime.  Its least u, with the least v
+    outside j in C_u(j), is the first such pair in element-index order: any
+    other (u', v') has u' in it, so u' >= u, and v' >= v if u' = u.
+    """
+    outside = algebra._full & ~j
+    d = divisor_set(algebra, j) & outside
+    if not d:
         return None
-    u, v = witness = _prime_witness(algebra, j)
+    u = (d & -d).bit_length() - 1
+    for v, uv in enumerate(algebra.mul[u]):
+        if outside >> v & 1 and j >> uv & 1:
+            break
+    else:
+        raise RuntimeError("split witness has no partner outside the node (engine bug)")
     arm_u = radical(algebra, saturation(algebra, _join(algebra, j, algebra._principal[u])))
     arm_v = radical(algebra, saturation(algebra, _join(algebra, j, algebra._principal[v])))
-    if {arm_u, arm_v} & {j, algebra._full}:
+    if j & ~(arm_u & arm_v) or {arm_u, arm_v} & {j, algebra._full}:
         raise RuntimeError("split arm failed to grow properly (engine bug)")
-    return witness, (arm_u, arm_v)
+    return (u, v), (arm_u, arm_v)
 
 
 def _split(algebra: Algebra, mask: int) -> DecompositionResult:

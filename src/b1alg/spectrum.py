@@ -7,8 +7,9 @@ keeps the x whose row meets the outside of I.  The prime and primary
 tests are inclusions in it: I is prime iff D(I) is inside I, and primary
 iff D(I) is inside r(I) (Atiyah-Macdonald, ch. 4).  The three are
 memoized per algebra and mask (``ideals._per_mask``), so each mask's row
-scan runs once.  ``_prime_witness`` serves the weak decomposition's split
-step, which is memoized per node, with the first failing pair.
+scan runs once, and the divisor set refuses an out-of-range mask for all
+three.  The weak decomposition's split step reads D(J) too: the least
+element of D(J) outside J starts J's first failing pair, if J is not prime.
 Every family (primes, saturated primes, primaries, the minimal and maximal
 spectra, associated primes and the standard verdict) is memoized once per
 algebra (``ideals._per_algebra``).  The saturated primes are the saturated
@@ -44,25 +45,6 @@ __all__ = (
 )
 
 
-def _prime_witness(algebra: Algebra, mask: int) -> tuple[int, int] | None:
-    """First (u, v) in element-index order with u, v outside and u*v inside.
-
-    The first outside u whose row of P(I) meets the outside, with the
-    lowest bit of that meet as v.
-    """
-    n, outside = algebra.order, algebra._full & ~mask
-    pairs = _pairs_in(algebra, mask)  # row u is the conductor C_u(I)
-    rest = outside
-    while rest:
-        low = rest & -rest
-        u = low.bit_length() - 1
-        hits = pairs >> u * n & outside
-        if hits:
-            return u, (hits & -hits).bit_length() - 1
-        rest ^= low
-    return None
-
-
 @_per_mask
 def is_prime(algebra: Algebra, mask: int) -> bool:
     """Proper, and u*v in I forces u in I or v in I.
@@ -70,8 +52,6 @@ def is_prime(algebra: Algebra, mask: int) -> bool:
     That is D(I) inside I: an x in D(I) outside I is an x and a y, both
     outside I, with x*y in I.  This holds for any in-range mask.
     """
-    if mask & ~algebra._full:
-        raise _out_of_range(algebra, mask)
     return mask != algebra._full and not divisor_set(algebra, mask) & ~mask
 
 
@@ -84,10 +64,7 @@ def is_primary(algebra: Algebra, mask: int) -> bool:
     r(Q).  As x*y = y*x, D(Q) is the union of those conductors, so that is
     D(Q) inside r(Q).  This holds for any in-range mask.
     """
-    full = algebra._full
-    if mask & ~full:
-        raise _out_of_range(algebra, mask)
-    return mask != full and not divisor_set(algebra, mask) & ~radical(algebra, mask)
+    return mask != algebra._full and not divisor_set(algebra, mask) & ~radical(algebra, mask)
 
 
 @_per_algebra

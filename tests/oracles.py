@@ -214,6 +214,26 @@ def lifted_primes_oracle(left: b.Algebra, right: b.Algebra) -> list[int]:
     return _lifted_sides(left, right, _primes)
 
 
+def _primaries(algebra: b.Algebra) -> list[int]:
+    return [m for m in ideals_oracle(algebra) if primary_oracle(algebra, m)]
+
+
+def lifted_primaries_oracle(left: b.Algebra, right: b.Algebra) -> list[int]:
+    """The primary ideals of A x B = ``direct_product(left, right)`` in the
+    canonical order: Q x B for each primary Q of A, and A x Q' for each
+    primary Q' of B.
+
+    With e = (1, 0) and f = (0, 1), e*f = 0 lies in a primary K, so K holds
+    e or a power of f, which is f; not both, as e + f = 1.  Holding f it is
+    Q x B with Q = {a : (a, 0) in K}, as for the primes, and holding e it
+    is A x Q' likewise.  Q is proper, and primary: if x*y is in Q then
+    (x, 1)*(y, 1) = (xy, 0) + f is in K, so K holds (x, 1), and with it
+    (x, 0) = (x, 1)*e, or some (y, 1)^k = (y^k, 1), and with it (y^k, 0).
+    Every Q x B with Q primary is primary, and so is every A x Q'.
+    """
+    return _lifted_sides(left, right, _primaries)
+
+
 def lifted_min_primes_oracle(left: b.Algebra, right: b.Algebra) -> list[int]:
     """The minimal primes of ``direct_product(left, right)`` in the
     canonical order, lifted from the factors': P x B for each minimal prime

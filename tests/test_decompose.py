@@ -29,7 +29,7 @@ from support import (
 # per-call cost where wall time cannot; Python >= 3.12 inlines comprehensions,
 # so counts there only fall.  Re-measure with `PYTHONPATH=src python
 # tests/support.py` and lower the ceiling when a change cuts frames.
-FLEET_OP_FRAME_CEILING = 629
+FLEET_OP_FRAME_CEILING = 627
 
 
 class TestWeakDecompose:
@@ -207,6 +207,28 @@ class TestSharedSplit:
         check = next(c for c in b.audit(algebra).checks if c.name == "weak-decomposition-exact")
         assert not check.passed
         assert check.detail == f"bad split witness at {{{lbl(algebra, node)}}}"
+
+    def test_split_step_witness_is_the_first_failing_pair(
+        self, base_fleet, small_random_fleet, full_random_fleet, past_order_six
+    ):
+        # The step reads its verdict and witness off the divisor set; the
+        # oracle scans the table row by row for the first u, v outside the
+        # node with u*v inside.
+        decompose = importlib.import_module("b1alg.decompose")
+        products = seeded_products([*base_fleet.values(), *full_random_fleet])
+        for algebra in [
+            *base_fleet.values(), *small_random_fleet, *full_random_fleet, *past_order_six,
+            *[product for _, _, product in products],  # orders 7..36
+        ]:
+            full = b.full_mask(algebra)
+            for j in b.enumerate_saturated_ideals(algebra):
+                if j == full or b.radical(algebra, j) != j:
+                    continue
+                step = decompose._split_step(algebra, j)
+                witness = oracles.prime_witness_oracle(algebra, j)
+                assert (step is None) == (witness is None)
+                if step is not None:
+                    assert step[0] == witness
 
 
 class TestRadicalDecomposition:
@@ -762,12 +784,10 @@ def _fresh(algebra: b.Algebra) -> b.Algebra:
 class TestPerMaskMemo:
     # Saturations, the saturated test, radicals, the ideal test, the prime
     # test, primarity, divisor sets, and the Evans and decomposition records
-    # are memoized per algebra and mask.  Prime witnesses and Bourne
-    # congruences are not: the memoized prime test answers the one, and
-    # each of the other is asked for once per analysis.
+    # are memoized per algebra and mask.  Bourne congruences are not: each
+    # is asked for once per analysis.
 
     def test_memoized_functions_match_the_oracles(self, small_random_fleet, past_order_six):
-        spectrum = importlib.import_module("b1alg.spectrum")
         rng = random.Random(10)
         for algebra in [*small_random_fleet, *past_order_six]:
             algebra = _fresh(algebra)
@@ -788,7 +808,6 @@ class TestPerMaskMemo:
                     oracles.saturation_oracle(algebra, m & full),
                     oracles.radical_oracle(algebra, m),
                     oracles.ideal_violation_oracle(algebra, m),
-                    oracles.prime_witness_oracle(algebra, m),
                     *classified,
                     [oracles.conductor_oracle(algebra, x, m) for x in range(n)],
                 )
@@ -797,7 +816,6 @@ class TestPerMaskMemo:
                         b.saturation(algebra, m),
                         b.radical(algebra, m),
                         b.ideal_violation(algebra, m),
-                        spectrum._prime_witness(algebra, m),
                         answer(b.is_prime, algebra, m),
                         answer(b.is_primary, algebra, m),
                         answer(b.divisor_set, algebra, m),
@@ -825,6 +843,38 @@ class TestPerMaskMemo:
                 again = b.evans_report(filled, r.ideal)
                 assert again == r and again.algebra is filled
             assert b.audit(filled).checks == b.audit(_fresh(algebra)).checks
+
+    def test_a_corrupted_memo_never_crashes_the_audit(self):
+        # One wrong prime verdict, divisor set or radical, planted after the
+        # spectrum and the radicals fill the memo, must fail a law or stop a
+        # split with RuntimeError: never another error, and never a split
+        # that walks in a circle because an arm does not hold its node.
+        # Each int entry is replaced by its complement and by the far end
+        # of the lattice ({0}, or the whole algebra for {0}).
+        ex62 = b.builtin("example-6-2")
+        for algebra in (
+            ex62, b.chain_algebra(4), null_algebra(3), b.direct_product(ex62, b.builtin("b1"))
+        ):
+            filled = _fresh(algebra)
+            b.spectrum(filled)
+            full = b.full_mask(filled)
+            for m in b.enumerate_ideals(filled):
+                b.radical(filled, m)
+            for fn in (b.is_prime, b.divisor_set, b.radical):
+                for mask, value in filled._memo[fn.__wrapped__].items():
+                    wrong = (
+                        [not value] if type(value) is bool
+                        else [value ^ full, full if value == 1 else 1]
+                    )
+                    for planted in wrong:
+                        corrupted = _fresh(algebra)
+                        for key, entry in filled._memo.items():
+                            corrupted._memo[key] = dict(entry) if type(entry) is dict else entry
+                        corrupted._memo[fn.__wrapped__][mask] = planted
+                        try:
+                            assert type(b.audit(corrupted)) is b.AuditResult
+                        except RuntimeError:
+                            pass
 
     def test_refusals_are_not_memoized(self, ex62):
         algebra = _fresh(ex62)

@@ -191,14 +191,20 @@ def test_only_the_split_step_splits_a_node():
         for node in tree.body
         if isinstance(node, ast.FunctionDef)
     }
-    splitting = {name for name, called in calls.items() if {"_prime_witness", "_join"} & called}
+    splitting = {name for name, called in calls.items() if "_join" in called}
     assert splitting == {"_split_step"}
     assert "_split" not in calls["_split"] and "_split_step" not in calls["_split_step"]
+    # The step's verdict and witness both come from the memoized divisor
+    # set: j is prime iff D(j) lies in j, and the least element of D(j)
+    # outside j starts the first failing pair.
+    assert "divisor_set" in calls["_split_step"]
+    assert not calls["_split_step"] & {"is_prime", "_pairs_in"}
 
 
 def test_the_prime_and_primary_tests_are_inclusions_in_the_divisor_set():
     # I is prime iff D(I) lies in I, and primary iff D(I) lies in r(I), so
-    # both read the memoized divisor set and neither scans P(I) again.
+    # both read the memoized divisor set and neither scans P(I) again, nor
+    # tests the range that the divisor set refuses first.
     tree = ast.parse((PACKAGE_DIR / "spectrum.py").read_text(encoding="utf-8"))
     tests = {
         node.name: node
@@ -214,7 +220,7 @@ def test_the_prime_and_primary_tests_are_inclusions_in_the_divisor_set():
         }
         loop = (ast.For, ast.While, ast.comprehension)
         loops = [sub for sub in ast.walk(node) if isinstance(sub, loop)]
-        assert "divisor_set" in called and not called & {"_pairs_in", "_prime_witness"}
+        assert "divisor_set" in called and not called & {"_pairs_in", "_out_of_range"}
         assert loops == []
 
 
@@ -264,10 +270,10 @@ def test_element_wise_operations_read_the_mask_tables():
     # would be n calls where a few mask operations do.
     wanted = {
         "ideals.py": {"saturation", "radical", "annihilator", "conductor", "_generated"},
-        "spectrum.py": {"_prime_witness", "is_primary", "divisor_set", "zero_divisors"},
+        "spectrum.py": {"is_prime", "is_primary", "divisor_set", "zero_divisors"},
         "decompose.py": {"evans_report"},
     }
-    whole_ideal = {"_prime_witness", "is_primary", "divisor_set", "evans_report"}
+    whole_ideal = {"is_prime", "is_primary", "divisor_set", "evans_report"}
     found = []
     for name, functions in wanted.items():
         tree = ast.parse((PACKAGE_DIR / name).read_text(encoding="utf-8"))

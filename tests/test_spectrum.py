@@ -255,7 +255,6 @@ class TestPairProductPredicates:
     def test_match_the_table_scans(
         self, base_fleet, small_random_fleet, full_random_fleet, past_order_six
     ):
-        prime_witness = importlib.import_module("b1alg.spectrum")._prime_witness
         products = seeded_products([*base_fleet.values(), *full_random_fleet])
         rng = random.Random(9)
         for algebra in [
@@ -263,8 +262,6 @@ class TestPairProductPredicates:
             *[product for _, _, product in products],  # orders 7..36
         ]:
             for m in self._masks(algebra, rng):
-                witness = oracles.prime_witness_oracle(algebra, m)
-                assert prime_witness(algebra, m) == witness
                 if m >> algebra.order:  # a stray bit is refused, not classified
                     refusal = out_of_range_refusal(algebra, m)
                     for test in (b.is_prime, b.is_primary, b.divisor_set):
@@ -300,7 +297,8 @@ class TestProducts:
         # Past order 6 the factors' brute-force oracles still decide: every
         # ideal of A x B is I x J, every saturated one S x T, every prime
         # P x B or A x Q, every maximal proper saturated one M x B or A x N,
-        # and the minimal saturated primes are the minimal primes.
+        # every primary Q x B or A x Q', and the minimal saturated primes
+        # are the minimal primes.
         for left, right, product in seeded_products([*base_fleet.values(), *full_random_fleet]):
             ideals = tuple(oracles.lifted_ideals_oracle(left, right))
             saturated = tuple(oracles.lifted_saturated_ideals_oracle(left, right))
@@ -308,6 +306,9 @@ class TestProducts:
             assert b.enumerate_ideals(product) == ideals
             assert b.enumerate_saturated_ideals(product) == saturated
             assert b.primes(product) == primes
+            assert b.laskerian_check(product).primaries == tuple(
+                oracles.lifted_primaries_oracle(left, right)
+            )
             assert b.saturated_primes(product) == tuple([p for p in primes if p in saturated])
             assert b.max_saturated(product) == tuple(
                 oracles.lifted_max_saturated_oracle(left, right)
