@@ -12,6 +12,10 @@ public entry points check the precondition; ``_split`` trusts its input.
 Each node is split once per algebra (``_split_step``), which reads both
 the prime verdict and the witness off the divisor set D(J), and every
 decomposition and audit law that passes through it reuses that step.
+Each walk checks the variant its end rests on: the split, that each arm
+strictly holds its node, on every visit, memo hit or not; the laskerian
+meet closure, that it never outgrows the proper saturated ideals.  A
+failed check raises RuntimeError instead of walking for ever.
 """
 
 from __future__ import annotations
@@ -153,8 +157,8 @@ def weak_decompose(algebra: Algebra, mask: int) -> DecompositionResult:
 def _split_step(algebra: Algebra, j: int) -> tuple[tuple[int, int], tuple[int, int]] | None:
     """The one split of node j, proper, saturated and radical: None if j is
     prime, else its witness pair (u, v) and its arms r(sat(j + A*u)) and
-    r(sat(j + A*v)), each strictly between j and the whole algebra.  An
-    error is not memoized, so a broken arm raises on every split.
+    r(sat(j + A*v)), each strictly between j and the whole algebra.
+    ``_split`` checks the arms on every visit.
 
     Both come from D(j) outside j, the u outside j with u*v in j for some v
     outside j: it is empty iff j is prime.  Its least u, with the least v
@@ -173,8 +177,6 @@ def _split_step(algebra: Algebra, j: int) -> tuple[tuple[int, int], tuple[int, i
         raise RuntimeError("split witness has no partner outside the node (engine bug)")
     arm_u = radical(algebra, saturation(algebra, _join(algebra, j, algebra._principal[u])))
     arm_v = radical(algebra, saturation(algebra, _join(algebra, j, algebra._principal[v])))
-    if j & ~(arm_u & arm_v) or {arm_u, arm_v} & {j, algebra._full}:
-        raise RuntimeError("split arm failed to grow properly (engine bug)")
     return (u, v), (arm_u, arm_v)
 
 
@@ -186,6 +188,8 @@ def _split(algebra: Algebra, mask: int) -> DecompositionResult:
     meet of the saturated primes above it and each arm strictly holds its
     node, so a split is at most as deep as there are saturated primes above
     its input, which can pass the recursion limit: the walk never recurses.
+    The walk checks both arms of every visit, memo hit or not, so a step
+    that breaks this raises instead of walking for ever.
     """
     components = set()
     trace: list[tuple[int, tuple[int, int]]] = []
@@ -196,8 +200,11 @@ def _split(algebra: Algebra, mask: int) -> DecompositionResult:
         if step is None:
             components.add(j)
         else:
+            arm_u, arm_v = step[1]
+            if j & ~(arm_u & arm_v) or {arm_u, arm_v} & {j, algebra._full}:
+                raise RuntimeError("split arm failed to grow properly (engine bug)")
             trace.append((j, step[0]))
-            stack.extend(reversed(step[1]))
+            stack += arm_v, arm_u
     result = DecompositionResult(algebra, mask, tuple(_canonical(components)), False, tuple(trace))
     if result.intersection() != mask:
         raise RuntimeError("decomposition lost its intersection (engine bug)")
@@ -247,6 +254,10 @@ def laskerian_check(algebra: Algebra) -> LaskerianReport:
     families (saturated and not) are reported; only the saturated one
     decides the verdict.
 
+    Every member of the closure is a proper saturated ideal, since meets of
+    saturated ideals are saturated, so a round that leaves more members than
+    there are proper saturated ideals is an engine bug and raises.
+
     A ``table`` entry holds the components of the first pair of meets that
     reached its ideal.  They meet to it but need not be the minimal
     saturated primaries above it (``tests/support.monoid_ideal_algebra``).
@@ -266,6 +277,8 @@ def laskerian_check(algebra: Algebra) -> LaskerianReport:
                 if c not in reachable and c not in fresh:
                     fresh[c] = tuple(_canonical(set(reachable[a]) | set(reachable[b])))
         reachable.update(fresh)
+        if len(reachable) > len(proper_saturated):
+            raise RuntimeError("meet closure outgrew the saturated ideals (engine bug)")
         frontier = _canonical(fresh)
 
     witness = None

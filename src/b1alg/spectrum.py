@@ -27,7 +27,6 @@ from collections import namedtuple
 from .algebra import Algebra
 from .ideals import (
     _canonical,
-    _member_sum,
     _not_an_algebra,
     _out_of_range,
     _pairs_in,
@@ -156,24 +155,23 @@ def associated_primes(algebra: Algebra) -> tuple[tuple[int, int], ...]:
     """Pairs (witness x, prime) where the prime pulls back from a minimal
     prime of the quotient by the Bourne congruence of Ann(x).
 
-    The quotient is never built: its primes pull back, keeping inclusion
-    and saturation, to the primes that are unions of the fibres of
-    y -> y + t, with t the join of Ann(x).  A saturated prime is a down-set,
-    so it is such a union exactly when it holds t: the fibre of 0 holds t,
-    and z <= z + t = y + t.  Minimal primes are saturated: for x in a
-    minimal prime P some s outside P and k >= 1 have s*x^k = 0, so each
-    a <= x has s*a^k = 0 and lies in P.  So x gives the minimal saturated
-    primes that hold t.  One witness is kept per distinct prime, the
-    smallest element index; x = 1 always contributes, so the minimal primes
-    are always present.
+    The quotient is never built.  Its primes pull back, keeping inclusion
+    and saturation, and a saturated prime is a pull-back exactly when it
+    holds the join of Ann(x), so exactly when it holds Ann(x): a saturated
+    ideal is closed under + one way and a down-set the other.  Minimal
+    primes are saturated: for x in a minimal prime P some s outside P and
+    k >= 1 have s*x^k = 0, so each a <= x has s*a^k = 0 and lies in P.  So
+    x gives the minimal saturated primes that hold Ann(x).  One witness is
+    kept per distinct prime, the smallest element index; x = 1 always
+    contributes, so the minimal primes are always present.
     """
     candidates = saturated_primes(algebra)
     found: dict[int, int] = {}
     for x in range(1, algebra.order):
-        t = _member_sum(algebra, algebra._annihilators[x])
+        killed = algebra._annihilators[x]
         holding = []
         for p in candidates:
-            if p >> t & 1:
+            if not killed & ~p:
                 holding.append(p)
         for p in _minimal(holding):
             found.setdefault(p, x)

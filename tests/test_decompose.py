@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import ast
 import gc
 import importlib
+import os
 import random
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -29,7 +34,7 @@ from support import (
 # per-call cost where wall time cannot; Python >= 3.12 inlines comprehensions,
 # so counts there only fall.  Re-measure with `PYTHONPATH=src python
 # tests/support.py` and lower the ceiling when a change cuts frames.
-FLEET_OP_FRAME_CEILING = 627
+FLEET_OP_FRAME_CEILING = 622
 
 
 class TestWeakDecompose:
@@ -79,8 +84,7 @@ class TestWeakDecompose:
     def test_broken_invariant_raises_runtime_error(self, monkeypatch):
         # A saturation that jumps to the whole algebra leaves a split arm
         # that cannot grow properly; the check must be an exception, not an
-        # assert that -O strips.  A fresh algebra, since a node split once
-        # is read from the memo.
+        # assert that -O strips.
         algebra = b.builtin("example-6-2")
         monkeypatch.setattr(
             "b1alg.decompose.saturation", lambda algebra, mask: b.full_mask(algebra)
@@ -397,6 +401,21 @@ class TestLaskerian:
                 assert meet == ideal
             covered = [ideal for ideal, _ in report.table]
             assert covered == oracles.laskerian_table_oracle(algebra)
+
+    def test_a_closure_past_the_saturated_ideals_raises(self):
+        # Every meet of saturated primaries is a proper saturated ideal, so
+        # the closure can never hold more members than null-3's 5.  Planting
+        # all 12 proper ideals as saturated primaries breaks that, and the
+        # check raises instead of reporting 12 "saturated primaries".
+        spectrum = importlib.import_module("b1alg.spectrum")
+        algebra = null_algebra(3)
+        proper = b.enumerate_ideals(algebra)[:-1]
+        assert len(proper) == 12 and len(b.enumerate_saturated_ideals(algebra)) - 1 == 5
+        algebra._memo[spectrum._primaries.__wrapped__] = proper
+        for m in proper:
+            algebra._memo.setdefault(b.is_saturated.__wrapped__, {})[m] = True
+        with pytest.raises(RuntimeError, match=r"meet closure outgrew .* \(engine bug\)$"):
+            b.laskerian_check(algebra)
 
 
 class TestMonoidIdealAlgebra:
@@ -781,6 +800,88 @@ def _fresh(algebra: b.Algebra) -> b.Algebra:
     return b.Algebra(algebra.names, algebra.add, algebra.mul, algebra.one)
 
 
+def _planted(algebra: b.Algebra, filled: b.Algebra, fn, key, value) -> b.Algebra:
+    """A fresh copy of algebra holding a copy of filled's memo, in which
+    fn's entry under key, or fn's family if key is None, is value."""
+    copy = _fresh(algebra)
+    for f, entry in filled._memo.items():
+        copy._memo[f] = dict(entry) if type(entry) is dict else entry
+    if key is None:
+        copy._memo[fn] = value
+    else:
+        copy._memo[fn][key] = value
+    return copy
+
+
+def _corrupted(name: str, key, value, full: int):
+    """A wrong value of the shape that name's memo holds under key."""
+    if name == "_split_step":  # a self-arm: the node is its own arm
+        return ((0, 0) if value is None else value[0], (key, key))
+    if type(value) is bool:
+        return not value
+    if type(value) is int:  # a mask: its complement
+        return value ^ full
+    if value is None:  # an ideal passes as a violation, and {0} fails Evans
+        return ("does not contain zero", (0,)) if name == "ideal_violation" else 1
+    if name == "ideal_violation":
+        return None
+    if name == "is_standard":
+        return (not value[0], value[1])
+    if name == "evans_report":  # the verdict flipped
+        cls, rest = value
+        return cls, (*rest[:-1], not rest[-1])
+    if name == "radical_decomposition":  # the first component dropped
+        cls, (mask, components, *rest) = value
+        return cls, (mask, components[1:], *rest)
+    return value[1:]  # a family without its first member
+
+
+def sweep_corrupted_memos() -> None:
+    """Corrupt each memo entry in turn, one case per entry, and run every
+    analysis on the corrupted algebra: each call must return or raise
+    AlgebraError or RuntimeError.  Each case is printed before it runs, so
+    that a run stopped by a time limit names the case that hung.
+
+    The memos are filled by the same calls: the spectrum, the laskerian
+    check, the Evans report and radical decomposition of every proper
+    saturated ideal, and the audit.
+    """
+    ex62 = b.builtin("example-6-2")
+    algebras = {
+        "example-6-2": ex62,
+        "chain-4": b.chain_algebra(4),
+        "null-3": null_algebra(3),
+        "example-6-2 x b1": b.direct_product(ex62, b.builtin("b1")),
+    }
+    swept, cases = set(), 0
+    for label, algebra in algebras.items():
+        full = b.full_mask(algebra)
+        calls = [(b.spectrum,), (b.laskerian_check,)]
+        for m in b.enumerate_saturated_ideals(algebra)[:-1]:
+            calls += (b.evans_report, m), (b.radical_decomposition, m)
+        calls.append((b.audit,))
+        filled = _fresh(algebra)
+        for call, *args in calls:
+            call(filled, *args)
+        for fn, entry in filled._memo.items():
+            swept.add(fn.__name__)
+            for key, value in entry.items() if type(entry) is dict else [(None, entry)]:
+                planted = _corrupted(fn.__name__, key, value, full)
+                if planted == value:
+                    raise ValueError(f"{fn.__name__}[{key}] was not corrupted")
+                print(f"{label}: {fn.__name__}[{key}]", flush=True)
+                corrupted = _planted(algebra, filled, fn, key, planted)
+                for call, *args in calls:
+                    try:
+                        call(corrupted, *args)
+                    except RecursionError:  # the engine never recurses that deep
+                        raise
+                    except (b.AlgebraError, RuntimeError):
+                        pass
+                cases += 1
+    print(f"swept {cases} entries of", *sorted(swept))
+
+
 class TestPerMaskMemo:
     # Saturations, the saturated test, radicals, the ideal test, the prime
     # test, primarity, divisor sets, and the Evans and decomposition records
@@ -867,14 +968,44 @@ class TestPerMaskMemo:
                         else [value ^ full, full if value == 1 else 1]
                     )
                     for planted in wrong:
-                        corrupted = _fresh(algebra)
-                        for key, entry in filled._memo.items():
-                            corrupted._memo[key] = dict(entry) if type(entry) is dict else entry
-                        corrupted._memo[fn.__wrapped__][mask] = planted
+                        corrupted = _planted(algebra, filled, fn.__wrapped__, mask, planted)
                         try:
                             assert type(b.audit(corrupted)) is b.AuditResult
                         except RuntimeError:
                             pass
+
+    def test_no_corrupted_memo_entry_hangs_an_analysis(self):
+        # Every walk checks its own variant, so no single wrong entry of any
+        # memo, a split step that names its node as its own arm included,
+        # can make an analysis walk for ever.  One child runs the whole
+        # sweep under a time limit, and a hang names its case.  A walk that
+        # never ends grows its stack by some 150 MB a second, so the child
+        # may map at most 1 GiB, and a runaway fails as a MemoryError.
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+        sweep = (
+            "import resource, test_decompose; "
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "test_decompose.sweep_corrupted_memos()"
+        )
+        try:
+            out = subprocess.run(
+                [sys.executable, "-c", sweep],
+                env=env, capture_output=True, text=True, timeout=20,
+            )
+        except subprocess.TimeoutExpired as exc:
+            hung = (exc.stdout or b"").decode().splitlines()[-1:]
+            pytest.fail(f"the sweep hung at {hung}")
+        assert out.returncode == 0, (out.stdout.splitlines()[-1:], out.stderr[-2000:])
+        memoized = set()
+        for path in (tests.parent / "src" / "b1alg").glob("*.py"):
+            for node in ast.parse(path.read_text(encoding="utf-8")).body:
+                if isinstance(node, ast.FunctionDef) and {
+                    getattr(d, "id", None) for d in node.decorator_list
+                } & {"_per_algebra", "_per_mask", "_per_mask_record"}:
+                    memoized.add(node.name)
+        last = out.stdout.splitlines()[-1].split()
+        assert last[:2] == ["swept", "390"] and set(last[4:]) == memoized
 
     def test_refusals_are_not_memoized(self, ex62):
         algebra = _fresh(ex62)

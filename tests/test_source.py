@@ -201,6 +201,33 @@ def test_only_the_split_step_splits_a_node():
     assert not calls["_split_step"] & {"is_prime", "_pairs_in"}
 
 
+def test_each_inclusion_is_tested_where_it_is_relied_on():
+    # The walk ends because each arm strictly holds its node, so the walk
+    # checks both arms on every visit, a step read from the memo included,
+    # and the memoized step only computes.  A saturated prime holds the join
+    # of Ann(x) exactly when it holds Ann(x), so associated_primes tests
+    # Ann(x) itself and never forms the join.
+    def functions(name):
+        tree = ast.parse((PACKAGE_DIR / name).read_text(encoding="utf-8"))
+        return tree, {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def arm_checks(node):
+        return [
+            sub for sub in ast.walk(node)
+            if isinstance(sub, ast.Constant) and "split arm failed" in str(sub.value)
+        ]
+
+    _, decompose = functions("decompose.py")
+    walk = next(sub for sub in ast.walk(decompose["_split"]) if isinstance(sub, ast.While))
+    assert arm_checks(decompose["_split_step"]) == [] and len(arm_checks(walk)) == 1
+    tree, spectrum = functions("spectrum.py")
+    named = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+    named |= {sub.name for sub in ast.walk(tree) if isinstance(sub, ast.alias)}
+    assert "_member_sum" not in named
+    read = {sub.attr for sub in ast.walk(spectrum["associated_primes"]) if isinstance(sub, ast.Attribute)}
+    assert "_annihilators" in read
+
+
 def test_the_prime_and_primary_tests_are_inclusions_in_the_divisor_set():
     # I is prime iff D(I) lies in I, and primary iff D(I) lies in r(I), so
     # both read the memoized divisor set and neither scans P(I) again, nor
