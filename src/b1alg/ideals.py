@@ -20,8 +20,8 @@ tables instead of scanning the tables on every call: the saturation of I
 ORs the down-sets ``Algebra._down[i]`` of its members i.  ``_pairs_in``
 gives every conductor of an ideal at once, and ``conductor`` is one row of
 it.
-Sums, products, intersections and ``preimage_ideal`` refuse a non-ideal
-with the witness ``ideal_violation`` names; ``member_labels``, the Bourne
+Sums, products, intersections and quotients refuse a non-ideal with the
+witness ``ideal_violation`` names; ``member_labels``, the Bourne
 congruence and the prime, primary and divisor-set tests refuse a mask with
 a bit at or past the order; saturations, radicals and conductors ignore it.
 Every public function that takes a mask refuses one that is not an int,
@@ -46,7 +46,8 @@ The operations mirror the classical ones: generated ideals, the saturation
 closure I-bar = {a : a + i = i for some i in I}, radicals, annihilators,
 conductors, ideal sums / intersections / products, the single-witness
 Bourne congruence (a ~ b iff a + w = b + w for some w in I, read off the
-join of I as one witness) and its quotient algebra.  In characteristic one
+join of I as one witness) and the quotient A/I by it, which is taken by
+an ideal only, never by an arbitrary partition.  In characteristic one
 the sum of two ideals is {i + j}, so ``_join`` builds every ideal here as
 a join of principal ideals, or of the ideals iJ for a product.
 """
@@ -60,12 +61,11 @@ from collections import namedtuple
 from .algebra import Algebra, AlgebraError
 
 __all__ = (
-    "Congruence", "EnumerationBoundError", "QuotientMap", "annihilator", "annihilator_set",
-    "bits", "bourne_congruence", "conductor", "congruence_violation", "enumerate_ideals",
-    "enumerate_saturated_ideals", "enumeration_bound", "full_mask", "generated_ideal",
-    "ideal_intersect", "ideal_product", "ideal_sum", "ideal_violation", "is_ideal",
-    "is_saturated", "mask_of", "member_labels", "preimage_ideal", "quotient", "radical",
-    "saturation",
+    "Congruence", "EnumerationBoundError", "annihilator", "annihilator_set", "bits",
+    "bourne_congruence", "conductor", "enumerate_ideals", "enumerate_saturated_ideals",
+    "enumeration_bound", "full_mask", "generated_ideal", "ideal_intersect", "ideal_product",
+    "ideal_sum", "ideal_violation", "is_ideal", "is_saturated", "mask_of", "member_labels",
+    "quotient", "radical", "saturation",
 )
 
 DEFAULT_ENUMERATION_BOUND = 2**19  # the most ideals of any algebra of order <= 20
@@ -529,43 +529,6 @@ class Congruence(namedtuple("Congruence", "algebra class_of classes")):
         return self.classes[0]
 
 
-class QuotientMap(namedtuple("QuotientMap", "source target projection")):
-    """Surjection onto a quotient algebra with preimage bookkeeping.
-
-    source: Algebra; target: Algebra; projection: tuple[int, ...].
-    """
-
-    __slots__ = ()
-
-
-def congruence_violation(
-    algebra: Algebra, class_of: tuple[int, ...]
-) -> tuple[str, tuple[int, ...]] | None:
-    """First compatibility failure of the partition, or None if valid.
-
-    A ``class_of`` that is not a tuple or list numbering every element
-    once is refused.
-    """
-    if not isinstance(class_of, (tuple, list)):
-        raise AlgebraError(f"class_of {class_of!r} is not a tuple or list of class numbers")
-    try:
-        add, mul, everything = algebra.add, algebra.mul, range(algebra.order)
-    except AttributeError:
-        raise _not_an_algebra(algebra) from None
-    if len(class_of) != len(everything):
-        raise AlgebraError(f"the congruence numbers {len(class_of)} of {len(everything)} elements")
-    for a in everything:
-        for b in everything:
-            if class_of[a] != class_of[b]:
-                continue
-            for c in everything:
-                if class_of[add[a][c]] != class_of[add[b][c]]:
-                    return ("addition not compatible", (a, b, c))
-                if class_of[mul[a][c]] != class_of[mul[b][c]]:
-                    return ("multiplication not compatible", (a, b, c))
-    return None
-
-
 def _member_sum(algebra: Algebra, mask: int) -> int:
     """The sum t of the mask's members: an ideal's largest element, whose
     row x -> x + t gives its Bourne classes."""
@@ -612,43 +575,21 @@ def bourne_congruence(algebra: Algebra, mask: int) -> Congruence:
     return Congruence(algebra, tuple(class_of), tuple(classes))
 
 
-def quotient(algebra: Algebra, congruence: Congruence) -> QuotientMap:
-    """Quotient algebra on the classes, with the canonical projection.
+def quotient(algebra: Algebra, mask: int) -> Algebra:
+    """A/I, the quotient by the Bourne congruence of the ideal I.
 
-    The tables are read off ``class_of`` alone.  ``Congruence`` is public,
-    so a ``class_of`` that misses an element, does not number each class by
-    its smallest member, or is not compatible with both operations is
-    refused with its witness.
+    Its elements are the classes of ``bourne_congruence``, each labelled
+    ``[r]`` by its smallest member r; ``bourne_congruence(algebra,
+    mask).class_of`` is the projection.  A non-ideal is refused with its
+    witness.  The partition is not checked again, as the Bourne partition
+    of an ideal is always a congruence.  Let t be the join of I, so that
+    a ~ b means a + t = b + t.  Then (a + c) + t = (b + c) + t.  And c*t
+    lies in I, so c*t + t = t and c*a + t = c*(a + t) + t = c*(b + t) + t
+    = c*b + t.  The ``Algebra`` constructor checks the target's axioms.
     """
-    if not isinstance(congruence, Congruence):
-        raise AlgebraError(f"congruence {congruence!r} is not a Congruence")
-    try:
-        class_of, names = congruence.class_of, algebra.names
-    except AttributeError:
-        raise _not_an_algebra(algebra) from None
-    bad = congruence_violation(algebra, class_of)  # refuses a class_of of the wrong length
-    reps: list[int] = []  # the smallest member of each class
-    for a, k in enumerate(class_of):
-        if k == len(reps):
-            reps.append(a)
-        elif type(k) is not int or not 0 <= k < len(reps):
-            raise AlgebraError(f"class {k!r} of {names[a]} is not numbered by its smallest member")
-    if bad is not None:
-        witness = ", ".join([names[i] for i in bad[1]])
-        raise AlgebraError(f"not a congruence: {bad[0]} at ({witness})")
+    _require_ideals(algebra, mask)
+    _, class_of, classes = bourne_congruence(algebra, mask)
+    reps = [(c & -c).bit_length() - 1 for c in classes]  # the smallest member of each class
     add = tuple(tuple(class_of[algebra.add[r][s]] for s in reps) for r in reps)
     mul = tuple(tuple(class_of[algebra.mul[r][s]] for s in reps) for r in reps)
-    target = Algebra(tuple([f"[{names[r]}]" for r in reps]), add, mul, class_of[algebra.one])
-    return QuotientMap(algebra, target, class_of)
-
-
-def preimage_ideal(qmap: QuotientMap, mask: int) -> int:
-    """Pull an ideal of the quotient back along the projection."""
-    if not isinstance(qmap, QuotientMap):
-        raise AlgebraError(f"qmap {qmap!r} is not a QuotientMap")
-    _require_ideals(qmap.target, mask)
-    out = 0
-    for a, v in enumerate(qmap.projection):
-        if mask >> v & 1:
-            out |= 1 << a
-    return out
+    return Algebra(tuple([f"[{algebra.names[r]}]" for r in reps]), add, mul, class_of[algebra.one])

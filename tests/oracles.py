@@ -7,14 +7,15 @@ of every subset instead of joins of principal ideals, generation via
 a naive alternating closure, the ideal test, conductors, divisor sets and
 prime witnesses via scans of the tables instead of principal-ideal and
 pair-product masks, Bourne classes via the pairwise single-witness
-relation instead of the join of the ideal, associated primes via the
-quotient algebras the library no longer builds, the axioms via a scan of
-every triple with no fast pass, the laskerian verdict and the ideals its
-table covers via the meet of the saturated primaries above each ideal
-instead of a meet closure, the standard cover via every subset of the
-saturated primes, and the Evans report via the conductor, prime,
-saturation and divisor-set oracles instead of the pair mask and the
-memoized predicates.  The ideals, saturated ideals, primes, minimal
+relation instead of the join of the ideal, congruences via a scan of every
+related pair against every third element, associated primes via quotient
+algebras built here from those classes with the ``Algebra`` constructor
+alone, the axioms via a scan of every triple with no fast pass, the
+laskerian verdict and the ideals its table covers via the meet of the
+saturated primaries above each ideal instead of a meet closure, the
+standard cover via every subset of the saturated primes, and the Evans
+report via the conductor, prime, saturation and divisor-set oracles
+instead of the pair mask and the memoized predicates.  The ideals, saturated ideals, primes, minimal
 primes and maximal proper saturated ideals of a direct product come from
 its factors' ideal, saturation and prime oracles, which still run where
 the product is too large for the subset scan.
@@ -402,18 +403,44 @@ def bourne_classes_oracle(algebra: b.Algebra, mask: int) -> b.Congruence:
     return b.Congruence(algebra, tuple(class_of), tuple(classes))
 
 
+def congruence_violation_oracle(add, mul, class_of) -> tuple[str, tuple[int, int, int]] | None:
+    """The first (u, v, w) with u ~ v at which the partition class_of of
+    the tables is not compatible with an operation, as ("add" or "mul",
+    (u, v, w)), else None."""
+    everything = range(len(add))
+    for u in everything:
+        for v in everything:
+            if class_of[u] != class_of[v]:
+                continue
+            for w in everything:
+                if class_of[add[u][w]] != class_of[add[v][w]]:
+                    return ("add", (u, v, w))
+                if class_of[mul[u][w]] != class_of[mul[v][w]]:
+                    return ("mul", (u, v, w))
+    return None
+
+
 def associated_oracle(algebra: b.Algebra) -> tuple[tuple[int, int], ...]:
     """Associated primes through the quotients: for each x != 0, the minimal
-    primes of A / Bourne(Ann(x)) pulled back to A, smallest witness kept."""
+    primes of A / Bourne(Ann(x)) pulled back to A, smallest witness kept.
+
+    The quotient is built from the pairwise Bourne classes by the
+    ``Algebra`` constructor, which checks its axioms, over the smallest
+    member of each class, and each prime is pulled back through the class
+    map here: no engine quotient or preimage is used."""
+    names, add, mul = algebra.names, algebra.add, algebra.mul
     found: dict[int, int] = {}
     for x in range(1, algebra.order):
-        congruence = bourne_classes_oracle(algebra, b.annihilator(algebra, x))
-        qmap = b.quotient(algebra, congruence)
-        target = qmap.target
-        primes = [m for m in ideals_oracle(target) if prime_oracle(target, m)]
-        for q in primes:
-            if not any(o != q and o & q == o for o in primes):
-                found.setdefault(b.preimage_ideal(qmap, q), x)
+        _, class_of, classes = bourne_classes_oracle(algebra, b.annihilator(algebra, x))
+        reps = [class_of.index(k) for k in range(len(classes))]
+        target = b.Algebra(
+            tuple(f"[{names[r]}]" for r in reps),
+            tuple(tuple(class_of[add[r][s]] for s in reps) for r in reps),
+            tuple(tuple(class_of[mul[r][s]] for s in reps) for r in reps),
+            class_of[algebra.one],
+        )
+        for q in _minimal_primes(target):
+            found.setdefault(sum(1 << a for a, k in enumerate(class_of) if q >> k & 1), x)
     return tuple((found[p], p) for p in _canonical(found))
 
 

@@ -3,11 +3,13 @@ helpers, and the work counter behind the frame and opcode ceilings.
 
 Run as a script, ``PYTHONPATH=src python tests/support.py`` prints the
 engine frames and opcodes of every input a tier-1 ceiling pins; off
-Python 3.11 it prints the frames alone (see ``engine_frames``).
+Python 3.11 it prints the frames alone (see ``engine_frames``).  It also
+prints the engine's size, its lines and code lines (``engine_size``).
 """
 
 from __future__ import annotations
 
+import ast
 import random
 import re
 import sys
@@ -72,6 +74,31 @@ def engine_frames(call, *args, opcodes: bool = False):
         sys.settrace(None)
         sys.setprofile(None)
     return (names, count) if opcodes else names
+
+
+def engine_size(package: str | Path = _PACKAGE) -> tuple[int, int]:
+    """(lines, code lines) of the modules ``*.py`` of a package directory,
+    by default the engine's, ``src/b1alg``.
+
+    A code line is non-blank, not a comment, and not inside a module,
+    class or function docstring.
+    """
+    documented = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    lines = code = 0
+    for path in sorted(Path(package).glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        docstrings = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, documented) and ast.get_docstring(node) is not None:
+                first = node.body[0]
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+        rows = text.splitlines()
+        lines += len(rows)
+        code += sum(
+            1 for k, row in enumerate(rows, 1)
+            if row.strip() and not row.lstrip().startswith("#") and k not in docstrings
+        )
+    return lines, code
 
 
 def fleet_op(algebra: b.Algebra) -> None:
@@ -278,3 +305,5 @@ if __name__ == "__main__":
             print(f"{name}: {len(frames):,} frames, {count:,} opcodes")
         else:
             print(f"{name}: {len(engine_frames(call, *args)):,} frames")
+    lines, code = engine_size()
+    print(f"src/b1alg/*.py: {lines:,} lines, {code:,} code lines")

@@ -21,6 +21,7 @@ from support import (
     answer,
     engine_frames,
     idempotent_chain,
+    inputs,
     lbl,
     msk,
     monoid_ideal_algebra,
@@ -499,11 +500,15 @@ class TestBourneAndQuotients:
         assert big.zero_class() == msk(ex62, "z,x,y,u")
 
     def test_zero_class_is_saturation(self, ex62, chain4, small_random_fleet):
+        # Every Bourne partition of an ideal is a congruence, which is why
+        # quotient never checks one; the oracle finds the first incompatible
+        # triple of a forged partition.
         for algebra in [ex62, chain4, *small_random_fleet[:10]]:
             for i in b.enumerate_ideals(algebra):
                 cong = b.bourne_congruence(algebra, i)
                 assert cong.zero_class() == b.saturation(algebra, i)
-                assert b.congruence_violation(algebra, cong.class_of) is None
+                violation = oracles.congruence_violation_oracle(algebra.add, algebra.mul, cong.class_of)
+                assert violation is None
 
     def test_classes_match_naive_pairwise_relation(
         self, ex62, chain4, small_random_fleet, past_order_six
@@ -530,83 +535,128 @@ class TestBourneAndQuotients:
             b.bourne_congruence(ex62, 1 | 1 << ex62.order)
 
     def test_congruence_violation_detects_bad_partition(self, ex62):
-        # merge 0 with x only: adding y separates them
-        class_of = (0, 1, 0, 2, 3, 4)
-        bad = b.congruence_violation(ex62, class_of)
-        assert bad is not None
-        assert bad[0] in ("addition not compatible", "multiplication not compatible")
+        # The oracle the Bourne partitions are checked against finds the
+        # first incompatible triple of a forged partition.
+        z, x, y, one = (ex62.index[name] for name in ("z", "x", "y", "1"))
+        # 0 ~ x alone: 0 + z = z and x + z = x fall in different classes.
+        assert oracles.congruence_violation_oracle(ex62.add, ex62.mul, (0, 1, 0, 2, 3, 4)) == (
+            "add", (0, x, z)
+        )
+        # z ~ x alone: z*x = 0 and x*x = x fall in different classes.
+        assert oracles.congruence_violation_oracle(ex62.add, ex62.mul, (0, 1, 1, 2, 3, 4)) == (
+            "mul", (z, x, x)
+        )
+        # y ~ 1 alone: y*z = 0 and 1*z = z fall in different classes.
+        assert oracles.congruence_violation_oracle(ex62.add, ex62.mul, (0, 1, 2, 3, 4, 3)) == (
+            "mul", (y, one, z)
+        )
 
     def test_quotient_refuses_an_incompatible_partition(self, ex62):
-        # Congruence is public, so a partition that is no congruence is bad
-        # input: z ~ x, but z*x = 0 and x*x = x fall in different classes.
-        bad = b.Congruence(ex62, (0, 1, 1, 1, 1, 1), (1, 62))
-        with pytest.raises(
-            b.AlgebraError,
-            match=re.escape("not a congruence: multiplication not compatible at (z, x, x)"),
-        ):
-            b.quotient(ex62, bad)
+        # quotient takes an ideal, never a partition: a Congruence record, be
+        # it forged (incompatible, of the wrong length, misnumbered) or the
+        # Bourne congruence itself, is refused as a mask that is no int.
+        forged = (
+            b.Congruence(ex62, (0, 1, 1, 1, 1, 1), (1, 62)),
+            b.Congruence(ex62, (0, 0), (3,)),
+            b.Congruence(ex62, (1, 0, 0, 0, 0, 0), ()),
+            b.bourne_congruence(ex62, msk(ex62, "z")),
+        )
+        for congruence in forged:
+            with pytest.raises(b.AlgebraError, match=r"^mask Congruence\(.* is not an int$"):
+                b.quotient(ex62, congruence)
 
-    def test_quotient_refuses_a_class_of_the_wrong_length(self, ex62):
-        with pytest.raises(b.AlgebraError, match="^the congruence numbers 2 of 6 elements$"):
-            b.quotient(ex62, b.Congruence(ex62, (0, 0), (3,)))
-
-    def test_quotient_refuses_classes_not_numbered_by_smallest_member(self, ex62):
-        for class_of, witness in (((1, 0, 0, 0, 0, 0), "1 of 0"), ((0, 2, 1, 1, 1, 1), "2 of z")):
-            with pytest.raises(
-                b.AlgebraError, match=f"^class {witness} is not numbered by its smallest member$"
-            ):
-                b.quotient(ex62, b.Congruence(ex62, class_of, ()))
+    def test_quotient_refuses_a_non_ideal_and_names_its_witness(self, ex62):
+        refusals = (
+            (msk(ex62, "x,y"), "the set is not closed under addition (witness: x, y)"),
+            (msk(ex62, "x") & ~1, "the set does not contain zero (witness: 0)"),
+            (1 | 1 << ex62.order, "the set contains an out-of-range element (witness: bit 6)"),
+        )
+        for mask, refusal in refusals:
+            with pytest.raises(b.AlgebraError, match=f"^{re.escape(refusal)}$"):
+                b.quotient(ex62, mask)
 
     def test_quotient_by_big_ideal_is_boolean(self, ex62, b1):
-        qmap = b.quotient(ex62, b.bourne_congruence(ex62, msk(ex62, "z,x,y,u")))
-        assert qmap.target.order == 2
-        assert qmap.target.add == b1.add
-        assert qmap.target.mul == b1.mul
-        assert qmap.target.names == ("[0]", "[1]")
+        target = b.quotient(ex62, msk(ex62, "z,x,y,u"))
+        assert target.order == 2
+        assert target.add == b1.add
+        assert target.mul == b1.mul
+        assert target.names == ("[0]", "[1]")
 
     def test_quotient_by_discrete_is_isomorphic_copy(self, ex62):
-        qmap = b.quotient(ex62, b.bourne_congruence(ex62, 1))
-        assert qmap.target.add == ex62.add
-        assert qmap.target.mul == ex62.mul
+        target = b.quotient(ex62, 1)
+        assert target.add == ex62.add
+        assert target.mul == ex62.mul
+
+    def test_quotient_by_the_whole_algebra_has_one_element(self, ex62, chain4):
+        # A/A has the one class {A}, so 0 = 1 there: the trivial algebra.
+        for algebra in (ex62, chain4):
+            target = b.quotient(algebra, b.full_mask(algebra))
+            assert target.order == 1 and target.one == 0
+            assert target.names == ("[0]",)
+            assert target.add == target.mul == ((0,),)
 
     def test_quotient_by_small_ideal_has_order_five(self, ex62):
-        qmap = b.quotient(ex62, b.bourne_congruence(ex62, msk(ex62, "z")))
-        assert qmap.target.order == 5
+        assert b.quotient(ex62, msk(ex62, "z")).order == 5
 
     def test_preimages(self, ex62):
-        qmap = b.quotient(ex62, b.bourne_congruence(ex62, msk(ex62, "z,x,y,u")))
-        assert b.preimage_ideal(qmap, 1) == msk(ex62, "z,x,y,u")
-        assert b.preimage_ideal(qmap, b.full_mask(qmap.target)) == b.full_mask(ex62)
+        # The ideals of A/I pull back along the projection, the class map.
+        def pull_back(ideal, mask):
+            class_of = b.bourne_congruence(ex62, ideal).class_of
+            return b.mask_of(a for a, k in enumerate(class_of) if mask >> k & 1)
 
-        qmap5 = b.quotient(ex62, b.bourne_congruence(ex62, msk(ex62, "z")))
-        image = b.mask_of(qmap5.projection[e] for e in b.bits(msk(ex62, "z,x")))
-        assert b.preimage_ideal(qmap5, image) == msk(ex62, "z,x")
+        big = msk(ex62, "z,x,y,u")
+        assert pull_back(big, 1) == big
+        assert pull_back(big, b.full_mask(b.quotient(ex62, big))) == b.full_mask(ex62)
 
-    def test_preimage_requires_ideal(self, ex62):
-        qmap = b.quotient(ex62, b.bourne_congruence(ex62, 1))
-        not_ideal = 1 << qmap.target.order - 1  # missing zero
-        refusal = re.escape("the set does not contain zero (witness: [0])")
-        with pytest.raises(b.AlgebraError, match=refusal):
-            b.preimage_ideal(qmap, not_ideal)
+        small = msk(ex62, "z")
+        class_of = b.bourne_congruence(ex62, small).class_of
+        image = b.mask_of(class_of[e] for e in b.bits(msk(ex62, "z,x")))
+        assert b.is_ideal(b.quotient(ex62, small), image)
+        assert pull_back(small, image) == msk(ex62, "z,x")
 
-    def test_projection_is_homomorphism(self, ex62, chain4):
-        for algebra in (ex62, chain4):
+    def test_preimage_requires_ideal(self, ex62, chain4, small_random_fleet):
+        # A set of A/I pulls back along the class map to an ideal of A
+        # exactly when it is an ideal of A/I, the projection being onto.
+        for algebra in [ex62, chain4, *small_random_fleet[:10]]:
             for i in b.enumerate_ideals(algebra):
-                qmap = b.quotient(algebra, b.bourne_congruence(algebra, i))
-                pi = qmap.projection
-                t = qmap.target
-                assert pi[0] == 0
-                assert pi[algebra.one] == t.one
+                class_of = b.bourne_congruence(algebra, i).class_of
+                target = b.quotient(algebra, i)
+                for mask in range(1 << target.order):
+                    preimage = b.mask_of(a for a, k in enumerate(class_of) if mask >> k & 1)
+                    assert b.is_ideal(algebra, preimage) == b.is_ideal(target, mask)
+        # The set {[1]} of the discrete quotient misses zero, and so does its preimage.
+        target = b.quotient(ex62, 1)
+        not_ideal = 1 << target.order - 1
+        assert b.ideal_violation(target, not_ideal) == ("does not contain zero", (0,))
+        assert b.ideal_violation(ex62, not_ideal) == ("does not contain zero", (0,))
+
+    def test_quotient_matches_the_benchmark_quotient(self, base_fleet, full_random_fleet):
+        # perfbench's engine-free quotient groups by every member of the
+        # ideal as a witness.
+        checked = 0
+        for algebra in [*base_fleet.values(), *full_random_fleet]:
+            table = (algebra.names, algebra.add, algebra.mul, algebra.one)
+            for i in b.enumerate_ideals(algebra):
+                assert b.quotient(algebra, i) == b.Algebra(*inputs.bourne_quotient(table, b.bits(i)))
+                checked += 1
+        assert checked == 870  # on 222 algebras
+
+    def test_projection_is_homomorphism(self, base_fleet, full_random_fleet):
+        # The projection class_of maps A onto A/I, keeping zero and one.
+        for algebra in [*base_fleet.values(), *full_random_fleet]:
+            for i in b.enumerate_ideals(algebra):
+                target = b.quotient(algebra, i)
+                pi = b.bourne_congruence(algebra, i).class_of
+                assert pi[0] == 0 and pi[algebra.one] == target.one
+                assert set(pi) == set(target.elements())
                 for a in algebra.elements():
                     for c in algebra.elements():
-                        assert pi[algebra.add[a][c]] == t.add[pi[a]][pi[c]]
-                        assert pi[algebra.mul[a][c]] == t.mul[pi[a]][pi[c]]
-
+                        assert pi[algebra.add[a][c]] == target.add[pi[a]][pi[c]]
+                        assert pi[algebra.mul[a][c]] == target.mul[pi[a]][pi[c]]
 
 def mask_calls(algebra: b.Algebra) -> dict[str, list]:
     """Each public function that takes a mask, as one call of the mask per
     mask argument, the other arguments valid."""
-    qmap = b.quotient(algebra, b.bourne_congruence(algebra, 1))
     return {
         "bits": [b.bits],
         "member_labels": [lambda m: b.member_labels(algebra, m)],
@@ -624,7 +674,7 @@ def mask_calls(algebra: b.Algebra) -> dict[str, list]:
         ],
         "conductor": [lambda m: b.conductor(algebra, 1, m)],
         "bourne_congruence": [lambda m: b.bourne_congruence(algebra, m)],
-        "preimage_ideal": [lambda m: b.preimage_ideal(qmap, m)],
+        "quotient": [lambda m: b.quotient(algebra, m)],
         "is_prime": [lambda m: b.is_prime(algebra, m)],
         "is_primary": [lambda m: b.is_primary(algebra, m)],
         "divisor_set": [lambda m: b.divisor_set(algebra, m)],

@@ -22,7 +22,6 @@ def test_records_are_immutable_slotted_values(ex62):
             "Violation": report.violations[0],
             "AxiomReport": report,
             "Congruence": congruence,
-            "QuotientMap": b.quotient(ex62, congruence),
             "SpectrumResult": b.spectrum(ex62),
             "DecompositionResult": decomposition,
             "EvansReport": b.evans_report(ex62, z),

@@ -228,6 +228,22 @@ def test_each_inclusion_is_tested_where_it_is_relied_on():
     assert "_annihilators" in read
 
 
+def test_the_associated_oracle_builds_its_own_quotients():
+    # The oracle is the route that does not run the engine's: it builds each
+    # A/Ann(x) with the constructor and pulls its primes back itself, so the
+    # only engine names it reads are the constructor and the annihilator.
+    tree = ast.parse((REPO_ROOT / "tests" / "oracles.py").read_text(encoding="utf-8"))
+    oracle = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "associated_oracle"
+    )
+    read = {
+        sub.attr for sub in ast.walk(oracle)
+        if isinstance(sub, ast.Attribute) and getattr(sub.value, "id", None) == "b"
+    }
+    assert read == {"Algebra", "annihilator"}
+
+
 def test_the_prime_and_primary_tests_are_inclusions_in_the_divisor_set():
     # I is prime iff D(I) lies in I, and primary iff D(I) lies in r(I), so
     # both read the memoized divisor set and neither scans P(I) again, nor

@@ -17,7 +17,7 @@ import sys
 import pytest
 
 import support
-from support import WORK_INPUTS, engine_frames
+from support import WORK_INPUTS, engine_frames, engine_size
 
 OPCODE_CEILINGS = {
     "Algebra, bool-5 tables": 725_415,  # the axiom gate and the mask tables
@@ -41,3 +41,33 @@ def test_opcode_counts_are_refused_where_they_are_not_exact(monkeypatch):
     with pytest.raises(RuntimeError, match=refusal):
         engine_frames(len, (), opcodes=True)
     assert engine_frames(len, ()) == []  # frames are counted on any version
+
+
+def test_engine_size_counts_no_blank_comment_or_docstring_as_code(tmp_path):
+    # Of the 17 lines below, the code lines are the import, the constant,
+    # the class and def lines, the two returns and the string expression
+    # that is no docstring, as it is not a body's first statement.
+    (tmp_path / "m.py").write_text(
+        '"""Module docstring,\n'
+        'on two lines."""\n'
+        "\n"
+        "# a comment\n"
+        "import os  # a trailing comment keeps the line\n"
+        "LIMIT = 3\n"
+        "\n"
+        "class K:\n"
+        '    """Class docstring."""\n'
+        "\n"
+        "    def f(self):\n"
+        '        """Function\n'
+        '        docstring."""\n'
+        '        "a bare string after the docstring"\n'
+        "        return os.sep\n"
+        "def g():\n"
+        "    return LIMIT\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "notes.txt").write_text("not a module\n", encoding="utf-8")
+    assert engine_size(tmp_path) == (17, 8)
+    (tmp_path / "n.py").write_text("x = 1\n\n", encoding="utf-8")
+    assert engine_size(tmp_path) == (19, 9)
