@@ -79,55 +79,39 @@ def parse_algebra_text(text: str) -> Algebra:
 
     names: tuple[str, ...] | None = None
     index: dict[str, int] = {}
-    zero: str | None = None
-    one: str | None = None
+    labels: dict[str, str] = {}  # the zero and one directives' labels
     tables: dict[str, tuple[tuple[int, ...], ...]] = {}
     seen_at: dict[str, int] = {}
 
     pos = 0
     while pos < len(rows):
-        lineno, words = rows[pos]
-        head = words[0]
+        lineno, (head, *args) = rows[pos]
+        pos += 1
         if head in seen_at:
             raise ParseError(lineno, f"duplicate directive {head!r} (first at line {seen_at[head]})")
         if head == "elements":
-            if len(words) < 2:
+            if not args:
                 raise ParseError(lineno, "elements directive needs at least one label")
-            names = tuple(words[1:])
+            names = tuple(args)
             problem = _label_problem(names)
             if problem is not None:
                 raise ParseError(lineno, problem)
             index = {name: i for i, name in enumerate(names)}
-            seen_at[head] = lineno
-            pos += 1
         elif head in ("zero", "one"):
-            if len(words) != 2:
+            if len(args) != 1:
                 raise ParseError(lineno, f"{head} directive needs exactly one label")
-            if head == "zero":
-                zero = words[1]
-            else:
-                one = words[1]
-            seen_at[head] = lineno
-            pos += 1
+            labels[head] = args[0]
         elif head in ("add", "mul"):
-            if len(words) != 1:
+            if args:
                 raise ParseError(lineno, f"{head} directive takes no arguments")
             if names is None:
                 raise ParseError(lineno, f"{head} table appears before the elements directive")
-            seen_at[head] = lineno
-            pos += 1
+            n = len(names)
             table: list[tuple[int, ...]] = []
-            for r in range(len(names)):
-                if pos >= len(rows):
+            for r, (row_line, row) in enumerate(rows[pos:pos + n], start=1):
+                if len(row) != n:
                     raise ParseError(
-                        lineno, f"{head} table ends after {r} of {len(names)} rows"
-                    )
-                row_line, row = rows[pos]
-                if len(row) != len(names):
-                    raise ParseError(
-                        row_line,
-                        f"{head} table row {r + 1} has {len(row)} entries, "
-                        f"expected {len(names)}",
+                        row_line, f"{head} table row {r} has {len(row)} entries, expected {n}"
                     )
                 try:
                     table.append(tuple(map(index.__getitem__, row)))
@@ -136,22 +120,25 @@ def parse_algebra_text(text: str) -> Algebra:
                     raise ParseError(
                         row_line, f"unknown label {entry!r}", column=row.index(entry) + 1
                     ) from None
-                pos += 1
+            if len(table) < n:
+                raise ParseError(lineno, f"{head} table ends after {len(table)} of {n} rows")
             tables[head] = tuple(table)
+            pos += n
         else:
             raise ParseError(lineno, f"unknown directive {head!r}")
+        seen_at[head] = lineno
 
     for needed in ("elements", "zero", "one", "add", "mul"):
         if needed not in seen_at:
             raise ParseError(len(text.splitlines()) + 1, f"missing directive: {needed}")
-    for head, label in (("zero", zero), ("one", one)):
-        if label not in index:
-            raise ParseError(seen_at[head], f"unknown label {label!r}")
-    if names[0] != zero:
+    for head in ("zero", "one"):
+        if labels[head] not in index:
+            raise ParseError(seen_at[head], f"unknown label {labels[head]!r}")
+    if names[0] != labels["zero"]:
         raise ParseError(
-            seen_at["elements"], f"zero element {zero!r} must be listed first"
+            seen_at["elements"], f"zero element {labels['zero']!r} must be listed first"
         )
-    return Algebra(names, tables["add"], tables["mul"], index[one])
+    return Algebra(names, tables["add"], tables["mul"], index[labels["one"]])
 
 
 def parse_algebra_file(path: str | Path) -> Algebra:

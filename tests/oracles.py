@@ -18,7 +18,8 @@ report via the conductor, prime, saturation and divisor-set oracles
 instead of the pair mask and the memoized predicates.  The ideals, saturated ideals, primes, minimal
 primes and maximal proper saturated ideals of a direct product come from
 its factors' ideal, saturation and prime oracles, which still run where
-the product is too large for the subset scan.
+the product is too large for the subset scan, and its laskerian and
+standard verdicts are the conjunctions of its factors'.
 """
 
 from __future__ import annotations
@@ -510,3 +511,41 @@ def standard_oracle(algebra: b.Algebra) -> tuple[bool, tuple[int, ...]]:
             if union == target:
                 return True, combo
     return False, ()
+
+
+def lifted_laskerian_oracle(left: b.Algebra, right: b.Algebra) -> bool:
+    """The laskerian verdict of A x B = ``direct_product(left, right)``, for
+    nontrivial factors: A x B is laskerian exactly when A and B are.
+
+    The saturated ideals of A x B are the S x T of
+    ``lifted_saturated_ideals_oracle``, and its saturated primaries are the
+    Q x B and A x Q' for saturated primaries Q of A and Q' of B, as Q x B
+    is primary exactly when Q is (``lifted_primaries_oracle``) and saturated
+    exactly when Q is.  Q x B holds S x T exactly when Q holds S, and
+    A x Q' exactly when Q' holds T, so the meet of the saturated primaries
+    above S x T is m_A(S) x m_B(T), where m_A(S) is the meet of the
+    saturated primaries of A above S, and m_A(A) = A, the empty meet.  A
+    proper S x T has S or T proper; S x B is proper for every proper S.
+    So every proper S x T equals its meet exactly when every proper
+    saturated S of A has S = m_A(S) and every proper saturated T of B has
+    T = m_B(T).
+    """
+    return laskerian_oracle(left)[0] and laskerian_oracle(right)[0]
+
+
+def lifted_standard_oracle(left: b.Algebra, right: b.Algebra) -> bool:
+    """The standard verdict of A x B = ``direct_product(left, right)``, for
+    nontrivial factors: A x B is standard exactly when A and B are.
+
+    (a, b)*(c, d) = (0, 0) for a (c, d) != (0, 0) exactly when c != 0 and
+    a*c = 0, or d != 0 and b*d = 0, so D({0}) = (D_A({0}) x B) u
+    (A x D_B({0})).  The saturated primes of A x B are the P x B and A x Q
+    for saturated primes P of A and Q of B (``lifted_primes_oracle``, and
+    P x B is saturated exactly when P is).  If D_A({0}) is the union of the
+    Ps and D_B({0}) of the Qs, D({0}) is the union of their lifts.
+    Conversely, as B is nontrivial, 1 is no zero divisor of B, so (a, 1)
+    lies in D({0}) exactly when a lies in D_A({0}); it lies in no proper
+    A x Q, and in P x B exactly when a lies in P.  So the P x B of a cover
+    of D({0}) cover D_A({0}), and likewise for B.
+    """
+    return standard_oracle(left)[0] and standard_oracle(right)[0]

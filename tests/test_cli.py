@@ -106,6 +106,32 @@ class TestParsing:
         with pytest.raises(b.AxiomError):
             parse_algebra_text(broken)
 
+    # Each text holds two defects; the reader reports the one it meets first.
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        [
+            # a bad label on the elements line, then an add table cut short
+            (EX62_FILE.replace("elements 0 z x", "elements 0 z x,w").split("x x x u u 1\n")[0],
+             "line 2: bad label 'x,w': labels are non-empty and contain no "
+             "whitespace, '#' or ','"),
+            # a short row 2 in a mul table that stops after 3 rows
+            (EX62_FILE.replace("0 0 0 0 0 z\n", "0 0 0 0 z\n").split("0 0 0 y y y\n")[0],
+             "line 14: mul table row 2 has 5 entries, expected 6"),
+            # an unknown add entry, then a second zero directive
+            (EX62_FILE.replace("x x x u u 1\n", "x x q u u 1\n") + "zero 0\n",
+             "line 8, entry 3: unknown label 'q'"),
+            # an unknown zero label, and no mul directive
+            (EX62_FILE.replace("zero 0\n", "zero q\n").split("mul\n")[0],
+             "line 12: missing directive: mul"),
+        ],
+        ids=["label-then-short-add", "short-row-then-short-mul",
+             "add-entry-then-duplicate", "zero-label-then-missing-mul"],
+    )
+    def test_first_defect_is_reported(self, text, message):
+        with pytest.raises(ParseError) as caught:
+            parse_algebra_text(text)
+        assert str(caught.value) == message
+
 
 # Pieces of .b1a text: directives, the example's labels, separators, and
 # characters the format gives a meaning to.
@@ -389,6 +415,123 @@ class TestCommands:
         payload = json.loads(capsys.readouterr().out)["result"]
         assert payload["valid"] is True
         assert payload["trivial"] is True
+
+
+# ``b1alg --help`` and ``b1alg <command> --help`` at COLUMNS=80 on Python
+# 3.11, byte for byte.  The five commands that take only a file share one
+# text apart from their name.
+_FILE_ONLY_HELP = """\
+usage: b1alg {} [-h] [--format {{text,json}}] file
+
+positional arguments:
+  file                  algebra definition (.b1a)
+
+options:
+  -h, --help            show this help message and exit
+  --format {{text,json}}  report format (default: text)
+"""
+
+_HELP = {
+    (): """\
+usage: b1alg [-h] [--version]
+             {validate,ideals,spectrum,nil,assoc,decompose,laskerian,evans,audit,builtin}
+             ...
+
+Analyze finite characteristic-one semirings (.b1a files).
+
+positional arguments:
+  {validate,ideals,spectrum,nil,assoc,decompose,laskerian,evans,audit,builtin}
+    validate            check the axioms of an algebra file
+    ideals              enumerate the ideals
+    spectrum            primes, minimal primes, spectra
+    nil                 the nilradical
+    assoc               associated primes with witnesses
+    decompose           prime decomposition of a saturated ideal's radical
+    laskerian           saturated-primary decomposability of all saturated
+                        ideals
+    evans               maximal-conductor reports for saturated ideals
+    audit               run the full invariant suite; exit 1 on any failure
+    builtin             emit a builtin algebra as .b1a text
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+""",
+    **{(name,): _FILE_ONLY_HELP.format(name)
+       for name in ("validate", "spectrum", "nil", "assoc", "audit")},
+    ("ideals",): """\
+usage: b1alg ideals [-h] [--format {text,json}] [--saturated] file
+
+positional arguments:
+  file                  algebra definition (.b1a)
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}  report format (default: text)
+  --saturated           saturated ideals only
+""",
+    ("decompose",): """\
+usage: b1alg decompose [-h] [--format {text,json}] --ideal SET [--minimal]
+                       file
+
+positional arguments:
+  file                  algebra definition (.b1a)
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}  report format (default: text)
+  --ideal SET           comma-separated element labels denoting an ideal
+  --minimal             drop redundant components
+""",
+    ("laskerian",): """\
+usage: b1alg laskerian [-h] [--format {text,json}] [--assert-laskerian] file
+
+positional arguments:
+  file                  algebra definition (.b1a)
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}  report format (default: text)
+  --assert-laskerian    exit with status 1 when the property fails
+""",
+    ("evans",): """\
+usage: b1alg evans [-h] [--format {text,json}] [--ideal SET] [--assert-evans]
+                   file
+
+positional arguments:
+  file                  algebra definition (.b1a)
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}  report format (default: text)
+  --ideal SET           comma-separated element labels denoting an ideal
+  --assert-evans        exit with status 1 when the property fails
+""",
+    ("builtin",): """\
+usage: b1alg builtin [-h] [-o FILE] name
+
+positional arguments:
+  name                  one of: b1, trivial, example-6-2, chain-N, bool-K
+
+options:
+  -h, --help            show this help message and exit
+  -o FILE, --output FILE
+                        write to FILE instead of stdout
+""",
+}
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11), reason="argparse lays out help differently by version"
+)
+class TestHelp:
+    @pytest.mark.parametrize("command", list(_HELP), ids=lambda c: " ".join(c) or "b1alg")
+    def test_help_text_is_pinned(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as caught:
+            main([*command, "--help"])
+        assert caught.value.code == 0
+        assert capsys.readouterr() == (_HELP[command], "")
 
 
 class TestDeterminism:

@@ -316,3 +316,19 @@ class TestProducts:
             assert b.min_saturated_primes(product) == tuple(
                 oracles.lifted_min_primes_oracle(left, right)
             )
+
+    def test_laskerian_and_standard_verdicts_follow_the_factors(
+        self, base_fleet, full_random_fleet
+    ):
+        # A x B is laskerian, or standard, exactly when both factors are.
+        # 5 of the 80 products are not laskerian; every algebra the fleets
+        # hold is standard, so the standard verdict is pinned on True only.
+        verdicts = []
+        for left, right, product in seeded_products([*base_fleet.values(), *full_random_fleet]):
+            laskerian = oracles.lifted_laskerian_oracle(left, right)
+            standard = oracles.lifted_standard_oracle(left, right)
+            assert b.laskerian_check(product).laskerian == laskerian
+            assert b.is_standard(product)[0] == standard
+            verdicts.append((laskerian, standard))
+        assert verdicts.count((False, True)) == 5
+        assert verdicts.count((True, True)) == 75
