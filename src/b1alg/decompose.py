@@ -312,7 +312,7 @@ def evans_report(algebra: Algebra, mask: int) -> EvansReport:
     for y in range(n):
         if not mask >> y & 1:
             conductors.setdefault(pairs >> y * n & full, y)
-    maximal = _canonical(_maximal(conductors))
+    maximal = _maximal(_canonical(conductors))
     entries = tuple([(conductors[c], c) for c in maximal])
     all_prime = all([is_prime(algebra, c) for c in maximal])
     all_saturated = all([is_saturated(algebra, c) for c in maximal])
@@ -514,7 +514,7 @@ def _audit_radical_decomposition_matches_minimal_primes(algebra: Algebra) -> str
     if not set(minimal) <= comps:
         return "a minimal prime is missing from the components"
     slim = minimalize(result)
-    if tuple(_canonical(slim.components)) != minimal:
+    if slim.components != minimal:
         return "minimalized components differ from the minimal primes"
     return None
 

@@ -83,10 +83,18 @@ def _primaries(algebra: Algebra) -> tuple[int, ...]:
 
 
 def _minimal(family) -> tuple[int, ...]:
+    """The minimal members of a family of distinct masks in canonical order.
+
+    A strict subset has fewer members, so it comes first in that order.  A
+    member is kept unless a member kept before it lies inside it.  So every
+    minimal member is kept, and a member m that is not minimal is dropped:
+    a strict subset of m in the family holds a minimal member, which is a
+    strict subset of m too, so it came before m and was kept.
+    """
     out = []
     for m in family:
-        for o in family:
-            if o != m and o & m == o:
+        for o in out:
+            if o & m == o:
                 break
         else:
             out.append(m)
@@ -94,14 +102,19 @@ def _minimal(family) -> tuple[int, ...]:
 
 
 def _maximal(family) -> tuple[int, ...]:
+    """The maximal members of a family of distinct masks in canonical order.
+
+    ``_minimal``'s mirror: over the reversed family a strict superset comes
+    first, and a member is kept unless a member kept before it holds it.
+    """
     out = []
-    for m in family:
-        for o in family:
-            if o != m and o & m == m:
+    for m in reversed(family):
+        for o in out:
+            if o & m == m:
                 break
         else:
             out.append(m)
-    return tuple(out)
+    return tuple(reversed(out))
 
 
 @_per_algebra
@@ -188,6 +201,17 @@ def is_standard(algebra: Algebra) -> tuple[bool, tuple[int, ...]]:
     in M outside each Q_i would sum to s in M, so s lies in some Q_j, and
     a_j <= s puts a_j in the down-set Q_j.  So every cover holds each
     maximal candidate, and they cover whenever any cover exists.
+
+    Every finite algebra is standard, and its cover is the maximal
+    annihilators Ann(y), y != 0.  D({0}) is the union of those Ann(y).
+    Each is saturated: from a <= x, that is a + x = x, and x*y = 0 follows
+    a*y + x*y = x*y, so a*y = 0.  A maximal one is prime: it is proper, as
+    1*y = y, and if a*b*y = 0 with a*y != 0, then Ann(a*y) holds Ann(y),
+    is equal to it by maximality, and holds b.  So the maximal
+    annihilators are saturated primes that cover D({0}); by the argument
+    above each candidate lies in one of them, so they are the maximal
+    candidates.  The verdict is still computed, so that a corrupted divisor
+    set or family fails it.
     """
     target = divisor_set(algebra, 1)
     candidates = []

@@ -18,8 +18,9 @@ report via the conductor, prime, saturation and divisor-set oracles
 instead of the pair mask and the memoized predicates.  The ideals, saturated ideals, primes, minimal
 primes and maximal proper saturated ideals of a direct product come from
 its factors' ideal, saturation and prime oracles, which still run where
-the product is too large for the subset scan, and its laskerian and
-standard verdicts are the conjunctions of its factors'.
+the product is too large for the subset scan, its laskerian and standard
+verdicts are the conjunctions of its factors', and its D({0}) and
+associated primes are unions of its factors' lifted.
 """
 
 from __future__ import annotations
@@ -549,3 +550,47 @@ def lifted_standard_oracle(left: b.Algebra, right: b.Algebra) -> bool:
     of D({0}) cover D_A({0}), and likewise for B.
     """
     return standard_oracle(left)[0] and standard_oracle(right)[0]
+
+
+def lifted_divisor_set_oracle(left: b.Algebra, right: b.Algebra) -> int:
+    """D({0}) of A x B = ``direct_product(left, right)``, for nontrivial
+    factors: (D_A({0}) x B) u (A x D_B({0})), from the factors' table scans.
+
+    (a, b)*(c, d) = (0, 0) for a (c, d) != (0, 0) exactly when c != 0 and
+    a*c = 0, or d != 0 and b*d = 0: given c != 0 with a*c = 0, (c, 0) kills
+    (a, b), and likewise (0, d).
+    """
+    whole_left, whole_right = b.full_mask(left), b.full_mask(right)
+    return _times(divisor_set_oracle(left, 1), whole_right, right) | _times(
+        whole_left, divisor_set_oracle(right, 1), right
+    )
+
+
+def lifted_associated_oracle(left: b.Algebra, right: b.Algebra) -> tuple[tuple[int, int], ...]:
+    """The associated primes of A x B = ``direct_product(left, right)``, with
+    the engine's witnesses, for nontrivial factors, from the factors'
+    quotient-route ``associated_oracle``: P x B with witness x*|B| for each
+    (x, P) of A, and A x Q with witness y for each (y, Q) of B, in the
+    canonical order.
+
+    The engine's associated primes of (x, y) != 0 are the minimal saturated
+    primes that hold Ann((x, y)) (``spectrum.associated_primes``), and
+    Ann((x, y)) = Ann(x) x Ann(y), as the operations act per factor.  The
+    saturated primes of A x B are the P x B and the A x Q for saturated
+    primes P of A and Q of B (``lifted_primes_oracle``).  P x B holds
+    Ann(x) x Ann(y) exactly when P holds Ann(x), which no proper P does for
+    x = 0, as Ann(0) = A; A x Q holds it exactly when Q holds Ann(y).
+    Neither kind lies in the other, as (0, 1) lies in P x B alone and
+    (1, 0) in A x Q alone, and P x B lies in P' x B exactly when P lies in
+    P'.  So (x, y) yields the
+    P x B for the P that x yields in A, if x != 0, and the A x Q for the Q
+    that y yields in B, if y != 0.  The least index x*|B| + y that yields
+    P x B is (x, 0) for the least x that yields P, and the least that
+    yields A x Q is (0, y) for the least y that yields Q, as every index
+    with a first coordinate of 0 is below |B|.
+    """
+    whole_left, whole_right = b.full_mask(left), b.full_mask(right)
+    witness = {_times(p, whole_right, right): x * right.order for x, p in associated_oracle(left)}
+    for y, q in associated_oracle(right):
+        witness[_times(whole_left, q, right)] = y
+    return tuple((witness[p], p) for p in _canonical(witness))

@@ -1,10 +1,13 @@
 """Shared fixtures-behind-the-fixtures: fleets, random algebras, mask
-helpers, and the work counter behind the frame and opcode ceilings.
+helpers, and the work counter and table behind the frame and opcode
+ceilings.
 
 Run as a script, ``PYTHONPATH=src python tests/support.py`` prints the
-engine frames and opcodes of every input a tier-1 ceiling pins; off
-Python 3.11 it prints the frames alone (see ``engine_frames``).  It also
-prints the engine's size, its lines and code lines (``engine_size``).
+engine frames and opcodes of every input in ``WORK_INPUTS``, each beside
+its ceiling, and exits 1 if any count is over its ceiling; off Python
+3.11 it counts and gates the frames alone (see ``engine_frames``).  It
+also prints the engine's size, its lines and code lines
+(``engine_size``), which no ceiling pins.
 """
 
 from __future__ import annotations
@@ -123,17 +126,53 @@ def _fleet_pass_input(seed: int):
     return lambda: [worker.analyse(engine, text) for text in texts], ()
 
 
-# Each input whose engine frames or opcodes a tier-1 ceiling pins, by name:
-# a function that returns (call, args), every algebra built afresh so that
-# no memo is warm.  Traced for opcodes, each but the fleet pass takes well
+# Every work ceiling, by the name of the input it pins: (make, frames,
+# opcodes), where make() returns (call, args) with every algebra built afresh
+# so that no memo is warm, and frames and opcodes are the ceilings on the
+# engine frames and opcodes of call(*args) (``engine_frames``).  Each ceiling
+# is a count measured on Python 3.11; frames are the same on 3.10 and only
+# fall from 3.12 on, which inlines comprehensions.  Re-measure with
+# `PYTHONPATH=src python tests/support.py`, and lower a ceiling when a change
+# cuts its count.  Traced for opcodes, each but the fleet pass takes well
 # under 0.2 s; null-8's audit, at 0.5 s, is left out.
 WORK_INPUTS = {
-    "fleet pass, seed 111": lambda: _fleet_pass_input(111),
-    "fleet op, example-6-2": lambda: (fleet_op, (b.builtin("example-6-2"),)),
-    "Algebra, bool-5 tables": lambda: (b.Algebra, inputs.boolean(5)),
-    "audit, null-6": lambda: (b.audit, (null_algebra(6),)),
-    "enumerate_ideals, chain-32": lambda: (b.enumerate_ideals, (b.chain_algebra(32),)),
+    # the fleet op's fixed cost and the work inside its loops, over ~220 algebras
+    "fleet pass, seed 111": (lambda: _fleet_pass_input(111), 87_083, 5_254_364),
+    "fleet op, example-6-2": (
+        lambda: (fleet_op, (b.builtin("example-6-2"),)), 621, 32_413
+    ),
+    # the axiom gate and the mask tables
+    "Algebra, bool-5 tables": (lambda: (b.Algebra, inputs.boolean(5)), 3, 725_415),
+    # 72 ideals, and the audit's pair laws over them
+    "audit, null-6": (lambda: (b.audit, (null_algebra(6),)), 2_838, 347_958),
+    # 32 ideals, found as joins
+    "enumerate_ideals, chain-32": (
+        lambda: (b.enumerate_ideals, (b.chain_algebra(32),)), 531, 149_056
+    ),
 }
+
+
+def ceiling_breaches(name: str, show=None) -> list[str]:
+    """Trace the input ``WORK_INPUTS[name]`` once and return each of its
+    counts that is over its ceiling, as a line naming the input.
+
+    Frames are gated on every Python, opcodes only where ``OPCODES_EXACT``.
+    show, if given, is called with each gated count beside its ceiling.
+    """
+    make, frame_ceiling, opcode_ceiling = WORK_INPUTS[name]
+    call, args = make()
+    if OPCODES_EXACT:
+        frames, opcodes = engine_frames(call, *args, opcodes=True)
+        counts = (("frames", len(frames), frame_ceiling), ("opcodes", opcodes, opcode_ceiling))
+    else:
+        counts = (("frames", len(engine_frames(call, *args)), frame_ceiling),)
+    breaches = []
+    for what, count, ceiling in counts:
+        if show is not None:
+            show(f"{name}: {count:,} {what}, ceiling {ceiling:,}")
+        if count > ceiling:
+            breaches.append(f"{name}: {count:,} {what}, over the ceiling {ceiling:,}")
+    return breaches
 
 
 def answer(call, *args):
@@ -293,17 +332,22 @@ def random_fleet(count: int = 200, seed: int = 20120901, max_order: int = 6):
     return [b.Algebra(*table) for table in inputs.random_fleet(seed, count, max_order)]
 
 
-if __name__ == "__main__":
+def main() -> int:
+    """Print every gated count beside its ceiling, and the engine's size;
+    1 if any count is over its ceiling, else 0."""
     if not OPCODES_EXACT:
         print(f"Python {sys.version.split()[0]}: frames only.  Opcodes are counted on "
               "Python 3.11 alone, which the ceilings are measured on; sys.settrace "
               "misses some on 3.12 and 3.13.")
-    for name, make in WORK_INPUTS.items():
-        call, args = make()
-        if OPCODES_EXACT:
-            frames, count = engine_frames(call, *args, opcodes=True)
-            print(f"{name}: {len(frames):,} frames, {count:,} opcodes")
-        else:
-            print(f"{name}: {len(engine_frames(call, *args)):,} frames")
+    breaches = []
+    for name in WORK_INPUTS:
+        breaches += ceiling_breaches(name, show=print)
     lines, code = engine_size()
     print(f"src/b1alg/*.py: {lines:,} lines, {code:,} code lines")
+    for breach in breaches:
+        print(f"OVER: {breach}")
+    return 1 if breaches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

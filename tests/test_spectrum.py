@@ -11,6 +11,7 @@ from support import (
     answer,
     idempotent_chain,
     lbl,
+    monoid_ideal_algebra,
     msk,
     null_algebra,
     out_of_range_refusal,
@@ -172,6 +173,38 @@ class TestStandard:
         ]:
             assert b.is_standard(algebra) == oracles.standard_oracle(algebra)
 
+    def test_every_algebra_is_standard_with_the_maximal_annihilators(
+        self, base_fleet, full_random_fleet
+    ):
+        # D({0}) is the union of the Ann(y), y != 0, each saturated, and the
+        # maximal ones are prime (proof in is_standard's docstring), so no
+        # finite algebra is non-standard.  The annihilators are read off the
+        # multiplication table here, not from the engine.
+        def maximal_annihilators(algebra):
+            n, mul = algebra.order, algebra.mul
+            annihilators = {
+                sum(1 << x for x in range(n) if mul[x][y] == 0) for y in range(1, n)
+            }
+            return tuple(sorted(
+                (a for a in annihilators if not any(o != a and o & a == a for o in annihilators)),
+                key=lambda m: (m.bit_count(), m),
+            ))
+
+        algebras = [
+            *base_fleet.values(), *full_random_fleet,
+            *[product for _, _, product in seeded_products(
+                [*base_fleet.values(), *full_random_fleet]
+            )],
+            *[null_algebra(k) for k in range(1, 7)],
+            idempotent_chain(), monoid_ideal_algebra(),
+            b.builtin("bool-7"), b.chain_algebra(128), b.builtin("trivial"),
+        ]
+        for algebra in algebras:
+            cover = maximal_annihilators(algebra)
+            assert b.is_standard(algebra) == (True, cover)
+            if not algebra.is_trivial:  # Evans' conductors of {0} are the Ann(y)
+                assert tuple(c for _, c in b.evans_report(algebra, 1).maximal_conductors) == cover
+
 
 class TestTrivialAlgebra:
     def test_empty_spectra(self):
@@ -332,3 +365,29 @@ class TestProducts:
             verdicts.append((laskerian, standard))
         assert verdicts.count((False, True)) == 5
         assert verdicts.count((True, True)) == 75
+
+    def test_divisor_set_and_associated_primes_follow_the_factors(
+        self, base_fleet, full_random_fleet
+    ):
+        # D({0}) of A x B is (D_A x B) u (A x D_B), and its associated primes
+        # are the P x B with witness (x, 0) and the A x Q with witness (0, y),
+        # from the factors' quotient route.
+        for left, right, product in seeded_products([*base_fleet.values(), *full_random_fleet]):
+            assert b.divisor_set(product, 1) == oracles.lifted_divisor_set_oracle(left, right)
+            assert b.associated_primes(product) == oracles.lifted_associated_oracle(left, right)
+
+    def test_a_corrupted_associated_witness_fails_the_comparison(
+        self, base_fleet, full_random_fleet
+    ):
+        # In a product's memoized associated primes, the witness (x, 0) of
+        # one P x B is replaced by (x, 1), which yields P x B too but is not
+        # the least element that does; the comparison catches it.
+        spectrum = importlib.import_module("b1alg.spectrum")
+        left, right, product = seeded_products([*base_fleet.values(), *full_random_fleet])[0]
+        lifted = oracles.lifted_associated_oracle(left, right)
+        assert b.associated_primes(product) == lifted
+        k = next(k for k, (w, _) in enumerate(lifted) if w >= right.order)
+        corrupted = list(lifted)
+        corrupted[k] = (lifted[k][0] + 1, lifted[k][1])
+        product._memo[spectrum.associated_primes.__wrapped__] = tuple(corrupted)
+        assert b.associated_primes(product) != lifted

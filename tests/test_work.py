@@ -1,12 +1,15 @@
-"""Ceilings on the engine opcodes of loop-heavy inputs.
+"""Ceilings on the engine work of fixed inputs, from ``support.WORK_INPUTS``.
 
-Frames cannot see work inside a loop: ``Algebra(...)`` enters three b1alg
-frames at any order.  Opcodes executed in b1alg code can, and like frames
-they are the same on every host for a given Python version.  Each ceiling
-is the count measured on Python 3.11; re-measure with
-`PYTHONPATH=src python tests/support.py`, and lower a ceiling when a change
-cuts its count.  sys.settrace misses opcodes on 3.12 and 3.13, so the
-count is refused on any Python but 3.11.
+Each input there holds a ceiling on its engine frames and one on its
+engine opcodes, measured on Python 3.11.  Frames guard a fixed per-call
+cost; opcodes see the work inside a loop that frames cannot:
+``Algebra(...)`` enters three b1alg frames at any order.  Like frames,
+opcodes are the same on every host for a given Python version, and wall
+time on a shared host is not.  The frames are gated on every Python; the
+opcodes on 3.11 alone, as sys.settrace misses some on 3.12 and 3.13.
+Re-measure with `PYTHONPATH=src python tests/support.py`, which gates the
+same ceilings without pytest, and lower a ceiling when a change cuts its
+count.
 """
 
 from __future__ import annotations
@@ -17,20 +20,28 @@ import sys
 import pytest
 
 import support
-from support import WORK_INPUTS, engine_frames, engine_size
-
-OPCODE_CEILINGS = {
-    "Algebra, bool-5 tables": 725_415,  # the axiom gate and the mask tables
-    "audit, null-6": 348_810,  # 72 ideals, and the audit's pair laws over them
-    "enumerate_ideals, chain-32": 149_056,  # 32 ideals, found as joins
-}
+from support import WORK_INPUTS, ceiling_breaches, engine_frames, engine_size
 
 
-@pytest.mark.parametrize("name", OPCODE_CEILINGS)
-def test_engine_opcodes_stay_under_the_ceiling(name):
-    call, args = WORK_INPUTS[name]()
-    _, opcodes = engine_frames(call, *args, opcodes=True)
-    assert opcodes <= OPCODE_CEILINGS[name]
+@pytest.mark.parametrize("name", WORK_INPUTS)
+def test_engine_work_stays_under_the_ceilings(name):
+    assert ceiling_breaches(name) == []
+
+
+def test_a_count_over_its_ceiling_is_reported_by_name(monkeypatch, capsys):
+    # bool-5's tables enter the three frames of Algebra(...) on any Python;
+    # with the frame ceiling one below that, the breach names the input, and
+    # the script that gates every input exits 1.
+    name = "Algebra, bool-5 tables"
+    make, frames, opcodes = WORK_INPUTS[name]
+    assert frames == 3
+    monkeypatch.setattr(support, "WORK_INPUTS", {name: (make, frames - 1, opcodes)})
+    breach = f"{name}: 3 frames, over the ceiling 2"
+    assert ceiling_breaches(name) == [breach]
+    assert support.main() == 1
+    out = capsys.readouterr().out
+    assert f"{name}: 3 frames, ceiling 2\n" in out
+    assert out.endswith(f"OVER: {breach}\n")
 
 
 def test_opcode_counts_are_refused_where_they_are_not_exact(monkeypatch):
