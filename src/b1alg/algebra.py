@@ -86,11 +86,10 @@ class Algebra:
     Instances compare and hash structurally, but derived ideal families
     and per-ideal results are memoized per instance in ``_memo``, keyed by
     the computing function, so equal tables built twice each compute their
-    own.  A family's entry is its result (``ideals._per_algebra``); a
-    per-ideal function's entry is a dict keyed by mask, of results
-    (``ideals._per_mask``) or of a record's class and fields without the
-    algebra (``ideals._per_mask_record``).  No entry refers back to the
-    instance, so reference counting alone frees it.
+    own.  An entry has one of two shapes: a family's result
+    (``ideals._per_algebra``), or a per-ideal function's dict from mask to
+    result (``ideals._per_mask``).  No result refers back to the instance,
+    the records included, so reference counting alone frees it.
 
     The tables are also read once into bitmasks, so that saturations,
     radicals, joins, conductors, the saturated ideals and the prime and

@@ -32,7 +32,6 @@ from .ideals import (
     _pairs_in,
     _per_algebra,
     _per_mask,
-    _per_mask_record,
     bourne_congruence,
     enumerate_ideals,
     enumerate_saturated_ideals,
@@ -65,7 +64,6 @@ __all__ = (
 
 
 class DecompositionResult(namedtuple("DecompositionResult", (
-    "algebra",      # Algebra
     "input",        # int
     "components",   # tuple[int, ...]
     "irredundant",  # bool
@@ -74,14 +72,14 @@ class DecompositionResult(namedtuple("DecompositionResult", (
     __slots__ = ()
 
     def intersection(self) -> int:
-        out = self.algebra._full
+        """The meet of the components; -1, every bit set, if there are none."""
+        out = -1
         for c in self.components:
             out &= c
         return out
 
 
 class EvansReport(namedtuple("EvansReport", (
-    "algebra",                   # Algebra
     "ideal",                     # int
     "maximal_conductors",        # tuple[tuple[int, int], ...]: (witness y, conductor)
     "all_prime",                 # bool
@@ -93,7 +91,6 @@ class EvansReport(namedtuple("EvansReport", (
 
 
 class LaskerianReport(namedtuple("LaskerianReport", (
-    "algebra",              # Algebra
     "laskerian",            # bool
     "witness",              # int | None
     "table",                # tuple[tuple[int, tuple[int, ...]], ...]: ideal -> primaries
@@ -109,8 +106,8 @@ class AuditCheck(namedtuple("AuditCheck", "name passed detail")):
     __slots__ = ()
 
 
-class AuditResult(namedtuple("AuditResult", "algebra checks")):
-    """algebra: Algebra; checks: tuple[AuditCheck, ...]."""
+class AuditResult(namedtuple("AuditResult", "checks")):
+    """checks: tuple[AuditCheck, ...]."""
 
     __slots__ = ()
 
@@ -205,13 +202,13 @@ def _split(algebra: Algebra, mask: int) -> DecompositionResult:
                 raise RuntimeError("split arm failed to grow properly (engine bug)")
             trace.append((j, step[0]))
             stack += arm_v, arm_u
-    result = DecompositionResult(algebra, mask, tuple(_canonical(components)), False, tuple(trace))
+    result = DecompositionResult(mask, tuple(_canonical(components)), False, tuple(trace))
     if result.intersection() != mask:
         raise RuntimeError("decomposition lost its intersection (engine bug)")
     return result
 
 
-@_per_mask_record
+@_per_mask
 def radical_decomposition(algebra: Algebra, mask: int) -> DecompositionResult:
     """Decompose the radical of a saturated ideal into saturated primes.
 
@@ -234,7 +231,7 @@ def minimalize(result: DecompositionResult) -> DecompositionResult:
     comps = list(result.components)
     k = 0
     while k < len(comps) > 1:
-        rest = result.algebra._full
+        rest = -1
         for o in comps[:k] + comps[k + 1:]:
             rest &= o
         if rest & ~comps[k]:
@@ -288,7 +285,6 @@ def laskerian_check(algebra: Algebra) -> LaskerianReport:
             break
     table = tuple([(m, reachable[m]) for m in proper_saturated if m in reachable])
     return LaskerianReport(
-        algebra=algebra,
         laskerian=witness is None,
         witness=witness,
         table=table,
@@ -297,13 +293,21 @@ def laskerian_check(algebra: Algebra) -> LaskerianReport:
     )
 
 
-@_per_mask_record
+@_per_mask
 def evans_report(algebra: Algebra, mask: int) -> EvansReport:
     """Check that D(I) is the union of the maximal I-conductors.
 
     Conductors C_y(I) for y outside I are collected, the maximal ones kept
     (smallest witness y per distinct conductor), and each is required to
     be prime and saturated with their union equal to D(I).
+
+    In a finite algebra it always passes (``is_standard``'s proof is the
+    case I = {0}).  D(I) is the union of the C_y(I), each inside a maximal
+    one.  A maximal C_y(I) is proper, as 1*y = y, and saturated: a <= x
+    and x*y in I give a*y + x*y = x*y, so a*y lies in the down-set I.  It
+    is prime: if a*b*y is in I and a*y is not, C_{a*y}(I) holds C_y(I), as
+    x*a*y = a*(x*y), so it equals C_y(I) and holds b.  The verdict is still
+    computed, so that a corrupted memo fails it.
     """
     _require_saturated_proper(algebra, mask)
     n, full = algebra.order, algebra._full
@@ -321,7 +325,6 @@ def evans_report(algebra: Algebra, mask: int) -> EvansReport:
         union |= c
     union_ok = union == divisor_set(algebra, mask)
     return EvansReport(
-        algebra=algebra,
         ideal=mask,
         maximal_conductors=entries,
         all_prime=all_prime,
@@ -599,4 +602,4 @@ def audit(algebra: Algebra) -> AuditResult:
     for name, check in _AUDIT_CHECKS:
         failure = check(algebra)
         checks.append(AuditCheck(name, failure is None, failure or "ok"))
-    return AuditResult(algebra=algebra, checks=tuple(checks))
+    return AuditResult(checks=tuple(checks))

@@ -31,16 +31,16 @@ argument that is not an ``Algebra``: the memoized ones in their
 
 ``_per_mask`` computes each per-ideal result once per instance and mask:
 saturations, the saturated test, radicals and the ideal test here, the
-prime test, primarity and divisor sets in ``spectrum``, the split steps
-in ``decompose``, and, through ``_per_mask_record``, the Evans reports
-and radical decompositions there.  Every caller, the one-pass filters
-included, goes through the memoized function.  None of these enumerates,
-so they still answer past the bound.  A walk over a mask's bits that
-runs once per call takes the list ``_members`` returns; the few that run
-once per item walk the bits inline, so that no loop enters a frame per
-item.  Public functions range-check the element indices they are given;
-the engine's own in-range calls read ``_generated`` and
-``Algebra._annihilators`` instead.
+prime test, primarity and divisor sets in ``spectrum``, and the split
+steps, Evans reports and radical decompositions in ``decompose``.  So a
+memo entry is a family's result or a dict from mask to result.  Every
+caller, the one-pass filters included, goes through the memoized
+function.  None of these enumerates, so they still answer past the bound.
+A walk over a mask's bits that runs once per call takes the list
+``_members`` returns; the few that run once per item walk the bits
+inline, so that no loop enters a frame per item.  Public functions
+range-check the element indices they are given; the engine's own
+in-range calls read ``_generated`` and ``Algebra._annihilators`` instead.
 
 The operations mirror the classical ones: generated ideals, the saturation
 closure I-bar = {a : a + i = i for some i in I}, radicals, annihilators,
@@ -224,31 +224,6 @@ def _per_mask(fn):
             return out
         except AttributeError:
             raise _not_an_algebra(algebra) from None
-
-    return once
-
-
-def _per_mask_record(fn):
-    """``_per_mask`` for fn(algebra, mask) returning a record whose first
-    field is the algebra.
-
-    Its own per-mask dict keeps the record's class and its other fields,
-    and every call rebuilds the record from them, so no memo entry refers
-    to its own algebra and a hit is one frame.
-    """
-
-    @functools.wraps(fn)
-    def once(algebra: Algebra, mask: int):
-        if type(mask) is not int:
-            raise _not_an_int(mask)
-        try:
-            cls, rest = algebra._memo[fn][mask]
-        except KeyError:
-            record = fn(algebra, mask)
-            cls, rest = algebra._memo.setdefault(fn, {})[mask] = type(record), record[1:]
-        except AttributeError:
-            raise _not_an_algebra(algebra) from None
-        return cls(algebra, *rest)
 
     return once
 
@@ -510,10 +485,10 @@ def enumerate_saturated_ideals(algebra: Algebra) -> tuple[int, ...]:
 # Congruences and quotients
 
 
-class Congruence(namedtuple("Congruence", "algebra class_of classes")):
+class Congruence(namedtuple("Congruence", "class_of classes")):
     """Partition of an algebra compatible with both operations.
 
-    algebra: Algebra; class_of: tuple[int, ...]; classes: tuple[int, ...].
+    class_of: tuple[int, ...]; classes: tuple[int, ...].
     ``class_of[a]`` is the class index of element a; ``classes[k]`` is the
     member mask of class k.  Classes are numbered by smallest member, so
     the class of zero is always class 0.
@@ -572,7 +547,7 @@ def bourne_congruence(algebra: Algebra, mask: int) -> Congruence:
         k = class_at[v]
         classes[k] |= 1 << x
         class_of.append(k)
-    return Congruence(algebra, tuple(class_of), tuple(classes))
+    return Congruence(tuple(class_of), tuple(classes))
 
 
 def quotient(algebra: Algebra, mask: int) -> Algebra:
@@ -588,7 +563,7 @@ def quotient(algebra: Algebra, mask: int) -> Algebra:
     = c*b + t.  The ``Algebra`` constructor checks the target's axioms.
     """
     _require_ideals(algebra, mask)
-    _, class_of, classes = bourne_congruence(algebra, mask)
+    class_of, classes = bourne_congruence(algebra, mask)
     reps = [(c & -c).bit_length() - 1 for c in classes]  # the smallest member of each class
     add = tuple(tuple(class_of[algebra.add[r][s]] for s in reps) for r in reps)
     mul = tuple(tuple(class_of[algebra.mul[r][s]] for s in reps) for r in reps)

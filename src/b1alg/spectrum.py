@@ -226,7 +226,6 @@ def is_standard(algebra: Algebra) -> tuple[bool, tuple[int, ...]]:
 
 
 class SpectrumResult(namedtuple("SpectrumResult", (
-    "algebra",               # Algebra
     "primes",                # tuple[int, ...]
     "saturated_primes",      # tuple[int, ...]
     "min_primes",            # tuple[int, ...]
@@ -246,7 +245,6 @@ class SpectrumResult(namedtuple("SpectrumResult", (
 def spectrum(algebra: Algebra) -> SpectrumResult:
     standard, cover = is_standard(algebra)
     return SpectrumResult(
-        algebra=algebra,
         primes=primes(algebra),
         saturated_primes=saturated_primes(algebra),
         min_primes=min_primes(algebra),

@@ -18,9 +18,9 @@ report via the conductor, prime, saturation and divisor-set oracles
 instead of the pair mask and the memoized predicates.  The ideals, saturated ideals, primes, minimal
 primes and maximal proper saturated ideals of a direct product come from
 its factors' ideal, saturation and prime oracles, which still run where
-the product is too large for the subset scan, its laskerian and standard
-verdicts are the conjunctions of its factors', and its D({0}) and
-associated primes are unions of its factors' lifted.
+the product is too large for the subset scan, its laskerian verdict is
+the conjunction of its factors', and its D({0}) and associated primes
+are unions of its factors' lifted.
 """
 
 from __future__ import annotations
@@ -370,7 +370,6 @@ def evans_oracle(algebra: b.Algebra, mask: int) -> b.EvansReport:
         union |= c
     union_ok = union == divisor_set_oracle(algebra, mask)
     return b.EvansReport(
-        algebra=algebra,
         ideal=mask,
         maximal_conductors=tuple((conductors[c], c) for c in maximal),
         all_prime=all_prime,
@@ -402,7 +401,7 @@ def bourne_classes_oracle(algebra: b.Algebra, mask: int) -> b.Congruence:
                     class_of[c] = k
                     cls |= 1 << c
         classes.append(cls)
-    return b.Congruence(algebra, tuple(class_of), tuple(classes))
+    return b.Congruence(tuple(class_of), tuple(classes))
 
 
 def congruence_violation_oracle(add, mul, class_of) -> tuple[str, tuple[int, int, int]] | None:
@@ -433,7 +432,7 @@ def associated_oracle(algebra: b.Algebra) -> tuple[tuple[int, int], ...]:
     names, add, mul = algebra.names, algebra.add, algebra.mul
     found: dict[int, int] = {}
     for x in range(1, algebra.order):
-        _, class_of, classes = bourne_classes_oracle(algebra, b.annihilator(algebra, x))
+        class_of, classes = bourne_classes_oracle(algebra, b.annihilator(algebra, x))
         reps = [class_of.index(k) for k in range(len(classes))]
         target = b.Algebra(
             tuple(f"[{names[r]}]" for r in reps),
@@ -532,24 +531,6 @@ def lifted_laskerian_oracle(left: b.Algebra, right: b.Algebra) -> bool:
     T = m_B(T).
     """
     return laskerian_oracle(left)[0] and laskerian_oracle(right)[0]
-
-
-def lifted_standard_oracle(left: b.Algebra, right: b.Algebra) -> bool:
-    """The standard verdict of A x B = ``direct_product(left, right)``, for
-    nontrivial factors: A x B is standard exactly when A and B are.
-
-    (a, b)*(c, d) = (0, 0) for a (c, d) != (0, 0) exactly when c != 0 and
-    a*c = 0, or d != 0 and b*d = 0, so D({0}) = (D_A({0}) x B) u
-    (A x D_B({0})).  The saturated primes of A x B are the P x B and A x Q
-    for saturated primes P of A and Q of B (``lifted_primes_oracle``, and
-    P x B is saturated exactly when P is).  If D_A({0}) is the union of the
-    Ps and D_B({0}) of the Qs, D({0}) is the union of their lifts.
-    Conversely, as B is nontrivial, 1 is no zero divisor of B, so (a, 1)
-    lies in D({0}) exactly when a lies in D_A({0}); it lies in no proper
-    A x Q, and in P x B exactly when a lies in P.  So the P x B of a cover
-    of D({0}) cover D_A({0}), and likewise for B.
-    """
-    return standard_oracle(left)[0] and standard_oracle(right)[0]
 
 
 def lifted_divisor_set_oracle(left: b.Algebra, right: b.Algebra) -> int:

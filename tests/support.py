@@ -137,14 +137,14 @@ def _fleet_pass_input(seed: int):
 # under 0.2 s; null-8's audit, at 0.5 s, is left out.
 WORK_INPUTS = {
     # the fleet op's fixed cost and the work inside its loops, over ~220 algebras
-    "fleet pass, seed 111": (lambda: _fleet_pass_input(111), 87_083, 5_254_364),
+    "fleet pass, seed 111": (lambda: _fleet_pass_input(111), 87_083, 5_222_756),
     "fleet op, example-6-2": (
-        lambda: (fleet_op, (b.builtin("example-6-2"),)), 621, 32_413
+        lambda: (fleet_op, (b.builtin("example-6-2"),)), 621, 32_169
     ),
     # the axiom gate and the mask tables
     "Algebra, bool-5 tables": (lambda: (b.Algebra, inputs.boolean(5)), 3, 725_415),
     # 72 ideals, and the audit's pair laws over them
-    "audit, null-6": (lambda: (b.audit, (null_algebra(6),)), 2_838, 347_958),
+    "audit, null-6": (lambda: (b.audit, (null_algebra(6),)), 2_838, 347_689),
     # 32 ideals, found as joins
     "enumerate_ideals, chain-32": (
         lambda: (b.enumerate_ideals, (b.chain_algebra(32),)), 531, 149_056

@@ -115,6 +115,21 @@ class TestBuildAlgebra:
         assert all(isinstance(v.witness, tuple) for v in report.violations)
         assert any(v.axiom == "add-commutative" and v.witness == (1, 2) for v in report.violations)
 
+    @pytest.mark.parametrize("table, row, column, value, message", [
+        ("mul", 2, 2, 1, "axiom mul-identity violated at (1)"),
+        ("add", 1, 2, 1, "axiom add-commutative violated at (c1, 1) (and 1 further violation)"),
+        ("mul", 1, 2, 2, "axiom mul-identity violated at (c1) (and 2 further violations)"),
+    ])
+    def test_axiom_error_names_the_first_violation_and_counts_the_rest(
+        self, table, row, column, value, message
+    ):
+        chain = b.chain_algebra(3)
+        tables = {"add": [list(r) for r in chain.add], "mul": [list(r) for r in chain.mul]}
+        tables[table][row][column] = value
+        with pytest.raises(b.AxiomError) as err:
+            b.Algebra(chain.names, tables["add"], tables["mul"], chain.one)
+        assert str(err.value) == message
+
 
 class TestConstructorGate:
     # Algebra(...) is the one way to build an algebra, so it runs the whole
@@ -381,11 +396,22 @@ class TestConstructions:
         with pytest.raises(b.AlgebraError):
             b.builtin("bool-0")
 
-    def test_builtin_order_bound(self):
-        # refused from the name alone, before any table is built
+    def test_builtin_order_bound(self, monkeypatch):
+        # refused from the name alone, before any algebra is built
+        built = []
+        real_init = b.Algebra.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            real_init(self, *args)
+
+        monkeypatch.setattr(b.Algebra, "__init__", counting_init)
         for name in ("bool-8", "bool-40", "chain-129", "chain-" + "9" * 5000):
             with pytest.raises(b.AlgebraError, match="order bound 128"):
                 b.builtin(name)
+        assert built == []
+        b.builtin("bool-2")  # the count sees every construction
+        assert len(built) == 3
 
     def test_argument_holes_are_refused_by_name(self):
         # Each call once escaped as a bare TypeError, IndexError or
@@ -571,6 +597,14 @@ class TestConstructions:
     def test_structural_equality(self, b1, ex62):
         assert b1 != ex62
         assert b.builtin("example-6-2") == ex62
+        # equal only if the labels, both tables and one all agree
+        chain = b.chain_algebra(3)
+        relabelled = b.Algebra(("0", "a", "1"), chain.add, chain.mul, chain.one)
+        mul = [list(row) for row in chain.mul]
+        mul[1][1] = 0  # c1*c1 = 0: one entry apart, still an algebra
+        squares_to_zero = b.Algebra(chain.names, chain.add, mul, chain.one)
+        for other in (relabelled, squares_to_zero):
+            assert other != chain and chain != other
 
     def test_trivial_is_flagged_not_rejected(self):
         t = b.builtin("trivial")

@@ -25,7 +25,6 @@ from support import (
     msk,
     null_algebra,
     out_of_range_refusal,
-    seeded_products,
 )
 
 
@@ -201,13 +200,12 @@ class TestSharedSplit:
         assert check.detail == f"bad split witness at {{{lbl(algebra, node)}}}"
 
     def test_split_step_witness_is_the_first_failing_pair(
-        self, base_fleet, small_random_fleet, full_random_fleet, past_order_six
+        self, base_fleet, small_random_fleet, full_random_fleet, past_order_six, products
     ):
         # The step reads its verdict and witness off the divisor set; the
         # oracle scans the table row by row for the first u, v outside the
         # node with u*v inside.
         decompose = importlib.import_module("b1alg.decompose")
-        products = seeded_products([*base_fleet.values(), *full_random_fleet])
         for algebra in [
             *base_fleet.values(), *small_random_fleet, *full_random_fleet, *past_order_six,
             *[product for _, _, product in products],  # orders 7..36
@@ -264,11 +262,11 @@ class TestRadicalDecomposition:
                 checked += 1
         assert checked == 236
 
-    def test_minimal_primes_of_products_follow_the_factors(self, base_fleet, full_random_fleet):
+    def test_minimal_primes_of_products_follow_the_factors(self, products):
         # Past order 6 the factors' brute-force oracles still decide: every
         # minimal prime of A x B is P x B or A x Q for a minimal prime P of
         # A or Q of B.
-        for left, right, product in seeded_products([*base_fleet.values(), *full_random_fleet]):
+        for left, right, product in products:
             lifted = tuple(oracles.lifted_min_primes_oracle(left, right))
             assert b.min_primes(product) == lifted
             slim = b.minimalize(b.radical_decomposition(product, 1))
@@ -288,7 +286,6 @@ class TestRadicalDecomposition:
 class TestMinimalize:
     def test_drops_redundant_component(self, ex62):
         inflated = DecompositionResult(
-            algebra=ex62,
             input=msk(ex62, "z"),
             components=(msk(ex62, "z,x"), msk(ex62, "z,y"), msk(ex62, "z,x,y,u")),
             irredundant=False,
@@ -301,7 +298,6 @@ class TestMinimalize:
 
     def test_singleton_unchanged(self, ex62):
         single = DecompositionResult(
-            algebra=ex62,
             input=msk(ex62, "z,x"),
             components=(msk(ex62, "z,x"),),
             irredundant=False,
@@ -311,7 +307,6 @@ class TestMinimalize:
 
     def test_irredundant_pair_unchanged(self, ex62):
         pair = DecompositionResult(
-            algebra=ex62,
             input=msk(ex62, "z"),
             components=(msk(ex62, "z,x"), msk(ex62, "z,y")),
             irredundant=False,
@@ -323,7 +318,7 @@ class TestMinimalize:
         # The first copy of each is redundant beside the second; the second,
         # once the first is gone, is not.
         c, d = msk(ex62, "z,x"), msk(ex62, "z,y")
-        twice = DecompositionResult(ex62, msk(ex62, "z"), (c, c, d, d), False, ())
+        twice = DecompositionResult(msk(ex62, "z"), (c, c, d, d), False, ())
         assert b.minimalize(twice).components == (c, d)
 
 
@@ -472,16 +467,49 @@ class TestEvans:
         with pytest.raises(b.AlgebraError, match="proper"):
             b.evans_report(ex62, b.full_mask(ex62))
 
-    def test_passes_on_fleet(self, base_fleet, small_random_fleet):
-        for algebra in [*base_fleet.values(), *small_random_fleet]:
-            full = b.full_mask(algebra)
-            for m in b.enumerate_saturated_ideals(algebra):
-                if m == full:
-                    continue
+    def test_passes_with_the_maximal_conductors_of_the_table(
+        self, base_fleet, full_random_fleet, past_order_six, products
+    ):
+        # Evans' condition holds in every finite algebra (proof in
+        # evans_report's docstring).  The conductors C_y(I) = {x : x*y in I}
+        # are read off the multiplication table here, not from the engine.
+        algebras = [
+            *base_fleet.values(), *full_random_fleet, *past_order_six,
+            *[product for _, _, product in products],
+            *[null_algebra(k) for k in range(1, 7)], b.builtin("bool-7"), b.chain_algebra(128),
+        ]
+        reports = 0
+        for algebra in algebras:
+            columns = list(zip(*algebra.mul))  # columns[y][x] is x*y
+            for m in b.enumerate_saturated_ideals(algebra)[:-1]:
+                conductors = {}  # each distinct conductor with its smallest witness y
+                for y, column in enumerate(columns):
+                    if not m >> y & 1:
+                        c = sum([1 << x for x, xy in enumerate(column) if m >> xy & 1])
+                        conductors.setdefault(c, y)
+                maximal = sorted(
+                    [c for c in conductors if not any(o != c and o & c == c for o in conductors)],
+                    key=lambda c: (c.bit_count(), c),
+                )
                 report = b.evans_report(algebra, m)
-                assert report.passed
+                assert report.maximal_conductors == tuple([(conductors[c], c) for c in maximal])
                 assert report.all_prime and report.all_saturated
-                assert report.union_equals_divisor_set
+                assert report.union_equals_divisor_set and report.passed
+                reports += 1
+        assert reports == 2_191
+
+    def test_a_corrupted_prime_verdict_fails_the_report_and_the_audit(self):
+        # Only a wrong memo can fail a report: here one maximal conductor of
+        # {0}, the first proper saturated ideal, is planted as not prime.
+        spectrum = importlib.import_module("b1alg.spectrum")
+        algebra = b.builtin("example-6-2")
+        (_, conductor), = b.evans_report(_fresh(algebra), 1).maximal_conductors
+        algebra._memo[spectrum.is_prime.__wrapped__] = {conductor: False}
+        report = b.evans_report(algebra, 1)
+        assert not report.all_prime and report.all_saturated and report.union_equals_divisor_set
+        assert not report.passed
+        check = next(c for c in b.audit(algebra).checks if c.name == "evans-property")
+        assert not check.passed and check.detail == "evans fails at {0}"
 
     def test_matches_the_table_oracle(self, base_fleet, small_random_fleet):
         checked = 0
@@ -489,7 +517,6 @@ class TestEvans:
             full = b.full_mask(algebra)
             for m in b.enumerate_saturated_ideals(algebra):
                 if m != full:
-                    # a record compares field by field, the algebra included
                     assert b.evans_report(algebra, m) == oracles.evans_oracle(algebra, m)
                     checked += 1
         assert checked == 236
@@ -816,11 +843,9 @@ def _corrupted(name: str, key, value, full: int):
     if name == "is_standard":
         return (not value[0], value[1])
     if name == "evans_report":  # the verdict flipped
-        cls, rest = value
-        return cls, (*rest[:-1], not rest[-1])
+        return value._replace(passed=not value.passed)
     if name == "radical_decomposition":  # the first component dropped
-        cls, (mask, components, *rest) = value
-        return cls, (mask, components[1:], *rest)
+        return value._replace(components=value.components[1:])
     return value[1:]  # a family without its first member
 
 
@@ -926,11 +951,9 @@ class TestPerMaskMemo:
             ]
             if not filled.is_trivial:
                 first = b.radical_decomposition(filled, 1)
-                again = b.radical_decomposition(filled, 1)
-                assert again == first and again is not first
+                assert b.radical_decomposition(filled, 1) is first
             for r in reports:
-                again = b.evans_report(filled, r.ideal)
-                assert again == r and again.algebra is filled
+                assert b.evans_report(filled, r.ideal) is r
             assert b.audit(filled).checks == b.audit(_fresh(algebra)).checks
 
     def test_a_corrupted_memo_never_crashes_the_audit(self):
@@ -990,7 +1013,7 @@ class TestPerMaskMemo:
             for node in ast.parse(path.read_text(encoding="utf-8")).body:
                 if isinstance(node, ast.FunctionDef) and {
                     getattr(d, "id", None) for d in node.decorator_list
-                } & {"_per_algebra", "_per_mask", "_per_mask_record"}:
+                } & {"_per_algebra", "_per_mask"}:
                     memoized.add(node.name)
         last = out.stdout.splitlines()[-1].split()
         assert last[:2] == ["swept", "390"] and set(last[4:]) == memoized

@@ -556,9 +556,9 @@ class TestBourneAndQuotients:
         # it forged (incompatible, of the wrong length, misnumbered) or the
         # Bourne congruence itself, is refused as a mask that is no int.
         forged = (
-            b.Congruence(ex62, (0, 1, 1, 1, 1, 1), (1, 62)),
-            b.Congruence(ex62, (0, 0), (3,)),
-            b.Congruence(ex62, (1, 0, 0, 0, 0, 0), ()),
+            b.Congruence((0, 1, 1, 1, 1, 1), (1, 62)),
+            b.Congruence((0, 0), (3,)),
+            b.Congruence((1, 0, 0, 0, 0, 0), ()),
             b.bourne_congruence(ex62, msk(ex62, "z")),
         )
         for congruence in forged:

@@ -39,6 +39,7 @@ def test_records_are_immutable_slotted_values(ex62):
             record.extra = None
         assert not hasattr(record, "__dict__"), name
         assert record == second[name], name
+        assert "algebra" not in record._fields, name  # a result never holds its algebra
 
     # _replace keeps the input of a decomposition of a non-radical ideal ...
     decomposition = first["DecompositionResult"]
@@ -48,3 +49,5 @@ def test_records_are_immutable_slotted_values(ex62):
     slim = b.minimalize(decomposition)
     assert slim.irredundant
     assert slim.input == 1 and slim.split_trace == decomposition.split_trace
+    # With no algebra to bound it, the meet of no components is every bit.
+    assert b.DecompositionResult(1, (), False, ()).intersection() == -1
