@@ -415,9 +415,9 @@ def _audit_conductors_saturated(algebra: Algebra) -> str | None:
     return None
 
 
-def _audit_bourne_zero_class(algebra: Algebra) -> str | None:
+def _audit_bourne_class_of_zero(algebra: Algebra) -> str | None:
     for i in enumerate_ideals(algebra):
-        if bourne_congruence(algebra, i).zero_class() != saturation(algebra, i):
+        if bourne_congruence(algebra, i).classes[0] != saturation(algebra, i):
             return f"zero class wrong for {_labels(algebra, i)}"
     return None
 
@@ -568,7 +568,7 @@ _AUDIT_CHECKS = (
     ("radical-saturation-intersection", _audit_radical_saturation_intersection),
     ("annihilators-saturated", _audit_annihilators_saturated),
     ("conductors-saturated", _audit_conductors_saturated),
-    ("bourne-zero-class", _audit_bourne_zero_class),
+    ("bourne-zero-class", _audit_bourne_class_of_zero),
     ("generated-roundtrip", _audit_generated_roundtrip),
     ("maximal-saturated-are-prime", _audit_maximal_saturated_are_prime),
     ("minimal-primes-are-zero-divisors", _audit_minimal_primes_are_zero_divisors),

@@ -20,10 +20,10 @@ tables instead of scanning the tables on every call: the saturation of I
 ORs the down-sets ``Algebra._down[i]`` of its members i.  ``_pairs_in``
 gives every conductor of an ideal at once, and ``conductor`` is one row of
 it.
-Sums, products, intersections and quotients refuse a non-ideal with the
-witness ``ideal_violation`` names; ``member_labels``, the Bourne
-congruence and the prime, primary and divisor-set tests refuse a mask with
-a bit at or past the order; saturations, radicals and conductors ignore it.
+The quotient refuses a non-ideal with the witness ``ideal_violation``
+names; ``member_labels``, the Bourne congruence and the prime, primary and
+divisor-set tests refuse a mask with a bit at or past the order;
+saturations, radicals and conductors ignore it.
 Every public function that takes a mask refuses one that is not an int,
 bool included, and every one that takes an algebra refuses a first
 argument that is not an ``Algebra``: the memoized ones in their
@@ -44,12 +44,11 @@ in-range calls read ``_generated`` and ``Algebra._annihilators`` instead.
 
 The operations mirror the classical ones: generated ideals, the saturation
 closure I-bar = {a : a + i = i for some i in I}, radicals, annihilators,
-conductors, ideal sums / intersections / products, the single-witness
-Bourne congruence (a ~ b iff a + w = b + w for some w in I, read off the
-join of I as one witness) and the quotient A/I by it, which is taken by
-an ideal only, never by an arbitrary partition.  In characteristic one
-the sum of two ideals is {i + j}, so ``_join`` builds every ideal here as
-a join of principal ideals, or of the ideals iJ for a product.
+conductors, the single-witness Bourne congruence (a ~ b iff a + w = b + w
+for some w in I, read off the join of I as one witness) and the quotient
+A/I by it, which is taken by an ideal only, never by an arbitrary
+partition.  In characteristic one the sum of two ideals is {i + j}, so
+``_join`` builds every ideal here as a join of principal ideals.
 """
 
 from __future__ import annotations
@@ -61,11 +60,10 @@ from collections import namedtuple
 from .algebra import Algebra, AlgebraError
 
 __all__ = (
-    "Congruence", "EnumerationBoundError", "annihilator", "annihilator_set", "bits",
-    "bourne_congruence", "conductor", "enumerate_ideals", "enumerate_saturated_ideals",
-    "enumeration_bound", "full_mask", "generated_ideal", "ideal_intersect", "ideal_product",
-    "ideal_sum", "ideal_violation", "is_ideal", "is_saturated", "mask_of", "member_labels",
-    "quotient", "radical", "saturation",
+    "Congruence", "EnumerationBoundError", "annihilator", "bits", "bourne_congruence",
+    "conductor", "enumerate_ideals", "enumerate_saturated_ideals", "enumeration_bound",
+    "full_mask", "generated_ideal", "ideal_violation", "is_ideal", "is_saturated", "mask_of",
+    "member_labels", "quotient", "radical", "saturation",
 )
 
 DEFAULT_ENUMERATION_BOUND = 2**19  # the most ideals of any algebra of order <= 20
@@ -136,14 +134,6 @@ def _not_an_ideal(algebra: Algebra, violation: tuple[str, tuple[int, ...]]) -> A
     what, witness = violation
     names = ", ".join([algebra.names[w] if w < algebra.order else f"bit {w}" for w in witness])
     return AlgebraError(f"the set {what} (witness: {names})")
-
-
-def _require_ideals(algebra: Algebra, *masks: int) -> None:
-    """Refuse the first mask that ``ideal_violation`` rejects, naming its witness."""
-    for mask in masks:
-        bad = ideal_violation(algebra, mask)
-        if bad:
-            raise _not_an_ideal(algebra, bad)
 
 
 def _out_of_range(algebra: Algebra, mask: int) -> AlgebraError:
@@ -338,32 +328,6 @@ def radical(algebra: Algebra, mask: int) -> int:
     return out
 
 
-def ideal_sum(algebra: Algebra, left: int, right: int) -> int:
-    _require_ideals(algebra, left, right)
-    return _join(algebra, left, right)
-
-
-def ideal_intersect(algebra: Algebra, left: int, right: int) -> int:
-    _require_ideals(algebra, left, right)
-    return left & right
-
-
-def ideal_product(algebra: Algebra, left: int, right: int) -> int:
-    """IJ, the join over i in I of iJ = {i*j : j in J}.
-
-    Each iJ is an ideal, as J is: 0 = i*0, i*j + i*j' = i*(j + j') and
-    a*(i*j) = i*(a*j).
-    """
-    _require_ideals(algebra, left, right)
-    out, others = 1, _members(right)
-    for i in _members(left):
-        row, part = algebra.mul[i], 0
-        for j in others:
-            part |= 1 << row[j]
-        out = _join(algebra, out, part)
-    return out
-
-
 def annihilator(algebra: Algebra, s: int) -> int:
     """Ann(s) = {x : s*x = 0}; always a saturated ideal."""
     try:
@@ -371,16 +335,6 @@ def annihilator(algebra: Algebra, s: int) -> int:
     except AttributeError:
         raise _not_an_algebra(algebra) from None
     return algebra._annihilators[s]
-
-
-def annihilator_set(algebra: Algebra, elements) -> int:
-    try:
-        out = algebra._full
-    except AttributeError:
-        raise _not_an_algebra(algebra) from None
-    for s in _listed(elements):
-        out &= annihilator(algebra, s)
-    return out
 
 
 def conductor(algebra: Algebra, x: int, mask: int) -> int:
@@ -496,13 +450,6 @@ class Congruence(namedtuple("Congruence", "class_of classes")):
 
     __slots__ = ()
 
-    @property
-    def order(self) -> int:
-        return len(self.classes)
-
-    def zero_class(self) -> int:
-        return self.classes[0]
-
 
 def _member_sum(algebra: Algebra, mask: int) -> int:
     """The sum t of the mask's members: an ideal's largest element, whose
@@ -562,7 +509,9 @@ def quotient(algebra: Algebra, mask: int) -> Algebra:
     lies in I, so c*t + t = t and c*a + t = c*(a + t) + t = c*(b + t) + t
     = c*b + t.  The ``Algebra`` constructor checks the target's axioms.
     """
-    _require_ideals(algebra, mask)
+    bad = ideal_violation(algebra, mask)
+    if bad:
+        raise _not_an_ideal(algebra, bad)
     class_of, classes = bourne_congruence(algebra, mask)
     reps = [(c & -c).bit_length() - 1 for c in classes]  # the smallest member of each class
     add = tuple(tuple(class_of[algebra.add[r][s]] for s in reps) for r in reps)

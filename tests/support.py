@@ -137,14 +137,14 @@ def _fleet_pass_input(seed: int):
 # under 0.2 s; null-8's audit, at 0.5 s, is left out.
 WORK_INPUTS = {
     # the fleet op's fixed cost and the work inside its loops, over ~220 algebras
-    "fleet pass, seed 111": (lambda: _fleet_pass_input(111), 87_083, 5_222_756),
+    "fleet pass, seed 111": (lambda: _fleet_pass_input(111), 86_238, 5_218_531),
     "fleet op, example-6-2": (
-        lambda: (fleet_op, (b.builtin("example-6-2"),)), 621, 32_169
+        lambda: (fleet_op, (b.builtin("example-6-2"),)), 612, 32_124
     ),
     # the axiom gate and the mask tables
     "Algebra, bool-5 tables": (lambda: (b.Algebra, inputs.boolean(5)), 3, 725_415),
     # 72 ideals, and the audit's pair laws over them
-    "audit, null-6": (lambda: (b.audit, (null_algebra(6),)), 2_838, 347_689),
+    "audit, null-6": (lambda: (b.audit, (null_algebra(6),)), 2_766, 347_329),
     # 32 ideals, found as joins
     "enumerate_ideals, chain-32": (
         lambda: (b.enumerate_ideals, (b.chain_algebra(32),)), 531, 149_056
@@ -192,7 +192,7 @@ def out_of_range_refusal(algebra: b.Algebra, mask: int) -> str:
 
 def refuses_out_of_range_masks(call, ex62: b.Algebra) -> None:
     """call(ex62, mask) refuses a mask with a bit at or past the order, or a
-    negative one, naming the lowest stray bit, as the ideal operations do."""
+    negative one, naming the lowest stray bit as ``ideal_violation`` does."""
     import pytest  # here, so that the count command runs without pytest
 
     for mask, stray in ((b.full_mask(ex62) | 1 << 6, 6), (-1, 6), (1 | 1 << 9, 9)):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -508,7 +509,6 @@ class TestConstructions:
             (lambda: b.build_algebra(["0"], [["0"]], [["0"]], ["0"], "0"), "unknown zero label ['0']"),
             # An empty element list once answered 1 for any first argument.
             (lambda: b.generated_ideal(None, []), "algebra None is not an Algebra"),
-            (lambda: b.annihilator_set(A, 3), "elements 3 is not an iterable of element indices"),
             (lambda: b.mask_of(3), "elements 3 is not an iterable of element indices"),
             (lambda: b.minimalize(None), "result None is not a DecompositionResult"),
         ]
@@ -527,7 +527,6 @@ class TestConstructions:
         "zero_divisors": lambda A: (),
         "conductor": lambda A: (1, 1),
         "annihilator": lambda A: (1,),
-        "annihilator_set": lambda A: ([1],),
         "bourne_congruence": lambda A: (1,),
         "full_mask": lambda A: (),
         "quotient": lambda A: (1,),
@@ -605,6 +604,11 @@ class TestConstructions:
         squares_to_zero = b.Algebra(chain.names, chain.add, mul, chain.one)
         for other in (relabelled, squares_to_zero):
             assert other != chain and chain != other
+        # never equal to a non-Algebra, not even one with the same fields
+        fields = SimpleNamespace(names=b1.names, add=b1.add, mul=b1.mul, one=b1.one)
+        for other in ("b1", fields):
+            assert b1 != other and other != b1
+        assert repr(b.builtin("b1")) == "Algebra(order=2, names=('0', '1'))"
 
     def test_trivial_is_flagged_not_rejected(self):
         t = b.builtin("trivial")

@@ -156,7 +156,10 @@ class TestInputChecks:
                     except b.AlgebraError as exc:
                         got = str(exc)
                     if want is None and analyse is b.weak_decompose and b.radical(algebra, m) != m:
-                        assert got.startswith("weak_decompose requires a radical ideal")
+                        # the lowest member of r(I) outside I is named
+                        culprit = min(b.bits(oracles.radical_oracle(algebra, m) & ~m))
+                        assert got == ("weak_decompose requires a radical ideal; a power of "
+                                       f"{algebra.names[culprit]!r} lies inside")
                     else:
                         assert got == want
 
@@ -722,6 +725,14 @@ def _ex62() -> b.Algebra:
     return b.builtin("example-6-2")
 
 
+def _witness(node: str, u: str, v: str):
+    """Patch _split to give every split the one trace entry (node, (u, v))
+    of example-6-2, node as comma-joined labels."""
+    ex62 = _ex62()
+    entry = (msk(ex62, node), (ex62.index[u], ex62.index[v]))
+    return _split_with(split_trace=lambda j: (entry,))
+
+
 def _chain4() -> b.Algebra:
     return b.chain_algebra(4)
 
@@ -742,6 +753,11 @@ _FAILING_BRANCHES = [
      _at("0,x", lambda a: msk(a, "z,x,y")), "saturation of {0,x} is not an ideal"),
     ("radical-closure", _ex62, "radical",
      _at("0,x", lambda a: msk(a, "")), "radical misbehaves at {0,x}"),
+    # each of the first two conditions failing alone: r misses I, r is not radical
+    ("radical-closure", _ex62, "radical",
+     _at("x,y,u", lambda a: msk(a, "z")), "radical misbehaves at {0,x,y,u}"),
+    ("radical-closure", _ex62, "radical",
+     _at("y", lambda a: msk(a, "x,y,u")), "radical misbehaves at {0,y}"),
     ("annihilators-saturated", _ex62, "is_saturated",
      _at("z,x,y,u,1", lambda a: False), "Ann(0) is not saturated"),
     ("conductors-saturated", _ex62, "is_saturated",
@@ -757,6 +773,9 @@ _FAILING_BRANCHES = [
     ("minimal-primes-are-zero-divisors", _ex62, "zero_divisors",
      lambda real, algebra: lambda alg: msk(alg, "z,x,u") & ~1,
      "y in {0,z,y} is no zero divisor"),
+    ("minimal-primes-are-zero-divisors", _chain4, "min_saturated_primes",
+     lambda real, algebra: lambda alg: (msk(alg, "c1"),),
+     "c1 in {0,c1} is no zero divisor"),
     ("minimal-primes-equal-minimal-saturated", _ex62, "min_primes", _constant(()),
      "the two minimal families differ"),
     ("associated-primes-are-annihilators", _ex62, "associated_primes",
@@ -780,6 +799,13 @@ _FAILING_BRANCHES = [
     ("weak-decomposition-exact", _ex62, "_split",
      _split_with(split_trace=lambda node: ((node, (0, 0)),)),
      "bad split witness at {0,z}"),
+    # each of the three conditions failing alone: u inside, v inside, uv outside
+    ("weak-decomposition-exact", _ex62, "_split", _witness("x", "x", "z"),
+     "bad split witness at {0,x}"),
+    ("weak-decomposition-exact", _ex62, "_split", _witness("y", "z", "y"),
+     "bad split witness at {0,y}"),
+    ("weak-decomposition-exact", _ex62, "_split", _witness("", "x", "x"),
+     "bad split witness at {0}"),
     ("radical-decomposition-matches-minimal-primes", _ex62, "radical_decomposition",
      lambda real, algebra: lambda alg, mask: real(alg, mask)._replace(
          components=real(alg, mask).components[1:]
