@@ -16,7 +16,6 @@ with a report that changes on purpose.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import io
 import json
@@ -69,22 +68,17 @@ INPUTS = {
 }
 
 
-@functools.cache
-def _parser():
-    return cli.build_parser()
-
-
 def reports(algebra: b.Algebra, label: str, left_out=()) -> dict[str, str]:
     """Each command line of ``COMMAND_LINES`` and format, bar those left
     out, mapped to '<status> <SHA-256 of the report>' as the CLI would
     print it for a file named label, or to '2 error: <text>' for a command
     the CLI refuses."""
-    out = {}
+    parser, out = cli.build_parser(), {}
     for template in COMMAND_LINES:
         if template.split()[0] in left_out:
             continue
         line = template.format(zero=algebra.names[0])
-        args = _parser().parse_args([*line.split(), label])
+        args = parser.parse_args([*line.split(), label])
         try:
             payload, status = args.run(algebra, args)
         except b.AlgebraError as exc:
