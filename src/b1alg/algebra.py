@@ -191,27 +191,6 @@ class Algebra:
                 f"element index {a} is out of range for this order-{self.order} algebra"
             )
 
-    def leq(self, a: int, b: int) -> bool:
-        """Natural order: a <= b iff a + b = b.  Zero is the minimum."""
-        self._require_element(a)
-        self._require_element(b)
-        return self.add[a][b] == b
-
-    def power(self, a: int, k: int) -> int:
-        """a**k for k >= 1 (k = 0 is deliberately unsupported)."""
-        self._require_element(a)
-        if type(k) is not int or k < 1:
-            raise AlgebraError(f"exponent must be an int >= 1, got {k!r}")
-        # Repeated squaring, valid by associativity: a**k is a times a**(2**i)
-        # for each set bit i of k - 1.
-        mul, acc, k = self.mul, a, k - 1
-        while k:
-            if k & 1:
-                acc = mul[acc][a]
-            a = mul[a][a]
-            k >>= 1
-        return acc
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Algebra):
             return NotImplemented

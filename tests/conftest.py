@@ -8,9 +8,10 @@ import pytest
 import b1alg as b
 from support import named_base_fleet, null_algebra, random_fleet, seeded_products
 
-# Seconds any one test may run.  The slowest takes under 3 s, under -X dev
-# too, so a test past this is hung: faulthandler then writes every thread's
-# traceback to the real stderr and ends the run, which fails it.
+# Seconds any one test, or the collection, which builds some algebras at
+# import time to parametrize tests, may run.  The slowest test takes under
+# 3 s, under -X dev too, so a test past this is hung: faulthandler then writes
+# every thread's traceback to the real stderr and ends the run, which fails it.
 WALL_LIMIT_S = 60
 _stderr = -1  # a copy of fd 2, made before any test runs
 
@@ -20,9 +21,15 @@ def pytest_configure(config):
     # a copy of it still reaches the terminal while a test's output is captured.
     global _stderr
     _stderr = os.dup(2)
+    faulthandler.dump_traceback_later(WALL_LIMIT_S, exit=True, file=_stderr)
+
+
+def pytest_collection_finish(session):
+    faulthandler.cancel_dump_traceback_later()
 
 
 def pytest_unconfigure(config):
+    faulthandler.cancel_dump_traceback_later()
     os.close(_stderr)
 
 

@@ -297,7 +297,7 @@ def saturation_oracle(algebra: b.Algebra, mask: int) -> int:
     """The down-set of I under the natural order."""
     out = 0
     for a in algebra.elements():
-        if any(algebra.leq(a, i) for i in b.bits(mask)):
+        if any(algebra.add[a][i] == i for i in b.bits(mask)):
             out |= 1 << a
     return out
 

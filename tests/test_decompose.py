@@ -1019,7 +1019,10 @@ class TestPerMaskMemo:
         # never ends grows its stack by some 150 MB a second, so the child
         # may map at most 1 GiB, and a runaway fails as a MemoryError.
         tests = Path(__file__).resolve().parent
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(tests.parent / "src"), str(tests), env.get("PYTHONPATH")) if p
+        )
         sweep = (
             "import resource, test_decompose; "
             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
