@@ -542,6 +542,49 @@ class TestConstructions:
         with pytest.raises(b.AlgebraError, match=f"^algebra {algebra} is not an Algebra$"):
             getattr(b, name)(algebra, *self.NO_MEMO_FIRST[name](ex62))
 
+    # The powers of a are read off the mask _powers[a] = {a**k : k >= 1},
+    # which radical (some power of a lands in I) reads.
+    def test_power(self, ex62):
+        z, x = ex62.index["z"], ex62.index["x"]
+        assert ex62._powers[z] == 1 << z | 1  # z, then z**2 = 0
+        assert ex62._powers[x] == 1 << x  # x is idempotent
+        assert b.radical(ex62, 1) == 1 << z | 1
+
+    def test_power_matches_the_naive_product(self, base_fleet):
+        for algebra in base_fleet.values():
+            for a in algebra.elements():
+                acc, naive = a, 0
+                for _ in range(2 * algebra.order):
+                    naive |= 1 << acc
+                    acc = algebra.mul[acc][a]
+                assert algebra._powers[a] == naive, (algebra.names, a)
+
+    def test_huge_exponents_read_the_power_cycle(self, base_fleet):
+        # a, a**2, ... runs into a cycle, so a**k for any k, however large,
+        # is read off that walk and lies in the powers mask.
+        for algebra in base_fleet.values():
+            for a in algebra.elements():
+                walk, seen = [a], {a: 0}
+                while (nxt := algebra.mul[walk[-1]][a]) not in seen:
+                    seen[nxt] = len(walk)
+                    walk.append(nxt)
+                start = seen[nxt]  # walk[i] is a**(i + 1)
+                period = len(walk) - start
+                powers = algebra._powers[a]
+                for k in (10**18, 10**18 + 1, 2**61 - 1):
+                    want = walk[start + (k - 1 - start) % period]
+                    assert powers >> want & 1, (algebra.names, a, k)
+                    assert b.radical(algebra, 1 << want) >> a & 1, (algebra.names, a, k)
+
+    def test_element_indices_are_range_checked(self, ex62):
+        for a in ex62.elements():
+            ex62._require_element(a)
+        for index in (ex62.order, -1):
+            with pytest.raises(b.AlgebraError, match=(
+                f"^element index {index} is out of range for this order-6 algebra$"
+            )):
+                ex62._require_element(index)
+
     def test_element_indices_must_be_ints(self, ex62):
         # A float index passes the range test, so it is refused by type.
         for index, call in (
