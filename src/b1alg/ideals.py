@@ -136,10 +136,15 @@ def _not_an_ideal(algebra: Algebra, violation: tuple[str, tuple[int, ...]]) -> A
     return AlgebraError(f"the set {what} (witness: {names})")
 
 
+def _stray(algebra: Algebra, mask: int) -> tuple[str, tuple[int]]:
+    """``ideal_violation``'s first failure: a bit at or past the order, the lowest named."""
+    high = mask >> algebra.order
+    return "contains an out-of-range element", ((high & -high).bit_length() - 1 + algebra.order,)
+
+
 def _out_of_range(algebra: Algebra, mask: int) -> AlgebraError:
-    """The refusal of a mask with a bit at or past the order, naming the
-    lowest: the first condition ``ideal_violation`` tests."""
-    return _not_an_ideal(algebra, ideal_violation(algebra, mask))
+    """The refusal of a mask that ``_stray`` names, which writes no memo entry."""
+    return _not_an_ideal(algebra, _stray(algebra, mask))
 
 
 def _listed(elements) -> list:
@@ -252,9 +257,7 @@ def is_ideal(algebra: Algebra, mask: int) -> bool:
 def ideal_violation(algebra: Algebra, mask: int) -> tuple[str, tuple[int, ...]] | None:
     """First failed ideal condition as (description, witness), else None."""
     if mask & ~algebra._full:
-        high = mask >> algebra.order
-        stray = (high & -high).bit_length() - 1 + algebra.order  # the lowest such bit
-        return ("contains an out-of-range element", (stray,))
+        return _stray(algebra, mask)
     if not mask & 1:
         return ("does not contain zero", (0,))
     members = _members(mask)

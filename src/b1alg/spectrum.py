@@ -251,8 +251,8 @@ def spectrum(algebra: Algebra) -> SpectrumResult:
         min_saturated_primes=min_saturated_primes(algebra),
         max_saturated=max_saturated(algebra),
         associated=associated_primes(algebra),
-        nilradical=nilradical(algebra),
-        zero_divisors=zero_divisors(algebra),
+        nilradical=radical(algebra, 1),
+        zero_divisors=algebra._zero_divisors,
         standard=standard,
         standard_cover=cover,
     )

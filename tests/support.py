@@ -1,31 +1,44 @@
 """Shared fixtures-behind-the-fixtures: fleets, random algebras, mask
-helpers, and the work counter and table behind the frame and opcode
-ceilings.
+helpers, the work counter and table behind the frame and opcode
+ceilings, and the checkers of the two recorded report tables.
 
-Run as a script, ``PYTHONPATH=src python tests/support.py`` prints the
-engine frames and opcodes of every input in ``WORK_INPUTS``, each beside
-its ceiling, and exits 1 if any count is over its ceiling; off Python
-3.11 it counts and gates the frames alone (see ``engine_frames``).  It
-also prints the engine's size, its lines and code lines
-(``engine_size``), which no ceiling pins.
+Run as a script, ``PYTHONPATH=src python tests/support.py`` is the one
+gate that needs no pytest.  It prints the engine frames and opcodes of
+every input in ``WORK_INPUTS``, each beside its ceiling; off Python 3.11
+it counts and gates the frames alone (see ``engine_frames``).  It prints
+the engine's size, its lines and code lines (``engine_size``), which no
+ceiling pins.  Then it checks every report that a table records
+(``report_mismatches``): perfbench/expected.json, the benchmark's
+digests, and tests/digest_corpus.json, the digest corpus.  It exits 1 if
+any count is over its ceiling or any report differs from its table, and
+names each.
 """
 
 from __future__ import annotations
 
 import ast
+import contextlib
+import io
+import json
+import os
 import random
 import re
 import sys
+import tempfile
 from pathlib import Path
 
 import b1alg as b
+from b1alg import cli
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import inputs  # noqa: E402  (perfbench/inputs.py)
+import run  # noqa: E402  (perfbench/run.py)
 import worker  # noqa: E402  (perfbench/worker.py)
 
 _PACKAGE = str(Path(b.__file__).parent)
+REPO_ROOT = Path(__file__).resolve().parent.parent
+CORPUS_PATH = Path(__file__).resolve().parent / "digest_corpus.json"
 
 # Whether this Python counts opcodes exactly: see ``engine_frames``.
 OPCODES_EXACT = sys.version_info[:2] == (3, 11)
@@ -137,9 +150,9 @@ def _fleet_pass_input(seed: int):
 # under 0.2 s; null-8's audit, at 0.5 s, is left out.
 WORK_INPUTS = {
     # the fleet op's fixed cost and the work inside its loops, over ~220 algebras
-    "fleet pass, seed 111": (lambda: _fleet_pass_input(111), 86_238, 5_218_531),
+    "fleet pass, seed 111": (lambda: _fleet_pass_input(111), 85_794, 5_216_089),
     "fleet op, example-6-2": (
-        lambda: (fleet_op, (b.builtin("example-6-2"),)), 612, 32_124
+        lambda: (fleet_op, (b.builtin("example-6-2"),)), 610, 32_113
     ),
     # the axiom gate and the mask tables
     "Algebra, bool-5 tables": (lambda: (b.Algebra, inputs.boolean(5)), 3, 725_415),
@@ -332,9 +345,174 @@ def random_fleet(count: int = 200, seed: int = 20120901, max_order: int = 6):
     return [b.Algebra(*table) for table in inputs.random_fleet(seed, count, max_order)]
 
 
+def fleet_mismatches(recorded: dict) -> list[str]:
+    """A line for each algebra the benchmark's fleet generator can draw
+    whose fleet op (``worker.analyse``, parsing and rendering included)
+    fails its audit or does not give its digest in ``recorded["fleet"]``,
+    the fleet table of perfbench/expected.json; and one if that table
+    holds other algebras than the drawable ones."""
+    engine, _ = worker._import_engine(["cli", "ideals", "spectrum", "decompose"])
+    texts = sorted(inputs.possible_fleet_texts())
+    wrong = []
+    if {run.text_key(t) for t in texts} != set(recorded["fleet"]):
+        wrong.append("fleet: the recorded algebras are not the drawable ones")
+    for text in texts:
+        key = run.text_key(text)
+        digest, passed = worker.analyse(engine, text)
+        if not passed:
+            wrong.append(f"fleet {key}: the audit fails")
+        elif digest[:24] != recorded["fleet"].get(key):
+            wrong.append(f"fleet {key}: report differs from perfbench/expected.json")
+    return wrong
+
+
+def cli_mismatches(workload: str, recorded: dict, where: Path) -> list[str]:
+    """A line for each op of the CLI workload whose exit status and report,
+    run in process through ``cli.main`` in both formats, differ from its
+    entry in ``recorded["cli"]`` (perfbench/expected.json).
+
+    The workload's input files are written afresh to the directory where,
+    which must not exist yet, and the ops run from it, as they name their
+    files relative to it; a set of files other than the recorded one is
+    one line, and no op runs.
+    """
+    if run.write_inputs(run.CLI_INPUTS[workload](), where) != recorded["inputs"][workload]:
+        return [f"{workload}: its input files differ from perfbench/expected.json"]
+    wrong, cwd = [], os.getcwd()
+    os.chdir(where)
+    try:
+        for op in run.CLI_OPS[workload]:
+            for fmt in run.FORMATS:
+                argv = run.op_argv(op, fmt)
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    code = cli.main(argv)
+                if f"{code} {run.sha256(out.getvalue())}" != recorded["cli"][run.op_key(argv)]:
+                    wrong.append(f"{workload}: {run.op_key(argv)}: "
+                                 "report differs from perfbench/expected.json")
+    finally:
+        os.chdir(cwd)
+    return wrong
+
+
+# The digest corpus: byte-identity where the engine works hardest.  Each
+# input is built once, afresh, and every file command is rendered in
+# process through its function in ``cli.COMMANDS`` and ``cli._emit``, in
+# both formats, sharing the input's memo.  Each report's SHA-256, with the
+# command's exit status, must equal the entry recorded in
+# tests/digest_corpus.json; a command that the CLI refuses is recorded as
+# its status and error text instead.  The table was recorded once, after
+# each input's ideals and primes had been checked by a second route
+# (CHANGES.md says which), and changes only with a report that changes on
+# purpose.
+
+# Every file command, with the input's zero label for {zero}.
+CORPUS_COMMANDS = (
+    "validate", "ideals", "ideals --saturated", "spectrum", "nil", "assoc",
+    "decompose --ideal {zero} --minimal", "laskerian", "evans", "audit",
+)
+
+# The indices into ``seeded_products`` of its five non-laskerian products
+# and of its first five laskerian ones.
+_SEEDED = (35, 43, 58, 64, 79, 0, 1, 2, 3, 4)
+
+
+def _seeded(k: int):
+    return lambda products: b.direct_product(*products[k][:2])
+
+
+def _shipped(name: str):
+    return lambda products: cli.parse_algebra_file(REPO_ROOT / "algebras" / name)
+
+
+# Every corpus input by its report label: (make, commands left out).
+# make(products) builds the algebra afresh from the factors in products,
+# the list ``seeded_products`` returns, or alone.  null-12's audit takes
+# about 11 s.
+CORPUS_INPUTS = {
+    "bool-7": (lambda products: b.builtin("bool-7"), ()),
+    "chain-128": (lambda products: b.builtin("chain-128"), ()),
+    "null-8": (lambda products: null_algebra(8), ()),
+    "null-10": (lambda products: null_algebra(10), ()),
+    "null-12": (lambda products: null_algebra(12), ("audit",)),
+    "idempotent-chain": (lambda products: idempotent_chain(), ()),
+    "monoid-ideals": (lambda products: monoid_ideal_algebra(), ()),
+    **{f"seeded-product-{k}": (_seeded(k), ()) for k in _SEEDED},
+    "trivial": (lambda products: b.builtin("trivial"), ()),
+    **{f"algebras/{path.name}": (_shipped(path.name), ())
+       for path in sorted((REPO_ROOT / "algebras").glob("*.b1a"))},
+}
+
+
+def corpus_reports(algebra: b.Algebra, label: str, left_out=()) -> dict[str, str]:
+    """Each command line of ``CORPUS_COMMANDS`` and format, bar those left
+    out, mapped to '<status> <SHA-256 of the report>' as the CLI would
+    print it for a file named label, or to '2 error: <text>' for a command
+    the CLI refuses."""
+    parser, out = cli.build_parser(), {}
+    for template in CORPUS_COMMANDS:
+        if template.split()[0] in left_out:
+            continue
+        line = template.format(zero=algebra.names[0])
+        args = parser.parse_args([*line.split(), label])
+        try:
+            payload, status = args.run(algebra, args)
+        except b.AlgebraError as exc:
+            for fmt in run.FORMATS:
+                out[f"{line} --format {fmt}"] = f"2 error: {exc}"
+            continue
+        for fmt in run.FORMATS:
+            report = io.StringIO()
+            cli._emit(args.command, label, payload, fmt, report)
+            out[f"{line} --format {fmt}"] = f"{status} {run.sha256(report.getvalue())}"
+    return out
+
+
+def corpus_mismatches(recorded: dict, products, labels=None) -> list[str]:
+    """A line for each corpus input of labels, by default all of them,
+    whose reports differ from its entry in recorded, the table of
+    tests/digest_corpus.json, naming the command lines that differ; with
+    every label, also one if the table's inputs are not ``CORPUS_INPUTS``,
+    in order."""
+    wrong = []
+    if labels is None:
+        labels = CORPUS_INPUTS
+        if list(recorded) != list(CORPUS_INPUTS):
+            wrong.append("digest corpus: the recorded inputs are not CORPUS_INPUTS, in order")
+    for label in labels:
+        make, left_out = CORPUS_INPUTS[label]
+        got, want = corpus_reports(make(products), label, left_out), recorded.get(label, {})
+        differ = [line for line in {**want, **got} if got.get(line) != want.get(line)]
+        if differ:
+            wrong.append(f"{label}: reports differ from the digest corpus: {', '.join(differ)}")
+    return wrong
+
+
+def report_mismatches() -> list[str]:
+    """A line for each entry of the two recorded report tables that the
+    engine does not reproduce: in perfbench/expected.json, the fleet op on
+    every drawable algebra and every op of the cli-small and enum-large
+    workloads (``fleet_mismatches``, ``cli_mismatches``), and in
+    tests/digest_corpus.json, every corpus input (``corpus_mismatches``).
+
+    B1ALG_ENUM_BOUND is removed from the environment first, as the
+    benchmark's children run without it.
+    """
+    os.environ.pop("B1ALG_ENUM_BOUND", None)
+    expected = json.loads(run.EXPECTED_PATH.read_text(encoding="utf-8"))
+    wrong = fleet_mismatches(expected)
+    with tempfile.TemporaryDirectory() as tmp:
+        for workload in run.CLI_INPUTS:
+            wrong += cli_mismatches(workload, expected, Path(tmp) / workload)
+    corpus = json.loads(CORPUS_PATH.read_text(encoding="utf-8"))
+    products = seeded_products([*named_base_fleet().values(), *random_fleet()])
+    return wrong + corpus_mismatches(corpus, products)
+
+
 def main() -> int:
-    """Print every gated count beside its ceiling, and the engine's size;
-    1 if any count is over its ceiling, else 0."""
+    """Print every gated count beside its ceiling and the engine's size,
+    then check every recorded report; 1 if any count is over its ceiling
+    or any report differs from its table, each named, else 0."""
     if not OPCODES_EXACT:
         print(f"Python {sys.version.split()[0]}: frames only.  Opcodes are counted on "
               "Python 3.11 alone, which the ceilings are measured on; sys.settrace "
@@ -344,9 +522,15 @@ def main() -> int:
         breaches += ceiling_breaches(name, show=print)
     lines, code = engine_size()
     print(f"src/b1alg/*.py: {lines:,} lines, {code:,} code lines")
+    mismatches = report_mismatches()
+    if not mismatches:
+        print("reports: every entry of perfbench/expected.json and "
+              "tests/digest_corpus.json matches")
     for breach in breaches:
         print(f"OVER: {breach}")
-    return 1 if breaches else 0
+    for mismatch in mismatches:
+        print(f"DIFFERS: {mismatch}")
+    return 1 if breaches or mismatches else 0
 
 
 if __name__ == "__main__":

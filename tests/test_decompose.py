@@ -1054,6 +1054,16 @@ class TestPerMaskMemo:
                 with pytest.raises(b.AlgebraError, match="not saturated"):
                     analyse(algebra, msk(algebra, "x"))
 
+    def test_an_out_of_range_refusal_writes_no_memo_entry(self):
+        # The refusal names the lowest stray bit without the memoized ideal
+        # test, so a refused mask leaves a fresh algebra's memo empty.
+        for refuse in (b.member_labels, b.divisor_set, b.is_prime, b.bourne_congruence):
+            algebra = b.builtin("example-6-2")
+            with pytest.raises(b.AlgebraError) as refused:
+                refuse(algebra, 1 | 1 << 9)
+            assert str(refused.value) == out_of_range_refusal(algebra, 1 | 1 << 9)
+            assert algebra._memo == {}, refuse.__name__
+
     def test_memoized_functions_keep_their_names(self):
         for fn in (
             b.saturation, b.is_saturated, b.radical, b.ideal_violation,

@@ -16,6 +16,26 @@ import b1alg as b
 REPO_ROOT = Path(__file__).resolve().parent.parent
 PACKAGE_DIR = REPO_ROOT / "src" / "b1alg"
 
+# Each module of the package, parsed once, by file name.
+TREES = {
+    path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for path in sorted(PACKAGE_DIR.glob("*.py"))
+}
+
+
+def functions(module: str) -> dict[str, ast.FunctionDef]:
+    """The module-level functions of the package module file, by name."""
+    return {node.name: node for node in TREES[module].body if isinstance(node, ast.FunctionDef)}
+
+
+def called(node: ast.AST) -> set[str]:
+    """The names that calls under node call by a bare name."""
+    return {
+        sub.func.id
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+    }
+
 
 def test_each_public_name_is_declared_once_where_it_is_defined():
     # Each engine module's __all__ names exactly the public functions and
@@ -24,9 +44,8 @@ def test_each_public_name_is_declared_once_where_it_is_defined():
     # `from b1alg import *` and every test that reads b1alg.__all__.
     declared = []
     for name in ("algebra", "ideals", "spectrum", "decompose"):  # dependency order
-        tree = ast.parse((PACKAGE_DIR / f"{name}.py").read_text(encoding="utf-8"))
         defined = [
-            node.name for node in tree.body
+            node.name for node in TREES[f"{name}.py"].body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
         ]
         exported = importlib.import_module(f"b1alg.{name}").__all__
@@ -34,9 +53,9 @@ def test_each_public_name_is_declared_once_where_it_is_defined():
         declared += exported
     assert len(set(declared)) == len(declared)  # no name in two modules
     assert b.__all__ == ("__version__", *declared)
-    init = ast.parse((PACKAGE_DIR / "__init__.py").read_text(encoding="utf-8"))
     assert {
-        alias.name for node in init.body if isinstance(node, ast.ImportFrom) and node.module
+        alias.name for node in TREES["__init__.py"].body
+        if isinstance(node, ast.ImportFrom) and node.module
         for alias in node.names
     } == {"*"}
     namespace: dict = {}
@@ -50,14 +69,12 @@ def test_each_public_name_is_declared_once_where_it_is_defined():
 
 def test_no_assert_statements_in_the_package():
     # python -O strips assert statements, so invariants must raise instead.
-    found = []
-    for path in sorted(PACKAGE_DIR.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found += [
-            f"{path.name}:{node.lineno}"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Assert)
-        ]
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
     assert found == []
 
 
@@ -68,8 +85,7 @@ def test_no_module_level_mutable_containers_in_the_package():
     displays = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
     factories = {"dict", "list", "set", "WeakKeyDictionary", "WeakValueDictionary"}
     found = []
-    for path in sorted(PACKAGE_DIR.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for module, tree in TREES.items():
         for node in tree.body:
             if not isinstance(node, (ast.Assign, ast.AnnAssign)) or node.value is None:
                 continue
@@ -78,23 +94,21 @@ def test_no_module_level_mutable_containers_in_the_package():
                 func = value.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
                 if name in factories:
-                    found.append(f"{path.name}:{node.lineno}")
+                    found.append(f"{module}:{node.lineno}")
             elif isinstance(value, displays):
-                found.append(f"{path.name}:{node.lineno}")
+                found.append(f"{module}:{node.lineno}")
     assert found == []
 
 
 def test_no_memo_bypasses_in_the_package():
     # Each per-ideal result has one route, the memoized function; reading
     # fn.__wrapped__ would compute it a second way, around the memo.
-    found = []
-    for path in sorted(PACKAGE_DIR.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found += [
-            f"{path.name}:{node.lineno}"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr == "__wrapped__"
-        ]
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "__wrapped__"
+    ]
     assert found == []
 
 
@@ -111,10 +125,9 @@ def test_only_the_enumeration_reads_the_bound():
             defines = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             yield from callers(child, child.name if defines else function)
 
-    found = set()
-    for path in sorted(PACKAGE_DIR.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found.update(f"{path.name}:{name}" for name in callers(tree, "<module>"))
+    found = {
+        f"{module}:{name}" for module, tree in TREES.items() for name in callers(tree, "<module>")
+    }
     assert found == {"ideals.py:enumerate_ideals"}
 
 
@@ -130,10 +143,7 @@ def test_only_the_pair_masks_read_the_product_masks():
             named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
             yield from readers(child, f"{where}.{child.name}".lstrip(".") if named else where)
 
-    found = set()
-    for path in sorted(PACKAGE_DIR.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found.update(f"{path.name}:{name}" for name in readers(tree, ""))
+    found = {f"{module}:{name}" for module, tree in TREES.items() for name in readers(tree, "")}
     assert found == {"algebra.py:Algebra.__init__", "ideals.py:_pairs_in"}
 
 
@@ -142,11 +152,10 @@ def test_audit_checks_take_only_the_algebra():
     # parameter would carry a per-call copy of what the memo already holds.
     # Of the 21 audit rows, axioms and natural-order are the constructor's
     # certificate, written as constant rows, so 19 rows have a check.
-    tree = ast.parse((PACKAGE_DIR / "decompose.py").read_text(encoding="utf-8"))
     checks = {
-        node.name: [a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)]
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name.startswith("_audit_")
+        name: [a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)]
+        for name, node in functions("decompose.py").items()
+        if name.startswith("_audit_")
     }
     assert len(checks) == 19
     assert {name: args for name, args in checks.items() if args != ["algebra"]} == {}
@@ -156,16 +165,7 @@ def test_decomposition_precondition_is_checked_once():
     # The public entry points check a decomposition's input; the audit and
     # the radical decomposition hold masks that are ideals by construction,
     # so they call the split and the memoized tests without a re-check.
-    tree = ast.parse((PACKAGE_DIR / "decompose.py").read_text(encoding="utf-8"))
-    calls = {
-        node.name: {
-            sub.func.id
-            for sub in ast.walk(node)
-            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
-        }
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef)
-    }
+    calls = {name: called(node) for name, node in functions("decompose.py").items()}
     entry_points = {"weak_decompose", "radical_decomposition", "evans_report"}
     checking = {name for name, called in calls.items() if "_require_saturated_proper" in called}
     assert checking == entry_points
@@ -181,16 +181,7 @@ def test_only_the_split_step_splits_a_node():
     # Each node's witness and arms come from one memoized step, which every
     # split through the node shares; the walk that reads the steps never
     # calls itself, as a split can run deeper than the recursion limit.
-    tree = ast.parse((PACKAGE_DIR / "decompose.py").read_text(encoding="utf-8"))
-    calls = {
-        node.name: {
-            sub.func.id
-            for sub in ast.walk(node)
-            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
-        }
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef)
-    }
+    calls = {name: called(node) for name, node in functions("decompose.py").items()}
     splitting = {name for name, called in calls.items() if "_join" in called}
     assert splitting == {"_split_step"}
     assert "_split" not in calls["_split"] and "_split_step" not in calls["_split_step"]
@@ -207,20 +198,16 @@ def test_each_inclusion_is_tested_where_it_is_relied_on():
     # and the memoized step only computes.  A saturated prime holds the join
     # of Ann(x) exactly when it holds Ann(x), so associated_primes tests
     # Ann(x) itself and never forms the join.
-    def functions(name):
-        tree = ast.parse((PACKAGE_DIR / name).read_text(encoding="utf-8"))
-        return tree, {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-
     def arm_checks(node):
         return [
             sub for sub in ast.walk(node)
             if isinstance(sub, ast.Constant) and "split arm failed" in str(sub.value)
         ]
 
-    _, decompose = functions("decompose.py")
+    decompose = functions("decompose.py")
     walk = next(sub for sub in ast.walk(decompose["_split"]) if isinstance(sub, ast.While))
     assert arm_checks(decompose["_split_step"]) == [] and len(arm_checks(walk)) == 1
-    tree, spectrum = functions("spectrum.py")
+    tree, spectrum = TREES["spectrum.py"], functions("spectrum.py")
     named = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
     named |= {sub.name for sub in ast.walk(tree) if isinstance(sub, ast.alias)}
     assert "_member_sum" not in named
@@ -248,22 +235,14 @@ def test_the_prime_and_primary_tests_are_inclusions_in_the_divisor_set():
     # I is prime iff D(I) lies in I, and primary iff D(I) lies in r(I), so
     # both read the memoized divisor set and neither scans P(I) again, nor
     # tests the range that the divisor set refuses first.
-    tree = ast.parse((PACKAGE_DIR / "spectrum.py").read_text(encoding="utf-8"))
-    tests = {
-        node.name: node
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name in ("is_prime", "is_primary")
-    }
+    spectrum = functions("spectrum.py")
+    tests = {name: spectrum[name] for name in ("is_prime", "is_primary") if name in spectrum}
     assert set(tests) == {"is_prime", "is_primary"}
     for node in tests.values():
-        called = {
-            sub.func.id
-            for sub in ast.walk(node)
-            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
-        }
+        calls = called(node)
         loop = (ast.For, ast.While, ast.comprehension)
         loops = [sub for sub in ast.walk(node) if isinstance(sub, loop)]
-        assert "divisor_set" in called and not called & {"_pairs_in", "_out_of_range"}
+        assert "divisor_set" in calls and not calls & {"_pairs_in", "_out_of_range"}
         assert loops == []
 
 
@@ -292,17 +271,15 @@ def test_no_exponential_subset_loops_in_the_package():
             and getattr(node.value, "id", None) == "itertools"
         )
 
-    found = []
-    for path in sorted(PACKAGE_DIR.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found += [
-            f"{path.name}:{node.lineno}"
-            for node in ast.walk(tree)
-            if subset_search(node)
-            or isinstance(node, ast.Call)
-            and getattr(node.func, "id", None) == "range"
-            and any(exponential(arg) for arg in node.args)
-        ]
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in TREES.items()
+        for node in ast.walk(tree)
+        if subset_search(node)
+        or isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "range"
+        and any(exponential(arg) for arg in node.args)
+    ]
     assert found == []
 
 
@@ -318,21 +295,19 @@ def test_element_wise_operations_read_the_mask_tables():
     }
     whole_ideal = {"is_prime", "is_primary", "divisor_set", "evans_report"}
     found = []
-    for name, functions in wanted.items():
-        tree = ast.parse((PACKAGE_DIR / name).read_text(encoding="utf-8"))
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and node.name in functions:
-                functions = functions - {node.name}
-                for sub in ast.walk(node):
-                    if isinstance(sub, ast.Attribute) and sub.attr in ("add", "mul"):
-                        found.append(f"{name}:{sub.lineno}")
-                    elif (
-                        node.name in whole_ideal
-                        and isinstance(sub, ast.Call)
-                        and getattr(sub.func, "id", None) == "conductor"
-                    ):
-                        found.append(f"{name}:{sub.lineno} conductor call")
-        assert not functions, f"{name} lacks {functions}"
+    for name, reading in wanted.items():
+        defined = functions(name)
+        assert reading <= set(defined), f"{name} lacks {reading - set(defined)}"
+        for node in (defined[function] for function in sorted(reading)):
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Attribute) and sub.attr in ("add", "mul"):
+                    found.append(f"{name}:{sub.lineno}")
+                elif (
+                    node.name in whole_ideal
+                    and isinstance(sub, ast.Call)
+                    and getattr(sub.func, "id", None) == "conductor"
+                ):
+                    found.append(f"{name}:{sub.lineno} conductor call")
     assert found == []
 
 
